@@ -53,6 +53,7 @@ from .measures import (
     robust_volume,
     robust_volume_multi,
     schroedinger_kernel,
+    volume_logs,
 )
 from .fidelity import (
     BURES_MARGINALS,

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .states import SqueezedThermalParams, squeezed_thermal_covariance
 from .tolerances import DEFAULT, Tolerances
@@ -199,6 +198,10 @@ def improperness_probe(density: MarginalDensity, which: str, R: float) -> float:
     The integrals grow without bound in R, which is the numerical
     statement that the marginals are unnormalizable.
     """
+    # Imported here: scipy.integrate is slow to import and only this
+    # probe uses it.
+    from scipy.integrate import quad
+
     if R <= 0.0:
         raise ValueError("upper limit must be positive")
     if which == "f":

@@ -9,6 +9,7 @@ normalized spectrum.  All volume arithmetic stays in the log domain.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,11 +31,16 @@ __all__ = [
     "schroedinger_kernel",
     "discretize",
     "log_volume_element",
+    "volume_logs",
     "robust_volume",
     "robust_volume_multi",
 ]
 
 METRIC_KINDS = ("bures", "kubo_mori", "maximal")
+
+# Matrices whose kernels share one stacked eigensolve in volume_logs.
+# Results do not depend on it; it bounds the memory of a chunk.
+KERNEL_CHUNK = 16
 
 
 class SingularBlockError(Exception):
@@ -51,7 +57,10 @@ class SampleDiscarded(Exception):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Strictly increasing coordinates used on both axes of the grid."""
+    """Strictly increasing coordinates used on both axes of the grid.
+
+    A stack of grids carries coordinates of shape (..., m).
+    """
 
     coords: np.ndarray
     kind: str
@@ -59,11 +68,16 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Discretized kernel with its normalized positive spectrum."""
+    """Discretized kernel with its normalized positive spectrum.
+
+    A stack of kernels carries leading axes on every field and marks
+    the kernels that passed the spectrum floor in passed_floor.
+    """
 
     gamma: np.ndarray
     eigenvalues: np.ndarray
     log_det: float
+    passed_floor: np.ndarray | bool = True
 
 
 @dataclass(frozen=True)
@@ -74,6 +88,24 @@ class VolumeEstimate:
     median: float
     trimmed_mean: float
     metric_kind: str
+
+    @classmethod
+    def from_log_volumes(cls, log_volumes: np.ndarray, metric_kind: str) -> "VolumeEstimate":
+        """Median and trimmed mean over the last (grid) axis.
+
+        The trimmed mean drops the lowest and highest value when there
+        are at least three.  A stack of rows gives arrays of estimates,
+        one row a pair of floats.
+        """
+        ordered = np.sort(log_volumes, axis=-1)
+        if ordered.shape[-1] >= 3:
+            ordered = ordered[..., 1:-1]
+        median = np.median(log_volumes, axis=-1)
+        # Contiguous rows are summed in the order a lone row is.
+        trimmed = np.ascontiguousarray(ordered).mean(axis=-1)
+        if np.ndim(log_volumes) == 1:
+            median, trimmed = float(median), float(trimmed)
+        return cls(log_volumes, median, trimmed, metric_kind)
 
 
 def regular_grid(m: int) -> GridSpec:
@@ -112,21 +144,21 @@ def jeffreys_log_weight(M: np.ndarray) -> float:
 
 def _kernel_pieces(M: np.ndarray, tol: Tolerances):
     # Reorder (x1, p1, x2, p2) -> (x.., p..), invert, and Schur-reduce the
-    # momentum block.  Works for one mode (2x2) and two modes (4x4).
-    M = np.asarray(M, dtype=float)
-    d = M.shape[0] // 2
+    # momentum block, for a stack of one-mode (2x2) or two-mode (4x4)
+    # matrices along the leading axis.
+    d = M.shape[-1] // 2
     perm = [0, 1] if d == 1 else [0, 2, 1, 3]
-    sigma = M[np.ix_(perm, perm)]
-    K = np.linalg.inv(sigma)
-    Kqq = K[:d, :d]
-    Kqp = K[:d, d:]
-    Kpp = K[d:, d:]
+    K = np.linalg.inv(M[:, perm][:, :, perm])
+    Kqq = K[:, :d, :d]
+    Kqp = K[:, :d, d:]
+    Kpp = K[:, d:, d:]
     w = np.linalg.eigvalsh(Kpp)
-    if not np.isfinite(w).all() or w[0] <= 1e-14 * max(abs(w[-1]), 1e-300):
+    floor = tol.singular_block_rel * np.maximum(np.abs(w[:, -1]), 1e-300)
+    if not np.isfinite(w).all() or (w[:, 0] <= floor).any():
         raise SingularBlockError("momentum block of the inverse is singular")
     Kpp_inv = np.linalg.inv(Kpp)
-    Aq = Kqq - Kqp @ Kpp_inv @ Kqp.T
     Cqv = Kqp @ Kpp_inv
+    Aq = Kqq - Cqv @ Kqp.swapaxes(-1, -2)
     return Aq, Kpp_inv, Cqv
 
 
@@ -145,7 +177,7 @@ def schroedinger_kernel(
     normalized so the value at the origin is 1; the overall constant is
     irrelevant because spectra are normalized downstream.
     """
-    Aq, Kpp_inv, Cqv = _kernel_pieces(M, tol)
+    Aq, Kpp_inv, Cqv = (p[0] for p in _kernel_pieces(np.asarray(M, dtype=float)[None], tol))
     x = np.asarray(x, dtype=float)
     xp = np.asarray(xp, dtype=float)
     q = 0.5 * (x + xp)
@@ -155,11 +187,36 @@ def schroedinger_kernel(
     return complex(np.exp(re + 1j * im))
 
 
-def _grid_points(coords: np.ndarray, modes: int) -> np.ndarray:
+@functools.lru_cache(maxsize=16)
+def _triu(n: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    # (row, column) index of the entries on and above diagonal k of an
+    # n x n matrix; read-only, since every caller shares the cached pair.
+    rows, cols = np.triu_indices(n, k)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
+def _grid_axes(coords: np.ndarray, modes: int) -> list[np.ndarray]:
+    # (n, m) coordinates -> per-mode coordinates (n, points) of the
+    # row-major point lattice.
     if modes == 1:
-        return coords[:, None]
-    m = len(coords)
-    return np.column_stack([np.repeat(coords, m), np.tile(coords, m)])
+        return [coords]
+    m = coords.shape[-1]
+    return [np.repeat(coords, m, axis=-1), np.tile(coords, (1, m))]
+
+
+def _quadratic_form(x: list, A: np.ndarray, y: list) -> np.ndarray:
+    # sum_ij x_i A_ij y_j per kernel entry, with x_i, y_j of shape
+    # (n, entries) and A of shape (n, d, d).  Terms are added in the order
+    # np.einsum("nei,nij,nej->ne", ...) adds them, starting from
+    # zero, so the two agree bit for bit; this form is several times
+    # faster.
+    out = 0.0
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            out = out + (xi * A[:, i, j, None]) * yj
+    return out
 
 
 def discretize(M: np.ndarray, grid: GridSpec, tol: Tolerances = DEFAULT) -> KernelMatrix:
@@ -170,27 +227,55 @@ def discretize(M: np.ndarray, grid: GridSpec, tol: Tolerances = DEFAULT) -> Kern
     matrix is Hermitian by construction: entries below the diagonal are
     the conjugates of their mirror images.  A spectrum with any
     eigenvalue at or below the relative floor rejects the kernel.
+
+    A single matrix with one grid returns one kernel and raises
+    NonPositiveSpectrumError on rejection.  A stack of S matrices with
+    grid coordinates of shape (S, G, m) returns all S * G kernels at
+    once, shaped (S, G, ...): the kernel pieces are computed once per
+    matrix, all spectra come from one stacked eigensolve, and rejection
+    is reported per kernel in `passed_floor` (log_det is NaN there).
     """
     M = np.asarray(M, dtype=float)
-    Aq, Kpp_inv, Cqv = _kernel_pieces(M, tol)
-    pts = _grid_points(np.asarray(grid.coords, dtype=float), M.shape[0] // 2)
-    q = 0.5 * (pts[:, None, :] + pts[None, :, :])
-    v = pts[:, None, :] - pts[None, :, :]
-    re = -0.5 * np.einsum("abi,ij,abj->ab", q, Aq, q)
-    re -= 0.125 * np.einsum("abi,ij,abj->ab", v, Kpp_inv, v)
-    im = -0.5 * np.einsum("abi,ij,abj->ab", q, Cqv, v)
-    gamma = np.exp(re + 1j * im)
-    n = gamma.shape[0]
-    rows = np.arange(n)
-    upper = rows[:, None] <= rows[None, :]
-    gamma = np.where(upper, gamma, np.conj(gamma.T))
+    coords = np.asarray(grid.coords, dtype=float)
+    single = M.ndim == 2
+    if single:
+        M = M[None]
+        coords = coords[None, None]
+    S, G, m = coords.shape
+    Aq, Kpp_inv, Cqv = (np.repeat(p, G, axis=0) for p in _kernel_pieces(M, tol))
+    axes = _grid_axes(coords.reshape(S * G, m), M.shape[-1] // 2)
+    n = axes[0].shape[-1]
+    # The kernel is evaluated on and above the diagonal only; the entries
+    # below are the conjugates of their mirror images.
+    a, b = _triu(n)
+    x_a = [np.take(x, a, axis=-1) for x in axes]
+    x_b = [np.take(x, b, axis=-1) for x in axes]
+    q = [0.5 * (xa + xb) for xa, xb in zip(x_a, x_b)]
+    v = [xa - xb for xa, xb in zip(x_a, x_b)]
+    re = -0.5 * _quadratic_form(q, Aq, q)
+    re -= 0.125 * _quadratic_form(v, Kpp_inv, v)
+    im = -0.5 * _quadratic_form(q, Cqv, v)
+    upper = np.exp(re + 1j * im)
+    gamma = np.empty((S * G, n, n), dtype=complex)
+    gamma[:, b, a] = np.conj(upper)
+    gamma[:, a, b] = upper
     w = np.linalg.eigvalsh(gamma)
-    if w[0] <= tol.spectrum_floor_rel * w[-1]:
-        raise NonPositiveSpectrumError(
-            f"minimum eigenvalue {w[0]:.3e} of {n}x{n} kernel matrix"
-        )
-    lam = w / w.sum()
-    return KernelMatrix(gamma=gamma, eigenvalues=lam, log_det=float(np.log(lam).sum()))
+    passed = ~(w[:, 0] <= tol.spectrum_floor_rel * w[:, -1])
+    lam = w / w.sum(axis=-1, keepdims=True)
+    log_det = np.full(S * G, np.nan)
+    log_det[passed] = np.log(lam[passed]).sum(axis=-1)
+    if single:
+        if not passed[0]:
+            raise NonPositiveSpectrumError(
+                f"minimum eigenvalue {w[0, 0]:.3e} of {n}x{n} kernel matrix"
+            )
+        return KernelMatrix(gamma=gamma[0], eigenvalues=lam[0], log_det=float(log_det[0]))
+    return KernelMatrix(
+        gamma=gamma.reshape(S, G, n, n),
+        eigenvalues=lam.reshape(S, G, n),
+        log_det=log_det.reshape(S, G),
+        passed_floor=passed.reshape(S, G),
+    )
 
 
 def _log_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -201,7 +286,7 @@ def _log_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(d == 0.0, a, d / safe)
 
 
-def log_volume_element(kernel, metric_kind: str) -> float:
+def log_volume_element(kernel, metric_kind: str):
     """Log volume element of the chosen monotone metric.
 
     ln V = -1/2 sum_i ln lambda_i  -  sum_{i<j} ln pair(lambda_i, lambda_j)
@@ -210,13 +295,15 @@ def log_volume_element(kernel, metric_kind: str) -> float:
     logarithmic mean for Kubo-Mori, and the harmonic-type quotient
     lambda_i lambda_j / (lambda_i + lambda_j) for the maximal metric.
     Constant factors common to all states are dropped.  Accepts a
-    KernelMatrix or a bare spectrum.
+    KernelMatrix or a bare spectrum; a stack of spectra (..., n) gives
+    an array of log volumes (...), a single spectrum a float.
     """
-    lam = kernel.eigenvalues if isinstance(kernel, KernelMatrix) else None
-    if lam is None:
-        lam = np.asarray(kernel, dtype=float)
-    i, j = np.triu_indices(len(lam), k=1)
-    a, b = lam[i], lam[j]
+    lam = kernel.eigenvalues if isinstance(kernel, KernelMatrix) else kernel
+    # Contiguous rows keep every row's sums in the same order as a lone
+    # spectrum's, so stacked and single calls agree bit for bit.
+    lam = np.ascontiguousarray(lam, dtype=float)
+    i, j = _triu(lam.shape[-1], 1)
+    a, b = np.take(lam, i, axis=-1), np.take(lam, j, axis=-1)
     if metric_kind == "bures":
         pair = a + b
     elif metric_kind == "kubo_mori":
@@ -225,14 +312,38 @@ def log_volume_element(kernel, metric_kind: str) -> float:
         pair = a * b / (a + b)
     else:
         raise ValueError(f"unknown metric kind {metric_kind!r}")
-    return float(-0.5 * np.log(lam).sum() - np.log(pair).sum())
+    out = -0.5 * np.log(lam).sum(axis=-1) - np.log(pair).sum(axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
-def _trimmed_mean(values: np.ndarray) -> float:
-    ordered = np.sort(values)
-    if len(ordered) >= 3:
-        ordered = ordered[1:-1]
-    return float(ordered.mean())
+def volume_logs(
+    M: np.ndarray,
+    coords: np.ndarray,
+    metric_kinds: tuple[str, ...],
+    tol: Tolerances = DEFAULT,
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Per-grid log volumes for a stack of matrices on their own grids.
+
+    M has shape (S, 2d, 2d) and coords (S, G, m): G grids per matrix.
+    Kernels are built and diagonalized KERNEL_CHUNK matrices at a time.
+    Returns a (S,) mask of discarded matrices (any of their kernels
+    rejected) and, per metric, the (S, G) log volumes, NaN on the
+    discarded rows.  No row depends on the others or on the chunk size.
+    """
+    S, G = coords.shape[:2]
+    discarded = np.zeros(S, dtype=bool)
+    logs = {kind: np.full((S, G), np.nan) for kind in metric_kinds}
+    for lo in range(0, S, KERNEL_CHUNK):
+        rows = slice(lo, lo + KERNEL_CHUNK)
+        kern = discretize(M[rows], GridSpec(coords=coords[rows], kind="random"), tol)
+        kept = kern.passed_floor.all(axis=-1)
+        discarded[rows] = ~kept
+        if not kept.any():
+            continue
+        lam = kern.eigenvalues[kept]
+        for kind in metric_kinds:
+            logs[kind][rows][kept] = log_volume_element(lam, kind)
+    return discarded, logs
 
 
 def robust_volume_multi(
@@ -251,7 +362,8 @@ def robust_volume_multi(
     Draws n_grids random grids from the caller-owned stream (or uses the
     single supplied grid), discretizes once per grid, and evaluates every
     requested metric on the shared spectra.  Any rejected kernel discards
-    the whole sample by raising SampleDiscarded.
+    the whole sample by raising SampleDiscarded.  This is volume_logs on
+    a stack of one matrix.
     """
     if grid is not None:
         grids = [grid]
@@ -260,24 +372,11 @@ def robust_volume_multi(
             raise ValueError("a random stream is required to draw grids")
         lo, hi = grid_range
         grids = [random_grid(grid_size, rng, lo, hi, tol) for _ in range(n_grids)]
-    logs = {kind: [] for kind in metric_kinds}
-    for g in grids:
-        try:
-            kern = discretize(M, g, tol)
-        except NonPositiveSpectrumError as exc:
-            raise SampleDiscarded(str(exc)) from exc
-        for kind in metric_kinds:
-            logs[kind].append(log_volume_element(kern, kind))
-    out = {}
-    for kind in metric_kinds:
-        values = np.array(logs[kind])
-        out[kind] = VolumeEstimate(
-            log_volumes=values,
-            median=float(np.median(values)),
-            trimmed_mean=_trimmed_mean(values),
-            metric_kind=kind,
-        )
-    return out
+    coords = np.array([[np.asarray(g.coords, dtype=float) for g in grids]])
+    discarded, logs = volume_logs(np.asarray(M, dtype=float)[None], coords, metric_kinds, tol)
+    if discarded[0]:
+        raise SampleDiscarded("a kernel eigenvalue fell to the relative spectrum floor")
+    return {kind: VolumeEstimate.from_log_volumes(logs[kind][0], kind) for kind in metric_kinds}
 
 
 def robust_volume(

@@ -350,67 +350,52 @@ def _bures_block(args) -> _BlockOut:
     M = _build_matrices(u, k, l)
     idx, dets = _pd_candidates(M)
     acc = CensusAccumulator(generated=count)
-    keys = ["fisher"] + [f"{kind}:{est}" for kind in kinds for est in estimators]
-    lws = {key: ([], [], []) for key in keys}
-    ordered = ("bures", "kubo_mori", "maximal")
-    check_order = all(kind in kinds for kind in ordered)
     disagreement = None
-    numerical_faults = 0
-    ordering_faults = 0
+    rows, verdicts, lw_fisher = [], [], []
     for pos in range(idx.size):
         i = int(idx[pos])
         staged = _classify_stage(M[i], float(dets[pos]), acc, tol)
         if staged is None:
             continue
-        verdict, lw_fisher = staged
+        verdict, lw = staged
         if disagreement is None and criteria.disagrees(verdict, tol):
             disagreement = (M[i].copy(), verdict.margin_sep, verdict.margin_ppt)
-        try:
-            volumes = measures.robust_volume_multi(
-                M[i],
-                grid_stream(seed, start + i),
-                metric_kinds=kinds,
-                n_grids=n_grids,
-                grid_size=grid_size,
-                grid_range=(lo, hi),
-                tol=tol,
-            )
-        except measures.SampleDiscarded:
-            acc.discarded_grids += 1
-            continue
-        sample_lw = {"fisher": lw_fisher}
-        bad = False
-        for kind in kinds:
-            est = volumes[kind]
-            if not np.isfinite(est.log_volumes).all():
-                bad = True
-            for name in estimators:
-                sample_lw[f"{kind}:{name}"] = getattr(est, name)
-        if bad:
-            numerical_faults += 1
-            continue
-        if check_order:
-            vb = volumes["bures"].log_volumes
-            vk = volumes["kubo_mori"].log_volumes
-            vm = volumes["maximal"].log_volumes
-            slack = 1e-9 * np.maximum(1.0, np.abs(vk))
-            ordering_faults += int(
-                np.count_nonzero((vb > vk + slack) | (vk > vm + slack))
-            )
-        acc.separable += verdict.separable
-        acc.classical += verdict.classical
-        for key in keys:
-            triple = lws[key]
-            triple[0].append(sample_lw[key])
-            if verdict.separable:
-                triple[1].append(sample_lw[key])
-            if verdict.classical:
-                triple[2].append(sample_lw[key])
-    for key in keys:
+        rows.append(i)
+        verdicts.append(verdict)
+        lw_fisher.append(lw)
+    # Each sample draws all its grids from its own stream before any of
+    # its kernels is judged, so a rejection never changes what is drawn.
+    coords = np.array([
+        [measures.random_grid(grid_size, stream, lo, hi, tol).coords for _ in range(n_grids)]
+        for stream in (grid_stream(seed, start + i) for i in rows)
+    ]).reshape(len(rows), n_grids, grid_size)
+    discarded, logs = measures.volume_logs(M[rows], coords, kinds, tol)
+    acc.discarded_grids = int(np.count_nonzero(discarded))
+    finite = np.ones(len(rows), dtype=bool)
+    for kind in kinds:
+        finite &= np.isfinite(logs[kind]).all(axis=-1)
+    numerical_faults = int(np.count_nonzero(~discarded & ~finite))
+    good = ~discarded & finite
+    logs = {kind: v[good] for kind, v in logs.items()}
+    ordering_faults = 0
+    if all(kind in kinds for kind in ("bures", "kubo_mori", "maximal")):
+        vb, vk, vm = logs["bures"], logs["kubo_mori"], logs["maximal"]
+        slack = 1e-9 * np.maximum(1.0, np.abs(vk))
+        ordering_faults = int(np.count_nonzero((vb > vk + slack) | (vk > vm + slack)))
+    sep = np.array([v.separable for v in verdicts], dtype=bool)[good]
+    cls = np.array([v.classical for v in verdicts], dtype=bool)[good]
+    acc.separable = int(np.count_nonzero(sep))
+    acc.classical = int(np.count_nonzero(cls))
+    weights = {"fisher": np.array(lw_fisher, dtype=float)[good]}
+    for kind in kinds:
+        est = measures.VolumeEstimate.from_log_volumes(logs[kind], kind)
+        for name in estimators:
+            weights[f"{kind}:{name}"] = getattr(est, name)
+    for key, lw in weights.items():
         tally = acc.tally(key)
-        tally.acc.add_array(lws[key][0])
-        tally.sep.add_array(lws[key][1])
-        tally.cls.add_array(lws[key][2])
+        tally.acc.add_array(lw)
+        tally.sep.add_array(lw[sep])
+        tally.cls.add_array(lw[cls])
     return _BlockOut(
         acc=acc,
         disagreement=disagreement,

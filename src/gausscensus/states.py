@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .tolerances import DEFAULT, Tolerances
 
@@ -301,6 +300,10 @@ def symplectic_eigenvalues(M: np.ndarray) -> tuple[float, float]:
 
 
 def _entropy_term(nu: float) -> float:
+    # Imported here: scipy.special costs a third of a second to import,
+    # and no census path needs it.
+    from scipy.special import xlogy
+
     up = 0.5 * (nu + 1.0)
     dn = 0.5 * max(nu - 1.0, 0.0)
     return float(xlogy(up, up) - xlogy(dn, dn))

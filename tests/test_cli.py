@@ -2,10 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gausscensus
 from gausscensus import cli, criteria, montecarlo
 
 HEADER = "k,l,samples,accepted,separable,classical,prob_sep,prob_classical,seed"
@@ -309,3 +313,22 @@ class TestOtherSubcommands:
         code, _, err = run_cli(capsys, ["table1", "--scale", "0.00002"])
         assert code == 1
         assert "no samples accepted" in err
+
+
+class TestStartup:
+    def test_cli_import_leaves_scipy_unloaded(self) -> None:
+        # scipy.special and scipy.integrate take most of a fresh
+        # process's start-up time and no census uses them, so the modules
+        # that need them import them inside the function that calls them.
+        src = str(Path(gausscensus.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        probe = (
+            "import sys, gausscensus.cli; "
+            "print(sorted(m for m in ('scipy.special', 'scipy.integrate') if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

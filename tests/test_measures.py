@@ -1,17 +1,20 @@
 """Prior measures: closed-form information weight, kernel discretization,
 and monotone-metric volume elements with their robust estimators."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from gausscensus import measures
 from gausscensus.measures import (
     METRIC_KINDS,
     GridSpec,
     KernelMatrix,
     NonPositiveSpectrumError,
     SampleDiscarded,
+    SingularBlockError,
     discretize,
     jeffreys_log_weight,
     log_volume_element,
@@ -20,7 +23,9 @@ from gausscensus.measures import (
     robust_volume,
     robust_volume_multi,
     schroedinger_kernel,
+    volume_logs,
 )
+from gausscensus.tolerances import DEFAULT
 
 from oracles import kernel_by_quadrature, random_physical_matrix
 
@@ -152,6 +157,85 @@ class TestDiscretize:
         kern = discretize(np.array([[2.0, 0.2], [0.2, 1.7]]), regular_grid(5))
         assert kern.gamma.shape == (5, 5)
         assert kern.eigenvalues.sum() == pytest.approx(1.0, abs=1e-14)
+
+
+def _stack_with_grids(seed: int, grids: int = 3):
+    # Physical matrices, the pure vacuum (whose kernels fall to the
+    # spectrum floor) in the middle, and random 5-point grids for each.
+    rng = np.random.default_rng(seed)
+    matrices = [random_physical_matrix(rng) for _ in range(4)]
+    matrices.insert(2, np.eye(4))
+    coords = np.array([
+        [random_grid(5, rng).coords for _ in range(grids)] for _ in matrices
+    ])
+    return np.array(matrices), coords
+
+
+class TestStackedKernels:
+    def test_stack_matches_single_kernels(self):
+        M, coords = _stack_with_grids(3)
+        kern = discretize(M, GridSpec(coords=coords, kind="random"))
+        assert kern.eigenvalues.shape == (5, 3, 25)
+        assert kern.gamma.shape == (5, 3, 25, 25)
+        for s in range(5):
+            for g in range(3):
+                grid = GridSpec(coords=coords[s, g], kind="random")
+                try:
+                    one = discretize(M[s], grid)
+                except NonPositiveSpectrumError:
+                    assert not kern.passed_floor[s, g]
+                    assert math.isnan(kern.log_det[s, g])
+                    continue
+                assert kern.passed_floor[s, g]
+                assert np.array_equal(one.gamma, kern.gamma[s, g])
+                assert np.array_equal(one.eigenvalues, kern.eigenvalues[s, g])
+                assert one.log_det == kern.log_det[s, g]
+        assert not kern.passed_floor[2].any()
+        assert kern.passed_floor.sum() >= 5
+
+    def test_stacked_spectra_match_single_spectra(self):
+        rng = np.random.default_rng(23)
+        lam = rng.dirichlet(np.ones(25), size=(4, 3))
+        for kind in METRIC_KINDS:
+            stacked = log_volume_element(lam, kind)
+            assert stacked.shape == (4, 3)
+            for s in range(4):
+                for g in range(3):
+                    assert stacked[s, g] == log_volume_element(lam[s, g], kind)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("chunk", [1, 2, 16, 1000])
+    def test_volume_logs_do_not_depend_on_chunk(self, monkeypatch, chunk):
+        M, coords = _stack_with_grids(5)
+        want = {}
+        for s in range(len(M)):
+            try:
+                est = robust_volume_multi(
+                    M[s], _QueuedRng(coords[s]), metric_kinds=METRIC_KINDS, n_grids=3
+                )
+            except SampleDiscarded:
+                continue
+            want[s] = est
+        assert 0 < len(want) < len(M)
+        monkeypatch.setattr(measures, "KERNEL_CHUNK", chunk)
+        discarded, logs = volume_logs(M, coords, METRIC_KINDS)
+        assert list(np.flatnonzero(~discarded)) == sorted(want)
+        for kind in METRIC_KINDS:
+            assert np.isnan(logs[kind][discarded]).all()
+            for s, est in want.items():
+                assert np.array_equal(logs[kind][s], est[kind].log_volumes)
+
+    def test_singular_block_threshold_read_from_tolerances(self):
+        M, coords = _stack_with_grids(7)
+        strict = dataclasses.replace(DEFAULT, singular_block_rel=2.0)
+        grid = GridSpec(coords=coords[0, 0], kind="random")
+        discretize(M[0], grid)
+        with pytest.raises(SingularBlockError):
+            discretize(M[0], grid, strict)
+        with pytest.raises(SingularBlockError):
+            discretize(M, GridSpec(coords=coords, kind="random"), strict)
+        with pytest.raises(SingularBlockError):
+            schroedinger_kernel(M[0], np.zeros(2), np.zeros(2), strict)
 
 
 class TestVolumeElement:

@@ -1,11 +1,12 @@
 """Census drivers: determinism, streaming accuracy, and accounting."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
-from gausscensus import criteria
+from gausscensus import criteria, measures, montecarlo
 from gausscensus.montecarlo import (
     EntropyReport,
     LogSumExp,
@@ -18,7 +19,7 @@ from gausscensus.montecarlo import (
     run_one_mode_classicality,
     sample_matrix,
 )
-from gausscensus.rng import sample_stream, substream_uniforms
+from gausscensus.rng import BLOCK, grid_stream, sample_stream, substream_uniforms
 
 
 class TestSamplerConfig:
@@ -249,6 +250,147 @@ class TestBuresCensus:
             run_bures_census(cfg, estimators=("midhinge",))
         with pytest.raises(ValueError, match="grid range"):
             run_bures_census(cfg, grid_range=(2.0, -2.0))
+
+
+ALL_KINDS = ("bures", "kubo_mori", "maximal")
+ESTIMATORS = ("median", "trimmed_mean")
+
+
+def _per_sample_bures(cfg: SamplerConfig):
+    """The Bures census one accepted sample at a time.
+
+    Each sample gets robust_volume_multi on its own grid stream, and the
+    tallies are built in sample order, as the census did before its
+    volume stage worked on whole blocks.  Returns the counts, the
+    tallies, and the positions (among accepted samples) of the
+    discarded ones.
+    """
+    keys = ["fisher"] + [f"{kind}:{name}" for kind in ALL_KINDS for name in ESTIMATORS]
+    lws = {key: ([], [], []) for key in keys}
+    counts = dict.fromkeys(
+        ("accepted", "separable", "classical", "discarded_grids",
+         "numerical_faults", "ordering_faults"), 0)
+    discarded_at = []
+    for index, matrix, verdict in iter_accepted(cfg):
+        counts["accepted"] += 1
+        try:
+            volumes = measures.robust_volume_multi(
+                matrix, grid_stream(cfg.seed, index), metric_kinds=ALL_KINDS
+            )
+        except measures.SampleDiscarded:
+            counts["discarded_grids"] += 1
+            discarded_at.append(counts["accepted"] - 1)
+            continue
+        if not all(np.isfinite(volumes[kind].log_volumes).all() for kind in ALL_KINDS):
+            counts["numerical_faults"] += 1
+            continue
+        vb, vk, vm = (volumes[kind].log_volumes for kind in ALL_KINDS)
+        slack = 1e-9 * np.maximum(1.0, np.abs(vk))
+        counts["ordering_faults"] += int(np.count_nonzero((vb > vk + slack) | (vk > vm + slack)))
+        counts["separable"] += verdict.separable
+        counts["classical"] += verdict.classical
+        sample = {"fisher": -2.5 * math.log(np.linalg.det(matrix[None])[0])}
+        for kind in ALL_KINDS:
+            for name in ESTIMATORS:
+                sample[f"{kind}:{name}"] = getattr(volumes[kind], name)
+        for key in keys:
+            lws[key][0].append(sample[key])
+            if verdict.separable:
+                lws[key][1].append(sample[key])
+            if verdict.classical:
+                lws[key][2].append(sample[key])
+    tallies = {}
+    for key, parts in lws.items():
+        tally = tallies[key] = montecarlo.MeasureTally()
+        for part, values in zip((tally.acc, tally.sep, tally.cls), parts):
+            part.add_array(values)
+    return counts, tallies, discarded_at
+
+
+def _lse_fields(tally) -> list:
+    return [(part.log_max, part.sum_scaled) for part in (tally.acc, tally.sep, tally.cls)]
+
+
+class TestBuresVolumeStage:
+    CFG = SamplerConfig(k=15.0, l=15.0, samples=BLOCK, seed=21)
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return _per_sample_bures(self.CFG)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("chunk", [None, 1, 10**6])
+    def test_block_matches_per_sample_reference(self, reference, monkeypatch, chunk) -> None:
+        counts, tallies, discarded_at = reference
+        # A discarded sample strictly inside a chunk of the default size,
+        # with kept samples before and after it in the same chunk.
+        size = measures.KERNEL_CHUNK
+        assert any(0 < pos % size < size - 1 for pos in discarded_at)
+        if chunk is not None:
+            assert chunk == 1 or chunk > counts["accepted"]
+            monkeypatch.setattr(measures, "KERNEL_CHUNK", chunk)
+        res = run_bures_census(self.CFG, metric_kinds=ALL_KINDS)
+        assert 0 < counts["discarded_grids"] < counts["accepted"]
+        for name, value in counts.items():
+            assert getattr(res, name) == value, name
+        assert sorted(res.measures) == sorted(tallies)
+        for key, tally in tallies.items():
+            assert _lse_fields(res.measures[key]) == _lse_fields(tally), key
+
+
+class TestOracleAbort:
+    def _flag_first_accepted(self, monkeypatch, cfg):
+        # The mirror oracle "disagrees" on one sample of the first block.
+        _, matrix, target = next(iter_accepted(cfg))
+        real = criteria.disagrees
+
+        def disagrees(verdict, tol=criteria.DEFAULT):
+            if verdict == target:
+                return True
+            return real(verdict, tol)
+
+        monkeypatch.setattr(criteria, "disagrees", disagrees)
+        return matrix
+
+    def test_bures_census_aborts_in_process(self, monkeypatch) -> None:
+        cfg = SamplerConfig(k=15.0, l=15.0, samples=3 * BLOCK, seed=5)
+        matrix = self._flag_first_accepted(monkeypatch, cfg)
+        blocks = []
+        real = montecarlo.substream_uniforms
+
+        def counted(seed, start, count, width):
+            blocks.append(start)
+            return real(seed, start, count, width)
+
+        monkeypatch.setattr(montecarlo, "substream_uniforms", counted)
+        with pytest.raises(criteria.OracleDisagreementError) as info:
+            run_bures_census(cfg)
+        assert np.array_equal(info.value.matrix, matrix)
+        assert blocks == [0]
+
+    def test_bures_census_abort_cancels_pending_blocks(self, monkeypatch, tmp_path) -> None:
+        # Pool workers are forked from this process, so they see the
+        # patched functions; each block notes its start in a file and
+        # takes at least a quarter second.
+        total = 16
+        cfg = SamplerConfig(k=15.0, l=15.0, samples=total * BLOCK, seed=5)
+        matrix = self._flag_first_accepted(monkeypatch, cfg)
+        log = tmp_path / "blocks.txt"
+        real = montecarlo.substream_uniforms
+
+        def slow(seed, start, count, width):
+            with open(log, "a") as fh:
+                fh.write(f"{start}\n")
+            time.sleep(0.25)
+            return real(seed, start, count, width)
+
+        monkeypatch.setattr(montecarlo, "substream_uniforms", slow)
+        with pytest.raises(criteria.OracleDisagreementError) as info:
+            run_bures_census(cfg, workers=2)
+        assert np.array_equal(info.value.matrix, matrix)
+        started = log.read_text().split()
+        assert "0" in started
+        assert len(started) < total
 
 
 class TestOneModeClassicality:
