@@ -53,7 +53,6 @@ from .measures import (
     robust_volume,
     robust_volume_multi,
     schroedinger_kernel,
-    volume_logs,
 )
 from .fidelity import (
     BURES_MARGINALS,

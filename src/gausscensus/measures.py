@@ -31,16 +31,19 @@ __all__ = [
     "schroedinger_kernel",
     "discretize",
     "log_volume_element",
-    "volume_logs",
     "robust_volume",
     "robust_volume_multi",
 ]
 
 METRIC_KINDS = ("bures", "kubo_mori", "maximal")
 
-# Matrices whose kernels share one stacked eigensolve in volume_logs.
+# Matrices whose kernels share one stacked eigensolve in _volume_logs.
 # Results do not depend on it; it bounds the memory of a chunk.
 KERNEL_CHUNK = 16
+
+# Smallest eigenvalue of the inverse's momentum block, relative to the
+# largest, below which the block counts as singular.
+_SINGULAR_BLOCK_REL = 1e-14
 
 
 class SingularBlockError(Exception):
@@ -153,7 +156,7 @@ def _kernel_pieces(M: np.ndarray, tol: Tolerances):
     Kqp = K[:, :d, d:]
     Kpp = K[:, d:, d:]
     w = np.linalg.eigvalsh(Kpp)
-    floor = tol.singular_block_rel * np.maximum(np.abs(w[:, -1]), 1e-300)
+    floor = _SINGULAR_BLOCK_REL * np.maximum(np.abs(w[:, -1]), 1e-300)
     if not np.isfinite(w).all() or (w[:, 0] <= floor).any():
         raise SingularBlockError("momentum block of the inverse is singular")
     Kpp_inv = np.linalg.inv(Kpp)
@@ -316,7 +319,7 @@ def log_volume_element(kernel, metric_kind: str):
     return float(out) if out.ndim == 0 else out
 
 
-def volume_logs(
+def _volume_logs(
     M: np.ndarray,
     coords: np.ndarray,
     metric_kinds: tuple[str, ...],
@@ -362,7 +365,7 @@ def robust_volume_multi(
     Draws n_grids random grids from the caller-owned stream (or uses the
     single supplied grid), discretizes once per grid, and evaluates every
     requested metric on the shared spectra.  Any rejected kernel discards
-    the whole sample by raising SampleDiscarded.  This is volume_logs on
+    the whole sample by raising SampleDiscarded.  This is _volume_logs on
     a stack of one matrix.
     """
     if grid is not None:
@@ -373,7 +376,7 @@ def robust_volume_multi(
         lo, hi = grid_range
         grids = [random_grid(grid_size, rng, lo, hi, tol) for _ in range(n_grids)]
     coords = np.array([[np.asarray(g.coords, dtype=float) for g in grids]])
-    discarded, logs = volume_logs(np.asarray(M, dtype=float)[None], coords, metric_kinds, tol)
+    discarded, logs = _volume_logs(np.asarray(M, dtype=float)[None], coords, metric_kinds, tol)
     if discarded[0]:
         raise SampleDiscarded("a kernel eigenvalue fell to the relative spectrum floor")
     return {kind: VolumeEstimate.from_log_volumes(logs[kind][0], kind) for kind in metric_kinds}

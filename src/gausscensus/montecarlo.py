@@ -369,7 +369,7 @@ def _bures_block(args) -> _BlockOut:
         [measures.random_grid(grid_size, stream, lo, hi, tol).coords for _ in range(n_grids)]
         for stream in (grid_stream(seed, start + i) for i in rows)
     ]).reshape(len(rows), n_grids, grid_size)
-    discarded, logs = measures.volume_logs(M[rows], coords, kinds, tol)
+    discarded, logs = measures._volume_logs(M[rows], coords, kinds, tol)
     acc.discarded_grids = int(np.count_nonzero(discarded))
     finite = np.ones(len(rows), dtype=bool)
     for kind in kinds:

@@ -22,7 +22,6 @@ class Tolerances:
     classical_min_eig: float = 1e-12     # strict positivity of M - I
     margin_band: float = 1e-9            # verdict-disagreement boundary band
     spectrum_floor_rel: float = 1e-13    # kernel eigenvalue acceptance, relative to max
-    singular_block_rel: float = 1e-14    # min/max eig of the inverse's momentum block
     grid_coincidence: float = 1e-9       # minimum distance between grid coordinates
     fd_step_rel: float = 1e-4            # finite-difference step, relative
     fd_richardson_rel: float = 1e-3      # step-halving disagreement limit

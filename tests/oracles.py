@@ -5,7 +5,11 @@ than the package: the two-parameter reduction is solved by a bracketed
 one-dimensional scan instead of Newton, kernels come from brute-force
 Fourier quadrature of the phase-space density, fidelity comes from
 operator square roots of discretized kernels, and the Jeffreys census
-decides every verdict by batched eigenvalue tests.
+decides every verdict by batched eigenvalue tests.  The per-grid kernel
+pipeline keeps the one-kernel-at-a-time formulation the package's
+batched volume stage must reproduce bit for bit: every lattice entry by
+np.einsum, the lower triangle mirrored by conjugation, one eigensolve
+per grid.
 """
 
 from __future__ import annotations
@@ -203,6 +207,95 @@ def random_physical_matrix(rng: np.random.Generator,
     """Random matrix guaranteed physical: A A^T plus a shift past 1."""
     A = rng.normal(size=(4, 4))
     return A @ A.T + shift * np.eye(4)
+
+
+def grid_coords(rng: np.random.Generator, m: int = 5, lo: float = -2.0,
+                hi: float = 2.0, coincidence: float = 1e-9) -> np.ndarray:
+    """Sorted uniform coordinates on [lo, hi], redrawn on coincidences."""
+    for _ in range(1000):
+        coords = np.sort(rng.uniform(lo, hi, size=m))
+        if m < 2 or float(np.diff(coords).min()) >= coincidence:
+            return coords
+    raise RuntimeError("could not draw distinct grid coordinates")
+
+
+def kernel_on_grid(M: np.ndarray, coords: np.ndarray,
+                   floor_rel: float = 1e-13) -> tuple:
+    """One discretized kernel, entry by entry over the whole lattice.
+
+    Returns (gamma, normalized spectrum, log det); the last two are None
+    when the smallest eigenvalue is at or below floor_rel times the
+    largest.
+    """
+    M = np.asarray(M, dtype=float)
+    d = M.shape[0] // 2
+    perm = [0, 1] if d == 1 else [0, 2, 1, 3]
+    K = np.linalg.inv(M[np.ix_(perm, perm)])
+    Kqq, Kqp, Kpp = K[:d, :d], K[:d, d:], K[d:, d:]
+    w = np.linalg.eigvalsh(Kpp)
+    assert np.isfinite(w).all() and w[0] > 1e-14 * max(abs(w[-1]), 1e-300)
+    Kpp_inv = np.linalg.inv(Kpp)
+    Aq = Kqq - Kqp @ Kpp_inv @ Kqp.T
+    Cqv = Kqp @ Kpp_inv
+    coords = np.asarray(coords, dtype=float)
+    if d == 1:
+        pts = coords[:, None]
+    else:
+        m = len(coords)
+        pts = np.column_stack([np.repeat(coords, m), np.tile(coords, m)])
+    q = 0.5 * (pts[:, None, :] + pts[None, :, :])
+    v = pts[:, None, :] - pts[None, :, :]
+    re = -0.5 * np.einsum("abi,ij,abj->ab", q, Aq, q)
+    re -= 0.125 * np.einsum("abi,ij,abj->ab", v, Kpp_inv, v)
+    im = -0.5 * np.einsum("abi,ij,abj->ab", q, Cqv, v)
+    gamma = np.exp(re + 1j * im)
+    rows = np.arange(gamma.shape[0])
+    upper = rows[:, None] <= rows[None, :]
+    gamma = np.where(upper, gamma, np.conj(gamma.T))
+    w = np.linalg.eigvalsh(gamma)
+    if w[0] <= floor_rel * w[-1]:
+        return gamma, None, None
+    lam = w / w.sum()
+    return gamma, lam, float(np.log(lam).sum())
+
+
+def log_volume_of_spectrum(lam: np.ndarray, kind: str) -> float:
+    """Log volume element of one normalized spectrum, pair by pair."""
+    i, j = np.triu_indices(len(lam), k=1)
+    a, b = lam[i], lam[j]
+    if kind == "bures":
+        pair = a + b
+    elif kind == "kubo_mori":
+        d = a - b
+        safe = np.where(d == 0.0, 1.0, np.log1p(d / b))
+        pair = 2.0 * np.where(d == 0.0, a, d / safe)
+    elif kind == "maximal":
+        pair = a * b / (a + b)
+    else:
+        raise ValueError(kind)
+    return float(-0.5 * np.log(lam).sum() - np.log(pair).sum())
+
+
+def volumes_on_grids(M: np.ndarray, grids: list, kinds: tuple) -> dict | None:
+    """Per-metric (log volumes, median, trimmed mean) over the grids.
+
+    One kernel per grid; None when any kernel is rejected.  The trimmed
+    mean drops the lowest and highest value when there are three or more.
+    """
+    spectra = []
+    for coords in grids:
+        _, lam, _ = kernel_on_grid(M, coords)
+        if lam is None:
+            return None
+        spectra.append(lam)
+    out = {}
+    for kind in kinds:
+        values = np.array([log_volume_of_spectrum(lam, kind) for lam in spectra])
+        ordered = np.sort(values)
+        if len(ordered) >= 3:
+            ordered = ordered[1:-1]
+        out[kind] = (values, float(np.median(values)), float(ordered.mean()))
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,6 @@
 """Prior measures: closed-form information weight, kernel discretization,
 and monotone-metric volume elements with their robust estimators."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -23,11 +22,15 @@ from gausscensus.measures import (
     robust_volume,
     robust_volume_multi,
     schroedinger_kernel,
-    volume_logs,
 )
-from gausscensus.tolerances import DEFAULT
 
-from oracles import kernel_by_quadrature, random_physical_matrix
+from oracles import (
+    kernel_by_quadrature,
+    kernel_on_grid,
+    log_volume_of_spectrum,
+    random_physical_matrix,
+    volumes_on_grids,
+)
 
 
 class _QueuedRng:
@@ -172,28 +175,56 @@ def _stack_with_grids(seed: int, grids: int = 3):
 
 
 class TestStackedKernels:
-    def test_stack_matches_single_kernels(self):
+    """Single and stacked kernels against the per-grid reference.
+
+    The reference evaluates every lattice entry with np.einsum, mirrors
+    the lower triangle by conjugation and diagonalizes one kernel at a
+    time; the package must agree with it bit for bit.
+    """
+
+    def _assert_matches_reference(self, M, coords, kern, s, g):
+        gamma, lam, log_det = kernel_on_grid(M[s], coords[s, g])
+        assert np.array_equal(kern.gamma[s, g], gamma)
+        grid = GridSpec(coords=coords[s, g], kind="random")
+        if lam is None:
+            assert not kern.passed_floor[s, g]
+            assert math.isnan(kern.log_det[s, g])
+            with pytest.raises(NonPositiveSpectrumError):
+                discretize(M[s], grid)
+            return False
+        assert kern.passed_floor[s, g]
+        assert np.array_equal(kern.eigenvalues[s, g], lam)
+        assert kern.log_det[s, g] == log_det
+        one = discretize(M[s], grid)
+        assert np.array_equal(one.gamma, gamma)
+        assert np.array_equal(one.eigenvalues, lam)
+        assert one.log_det == log_det
+        return True
+
+    def test_two_mode_kernels_match_reference(self):
         M, coords = _stack_with_grids(3)
         kern = discretize(M, GridSpec(coords=coords, kind="random"))
         assert kern.eigenvalues.shape == (5, 3, 25)
         assert kern.gamma.shape == (5, 3, 25, 25)
-        for s in range(5):
-            for g in range(3):
-                grid = GridSpec(coords=coords[s, g], kind="random")
-                try:
-                    one = discretize(M[s], grid)
-                except NonPositiveSpectrumError:
-                    assert not kern.passed_floor[s, g]
-                    assert math.isnan(kern.log_det[s, g])
-                    continue
-                assert kern.passed_floor[s, g]
-                assert np.array_equal(one.gamma, kern.gamma[s, g])
-                assert np.array_equal(one.eigenvalues, kern.eigenvalues[s, g])
-                assert one.log_det == kern.log_det[s, g]
-        assert not kern.passed_floor[2].any()
-        assert kern.passed_floor.sum() >= 5
+        passed = [
+            self._assert_matches_reference(M, coords, kern, s, g)
+            for s in range(5) for g in range(3)
+        ]
+        assert not any(passed[6:9])
+        assert sum(passed) >= 5
 
-    def test_stacked_spectra_match_single_spectra(self):
+    @pytest.mark.parametrize("m", [3, 5, 7])
+    def test_regular_and_one_mode_kernels_match_reference(self, m):
+        rng = np.random.default_rng(29 + m)
+        two = np.array([random_physical_matrix(rng) for _ in range(3)])
+        one = np.array([[[2.0, 0.2], [0.2, 1.7]], two[0, :2, :2], two[1, 2:, 2:]])
+        coords = np.broadcast_to(regular_grid(m).coords, (3, 1, m))
+        for M in (two, one):
+            kern = discretize(M, GridSpec(coords=coords, kind="regular"))
+            for s in range(3):
+                assert self._assert_matches_reference(M, coords, kern, s, 0)
+
+    def test_stacked_spectra_match_reference(self):
         rng = np.random.default_rng(23)
         lam = rng.dirichlet(np.ones(25), size=(4, 3))
         for kind in METRIC_KINDS:
@@ -201,41 +232,48 @@ class TestStackedKernels:
             assert stacked.shape == (4, 3)
             for s in range(4):
                 for g in range(3):
-                    assert stacked[s, g] == log_volume_element(lam[s, g], kind)
+                    want = log_volume_of_spectrum(lam[s, g], kind)
+                    assert stacked[s, g] == want
+                    assert log_volume_element(lam[s, g], kind) == want
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("chunk", [1, 2, 16, 1000])
-    def test_volume_logs_do_not_depend_on_chunk(self, monkeypatch, chunk):
+    def test_volume_logs_match_reference_at_any_chunk(self, monkeypatch, chunk):
         M, coords = _stack_with_grids(5)
-        want = {}
-        for s in range(len(M)):
-            try:
-                est = robust_volume_multi(
-                    M[s], _QueuedRng(coords[s]), metric_kinds=METRIC_KINDS, n_grids=3
-                )
-            except SampleDiscarded:
-                continue
-            want[s] = est
-        assert 0 < len(want) < len(M)
+        want = {s: volumes_on_grids(M[s], coords[s], METRIC_KINDS) for s in range(len(M))}
+        assert 0 < sum(v is None for v in want.values()) < len(M)
         monkeypatch.setattr(measures, "KERNEL_CHUNK", chunk)
-        discarded, logs = volume_logs(M, coords, METRIC_KINDS)
-        assert list(np.flatnonzero(~discarded)) == sorted(want)
-        for kind in METRIC_KINDS:
-            assert np.isnan(logs[kind][discarded]).all()
-            for s, est in want.items():
-                assert np.array_equal(logs[kind][s], est[kind].log_volumes)
+        discarded, logs = measures._volume_logs(M, coords, METRIC_KINDS)
+        assert list(discarded) == [want[s] is None for s in range(len(M))]
+        for s, ref in want.items():
+            if ref is None:
+                assert all(np.isnan(logs[kind][s]).all() for kind in METRIC_KINDS)
+                with pytest.raises(SampleDiscarded):
+                    robust_volume_multi(
+                        M[s], _QueuedRng(coords[s]), metric_kinds=METRIC_KINDS, n_grids=3
+                    )
+                continue
+            est = robust_volume_multi(
+                M[s], _QueuedRng(coords[s]), metric_kinds=METRIC_KINDS, n_grids=3
+            )
+            for kind in METRIC_KINDS:
+                values, median, trimmed = ref[kind]
+                assert np.array_equal(logs[kind][s], values)
+                assert np.array_equal(est[kind].log_volumes, values)
+                assert (est[kind].median, est[kind].trimmed_mean) == (median, trimmed)
 
-    def test_singular_block_threshold_read_from_tolerances(self):
-        M, coords = _stack_with_grids(7)
-        strict = dataclasses.replace(DEFAULT, singular_block_rel=2.0)
-        grid = GridSpec(coords=coords[0, 0], kind="random")
-        discretize(M[0], grid)
+    def test_singular_momentum_block_raises(self):
+        # The inverse's momentum block diag(1, 1e-15) falls below the
+        # relative cutoff of 1e-14.
+        M = np.diag([1.0, 1.0, 1.0, 1e15])
+        coords = regular_grid(3).coords
         with pytest.raises(SingularBlockError):
-            discretize(M[0], grid, strict)
+            discretize(M, GridSpec(coords=coords, kind="regular"))
         with pytest.raises(SingularBlockError):
-            discretize(M, GridSpec(coords=coords, kind="random"), strict)
+            discretize(M[None], GridSpec(coords=coords[None, None], kind="regular"))
         with pytest.raises(SingularBlockError):
-            schroedinger_kernel(M[0], np.zeros(2), np.zeros(2), strict)
+            schroedinger_kernel(M, np.zeros(2), np.zeros(2))
+        assert schroedinger_kernel(np.diag([1.0, 1.0, 1.0, 1e13]), np.zeros(2), np.zeros(2)) == 1
 
 
 class TestVolumeElement:

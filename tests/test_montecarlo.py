@@ -1,6 +1,7 @@
 """Census drivers: determinism, streaming accuracy, and accounting."""
 
 import math
+import multiprocessing
 import time
 
 import numpy as np
@@ -20,6 +21,8 @@ from gausscensus.montecarlo import (
     sample_matrix,
 )
 from gausscensus.rng import BLOCK, grid_stream, sample_stream, substream_uniforms
+
+from oracles import grid_coords, volumes_on_grids
 
 
 class TestSamplerConfig:
@@ -259,11 +262,11 @@ ESTIMATORS = ("median", "trimmed_mean")
 def _per_sample_bures(cfg: SamplerConfig):
     """The Bures census one accepted sample at a time.
 
-    Each sample gets robust_volume_multi on its own grid stream, and the
-    tallies are built in sample order, as the census did before its
-    volume stage worked on whole blocks.  Returns the counts, the
-    tallies, and the positions (among accepted samples) of the
-    discarded ones.
+    Each sample draws five grids from its own grid stream and gets one
+    reference kernel per grid (tests/oracles.py), and the tallies are
+    built in sample order, as the census did before its volume stage
+    worked on whole blocks.  Returns the counts, the tallies, and the
+    positions (among accepted samples) of the discarded ones.
     """
     keys = ["fisher"] + [f"{kind}:{name}" for kind in ALL_KINDS for name in ESTIMATORS]
     lws = {key: ([], [], []) for key in keys}
@@ -273,26 +276,25 @@ def _per_sample_bures(cfg: SamplerConfig):
     discarded_at = []
     for index, matrix, verdict in iter_accepted(cfg):
         counts["accepted"] += 1
-        try:
-            volumes = measures.robust_volume_multi(
-                matrix, grid_stream(cfg.seed, index), metric_kinds=ALL_KINDS
-            )
-        except measures.SampleDiscarded:
+        stream = grid_stream(cfg.seed, index)
+        grids = [grid_coords(stream) for _ in range(5)]
+        volumes = volumes_on_grids(matrix, grids, ALL_KINDS)
+        if volumes is None:
             counts["discarded_grids"] += 1
             discarded_at.append(counts["accepted"] - 1)
             continue
-        if not all(np.isfinite(volumes[kind].log_volumes).all() for kind in ALL_KINDS):
+        if not all(np.isfinite(volumes[kind][0]).all() for kind in ALL_KINDS):
             counts["numerical_faults"] += 1
             continue
-        vb, vk, vm = (volumes[kind].log_volumes for kind in ALL_KINDS)
+        vb, vk, vm = (volumes[kind][0] for kind in ALL_KINDS)
         slack = 1e-9 * np.maximum(1.0, np.abs(vk))
         counts["ordering_faults"] += int(np.count_nonzero((vb > vk + slack) | (vk > vm + slack)))
         counts["separable"] += verdict.separable
         counts["classical"] += verdict.classical
         sample = {"fisher": -2.5 * math.log(np.linalg.det(matrix[None])[0])}
         for kind in ALL_KINDS:
-            for name in ESTIMATORS:
-                sample[f"{kind}:{name}"] = getattr(volumes[kind], name)
+            for pos, name in enumerate(ESTIMATORS, start=1):
+                sample[f"{kind}:{name}"] = volumes[kind][pos]
         for key in keys:
             lws[key][0].append(sample[key])
             if verdict.separable:
@@ -368,6 +370,10 @@ class TestOracleAbort:
         assert np.array_equal(info.value.matrix, matrix)
         assert blocks == [0]
 
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="pool workers see the patched functions only when forked",
+    )
     def test_bures_census_abort_cancels_pending_blocks(self, monkeypatch, tmp_path) -> None:
         # Pool workers are forked from this process, so they see the
         # patched functions; each block notes its start in a file and
