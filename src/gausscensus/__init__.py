@@ -13,6 +13,7 @@ from .states import (
     ComplexRootError,
     DegenerateError,
     NoConvergenceError,
+    SolverFailure,
     StandardFormI,
     StandardFormII,
     SqueezedThermalParams,

@@ -9,12 +9,13 @@ for two-mode Gaussian states.  A positive-P test decides classicality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .states import (
     OMEGA,
+    SolverFailure,
     StandardFormI,
     StandardFormII,
     is_physical,
@@ -41,6 +42,12 @@ __all__ = [
 #: Momentum reversal of the second mode, the phase-space mirror.
 MIRROR = np.diag([1.0, 1.0, 1.0, -1.0])
 MIRROR.setflags(write=False)
+# M * _MIRROR_SIGNS is MIRROR @ M @ MIRROR, one matrix or a stack.
+_MIRROR_SIGNS = np.outer(np.diag(MIRROR), np.diag(MIRROR))
+
+# Matrices per stacked classify pass.  Results do not depend on it; it
+# bounds the memory of a pass.
+CLASSIFY_CHUNK = 16384
 
 _EYE4 = np.eye(4)
 _EYE4.setflags(write=False)
@@ -68,7 +75,12 @@ class Verdict:
     """Outcome of the full filter chain for one sampled matrix.
 
     physical is the exact uncertainty-relation verdict M + i*Omega >= 0;
-    separable and classical are False for unphysical matrices.
+    separable and classical are False for unphysical matrices.  A
+    stacked verdict holds one array per field, and failure holds each
+    lane's states.SolverFailure code: a physical lane whose form-I or
+    form-II solve failed is neither separable nor classical and has a
+    NaN margin_sep.  A single verdict's failure is always 0, since the
+    single-sample classify raises instead.
     """
 
     physical: bool
@@ -76,6 +88,18 @@ class Verdict:
     classical: bool
     margin_sep: float
     margin_ppt: float
+    failure: int = 0
+
+    def lane(self, i: int) -> "Verdict":
+        """The single verdict of lane i of a stacked verdict."""
+        return Verdict(
+            bool(self.physical[i]),
+            bool(self.separable[i]),
+            bool(self.classical[i]),
+            float(self.margin_sep[i]),
+            float(self.margin_ppt[i]),
+            int(self.failure[i]),
+        )
 
 
 class OracleDisagreementError(RuntimeError):
@@ -97,7 +121,7 @@ def total_variance(f2: StandardFormII) -> VarianceReport:
     total_variance = (1/2) [a0^2 (n1 + n2) + (m1 + m2) / a0^2]
                      - |c1| - |c2|,
     normalized so the separability threshold is exactly
-    a0^2 + 1/a0^2.
+    a0^2 + 1/a0^2.  A stacked form gives a report of arrays.
     """
     a0sq = f2.a0 * f2.a0
     tv = (
@@ -106,10 +130,9 @@ def total_variance(f2: StandardFormII) -> VarianceReport:
         - abs(f2.c2)
     )
     sep_bound = a0sq + 1.0 / a0sq
-    if f2.c1 * f2.c2 > 0.0:
-        unc_bound = sep_bound
-    else:
-        unc_bound = abs(a0sq - 1.0 / a0sq)
+    unc_bound = np.where(f2.c1 * f2.c2 > 0.0, sep_bound, abs(a0sq - 1.0 / a0sq))
+    if unc_bound.ndim == 0:
+        unc_bound = float(unc_bound)
     return VarianceReport(tv, unc_bound, sep_bound, f2.a0)
 
 
@@ -135,69 +158,96 @@ def is_separable_duan(v: VarianceReport, tol: Tolerances = DEFAULT) -> bool:
     return v.total_variance >= v.separability_bound - tol.variance_slack
 
 
-def is_separable_ppt(
-    M: np.ndarray, tol: Tolerances = DEFAULT
-) -> tuple[bool, float]:
+def is_separable_ppt(M: np.ndarray, tol: Tolerances = DEFAULT) -> tuple:
     """Mirror-reflection oracle.
 
     Reflects the momentum of mode 2 and checks that the reflected matrix
     still satisfies the uncertainty relation.  Returns the verdict and
-    the minimum eigenvalue of reflected-M + i*Omega as a signed margin.
-    This test is necessary and sufficient for two-mode Gaussian states.
+    the minimum eigenvalue of reflected-M + i*Omega as a signed margin
+    (two arrays for a stack).  This test is necessary and sufficient
+    for two-mode Gaussian states.
     """
     M = np.asarray(M, dtype=float)
-    reflected = MIRROR @ M @ MIRROR
-    margin = float(np.linalg.eigvalsh(reflected + 1j * OMEGA)[0])
-    return margin >= tol.ppt_min_eig, margin
+    margin = np.linalg.eigvalsh(M * _MIRROR_SIGNS + 1j * OMEGA)[..., 0]
+    ok = margin >= tol.ppt_min_eig
+    if M.ndim == 2:
+        return bool(ok), float(margin)
+    return ok, margin
 
 
-def is_classical(M: np.ndarray, tol: Tolerances = DEFAULT) -> bool:
+def is_classical(M: np.ndarray, tol: Tolerances = DEFAULT) -> bool | np.ndarray:
     """Positive-P test: M - I strictly positive definite."""
     M = np.asarray(M, dtype=float)
-    w = np.linalg.eigvalsh(M - _EYE4)
-    return bool(w[0] > tol.classical_min_eig)
+    ok = np.linalg.eigvalsh(M - _EYE4)[..., 0] > tol.classical_min_eig
+    return bool(ok) if M.ndim == 2 else ok
 
 
 def classify(M: np.ndarray, tol: Tolerances = DEFAULT) -> Verdict:
-    """Run the full filter chain on one positive definite matrix.
+    """Run the full filter chain on one positive definite matrix or a stack.
 
-    Chain: the physicality gate M + i*Omega >= 0 (states.is_physical),
-    the form-I reduction, the form-II solve, then the separability and
-    classicality verdicts.  Unphysical matrices leave at the gate
-    without a form-II solve.  The mirror margin is always computed so
-    the caller can compare the two separability tests.  Solver errors
-    from the form-I and form-II stages propagate to the caller.
+    Chain: the mirror margin and the physicality gate M + i*Omega >= 0
+    (states.is_physical), then on the physical lanes the form-I
+    reduction, the form-II solve and the separability verdict, then
+    the classicality test on the separable lanes.  Unphysical matrices
+    leave at the gate without a form-II solve; the mirror margin is
+    always computed so the caller can compare the two separability
+    tests.  A stack of matrices is classified CLASSIFY_CHUNK at a time
+    and gives a stacked verdict that marks solver failures in its
+    failure field; one matrix gives a single verdict and raises the
+    form-I or form-II solver's error.
     """
+    M = np.asarray(M, dtype=float)
+    if M.ndim == 2:
+        verdict = _classify_stack(M[None], tol).lane(0)
+        if verdict.failure:
+            raise SolverFailure(verdict.failure).error()
+        return verdict
+    parts = [
+        _classify_stack(M[i:i + CLASSIFY_CHUNK], tol)
+        for i in range(0, max(len(M), 1), CLASSIFY_CHUNK)
+    ]
+    if len(parts) == 1:
+        return parts[0]
+    return Verdict(*(
+        np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(Verdict)
+    ))
+
+
+def _classify_stack(M: np.ndarray, tol: Tolerances) -> Verdict:
+    count = len(M)
     _, margin_ppt = is_separable_ppt(M, tol)
-    if not is_physical(M, tol):
-        return Verdict(False, False, False, math.nan, margin_ppt)
-    f1 = to_standard_form_one(M, tol)
+    physical = is_physical(M, tol)
+    lanes = np.flatnonzero(physical)
+    f1 = to_standard_form_one(M[lanes], tol)
     # Physical means det A, det B >= 1 up to the gate tolerance, so n and
     # m can only round below one on the boundary itself.
-    f1 = replace(f1, n=max(f1.n, 1.0), m=max(f1.m, 1.0))
+    f1 = replace(f1, n=np.maximum(f1.n, 1.0), m=np.maximum(f1.m, 1.0))
     f2 = to_standard_form_two(f1, tol)
     report = total_variance(f2)
-    margin_sep = report.total_variance - report.separability_bound
+    failure = np.zeros(count, dtype=np.int8)
+    failure[lanes] = f2.failure
+    margin_sep = np.full(count, math.nan)
+    margin_sep[lanes] = report.total_variance - report.separability_bound
     separable = margin_sep >= -tol.variance_slack
-    classical = separable and is_classical(M, tol)
-    return Verdict(True, separable, classical, margin_sep, margin_ppt)
+    classical = np.zeros(count, dtype=bool)
+    classical[separable] = is_classical(M[separable], tol)
+    return Verdict(physical, separable, classical, margin_sep, margin_ppt, failure)
 
 
-def disagrees(verdict: Verdict, tol: Tolerances = DEFAULT) -> bool:
+def disagrees(verdict: Verdict, tol: Tolerances = DEFAULT) -> bool | np.ndarray:
     """True when the two separability tests conflict outside the band.
 
     Disagreements with either margin inside the boundary band are
     tolerated as tie-breaking noise; anything else indicates a defect
-    and should abort a census.
+    and should abort a census.  A stacked verdict gives a mask; lanes
+    that are unphysical or failed a solve never disagree.
     """
-    if not verdict.physical:
-        return False
     ppt_ok = verdict.margin_ppt >= tol.ppt_min_eig
-    if verdict.separable == ppt_ok:
-        return False
     return (
-        abs(verdict.margin_sep) > tol.margin_band
-        and abs(verdict.margin_ppt) > tol.margin_band
+        verdict.physical
+        & (verdict.separable != ppt_ok)
+        & (abs(verdict.margin_sep) > tol.margin_band)
+        & (abs(verdict.margin_ppt) > tol.margin_band)
     )
 
 

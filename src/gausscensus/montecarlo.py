@@ -8,6 +8,7 @@ streaming log-sum-exp accumulators.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -291,85 +292,85 @@ def _map_blocks(fn: Callable, argses: list, workers: int) -> Iterator:
     return run()
 
 
-_SOLVER_ERRORS = (
-    states.NoConvergenceError,
-    states.DegenerateError,
-    states.ComplexRootError,
-)
+@dataclass
+class _Front:
+    """A block's positive definite candidates and their stacked verdict."""
+
+    index: np.ndarray  # position of each candidate in the block
+    M: np.ndarray
+    det: np.ndarray
+    verdict: "criteria.Verdict"
+    accepted: np.ndarray  # physical and solved by form I and form II
+
+    def counts(self, generated: int) -> CensusAccumulator:
+        v = self.verdict
+        return CensusAccumulator(
+            generated=generated,
+            accepted=int(np.count_nonzero(self.accepted)),
+            solver_failures=int(np.count_nonzero(v.physical & (v.failure != 0))),
+        )
+
+    def fisher_log_weights(self) -> np.ndarray:
+        # log det(M)^(-5/2) of the accepted candidates through math.log,
+        # which np.log does not match in the last bit on a few inputs in
+        # a thousand.
+        det = self.det[self.accepted]
+        return -2.5 * np.fromiter(map(math.log, det.tolist()), float, det.size)
+
+    def disagreement(self, tol: Tolerances) -> tuple | None:
+        flagged = np.flatnonzero(criteria.disagrees(self.verdict, tol) & self.accepted)
+        if not flagged.size:
+            return None
+        i = flagged[0]
+        return self.M[i].copy(), float(self.verdict.margin_sep[i]), float(self.verdict.margin_ppt[i])
 
 
-def _classify_stage(M, det, acc, tol):
-    # Shared front end of the census chain for one positive definite
-    # candidate.  Returns (verdict, log weight) or None when the sample
-    # leaves the population before the acceptance stage.
-    try:
-        verdict = criteria.classify(M, tol)
-    except _SOLVER_ERRORS:
-        acc.solver_failures += 1
-        return None
-    if not verdict.physical:
-        return None
-    acc.accepted += 1
-    return verdict, -2.5 * math.log(det)
+def _front(seed: int, start: int, count: int, k: float, l: float, tol: Tolerances) -> _Front:
+    # The census chain shared by every two-mode block: uniforms,
+    # matrices, positive definite screen, one stacked classify.
+    u = substream_uniforms(seed, start, count, width=10)
+    M = _build_matrices(u, k, l)
+    idx, dets = _pd_candidates(M)
+    M = M[idx]
+    verdict = criteria.classify(M, tol)
+    return _Front(idx, M, dets, verdict, verdict.physical & (verdict.failure == 0))
+
+
+def _tally(acc: CensusAccumulator, weights: dict, sep: np.ndarray, cls: np.ndarray) -> None:
+    acc.separable = int(np.count_nonzero(sep))
+    acc.classical = int(np.count_nonzero(cls))
+    for key, lw in weights.items():
+        tally = acc.tally(key)
+        tally.acc.add_array(lw)
+        tally.sep.add_array(lw[sep])
+        tally.cls.add_array(lw[cls])
 
 
 def _classical_block(args) -> _BlockOut:
     seed, start, count, k, l = args
     tol = DEFAULT
-    u = substream_uniforms(seed, start, count, width=10)
-    M = _build_matrices(u, k, l)
-    idx, dets = _pd_candidates(M)
-    acc = CensusAccumulator(generated=count)
-    lw_acc, lw_sep, lw_cls = [], [], []
-    disagreement = None
-    for pos in range(idx.size):
-        staged = _classify_stage(M[idx[pos]], float(dets[pos]), acc, tol)
-        if staged is None:
-            continue
-        verdict, lw = staged
-        if disagreement is None and criteria.disagrees(verdict, tol):
-            disagreement = (M[idx[pos]].copy(), verdict.margin_sep, verdict.margin_ppt)
-        lw_acc.append(lw)
-        if verdict.separable:
-            acc.separable += 1
-            lw_sep.append(lw)
-        if verdict.classical:
-            acc.classical += 1
-            lw_cls.append(lw)
-    tally = acc.tally("fisher")
-    tally.acc.add_array(lw_acc)
-    tally.sep.add_array(lw_sep)
-    tally.cls.add_array(lw_cls)
-    return _BlockOut(acc=acc, disagreement=disagreement)
+    front = _front(seed, start, count, k, l, tol)
+    acc = front.counts(count)
+    ok = front.accepted
+    weights = {"fisher": front.fisher_log_weights()}
+    _tally(acc, weights, front.verdict.separable[ok], front.verdict.classical[ok])
+    return _BlockOut(acc=acc, disagreement=front.disagreement(tol))
 
 
 def _bures_block(args) -> _BlockOut:
     (seed, start, count, k, l, grid_size, n_grids, lo, hi, kinds, estimators) = args
     tol = DEFAULT
-    u = substream_uniforms(seed, start, count, width=10)
-    M = _build_matrices(u, k, l)
-    idx, dets = _pd_candidates(M)
-    acc = CensusAccumulator(generated=count)
-    disagreement = None
-    rows, verdicts, lw_fisher = [], [], []
-    for pos in range(idx.size):
-        i = int(idx[pos])
-        staged = _classify_stage(M[i], float(dets[pos]), acc, tol)
-        if staged is None:
-            continue
-        verdict, lw = staged
-        if disagreement is None and criteria.disagrees(verdict, tol):
-            disagreement = (M[i].copy(), verdict.margin_sep, verdict.margin_ppt)
-        rows.append(i)
-        verdicts.append(verdict)
-        lw_fisher.append(lw)
+    front = _front(seed, start, count, k, l, tol)
+    acc = front.counts(count)
+    ok = front.accepted
     # Each sample draws all its grids from its own stream before any of
     # its kernels is judged, so a rejection never changes what is drawn.
+    rows = (start + front.index[ok]).tolist()
     coords = np.array([
         [measures.random_grid(grid_size, stream, lo, hi, tol).coords for _ in range(n_grids)]
-        for stream in (grid_stream(seed, start + i) for i in rows)
+        for stream in (grid_stream(seed, i) for i in rows)
     ]).reshape(len(rows), n_grids, grid_size)
-    discarded, logs = measures._volume_logs(M[rows], coords, kinds, tol)
+    discarded, logs = measures._volume_logs(front.M[ok], coords, kinds, tol)
     acc.discarded_grids = int(np.count_nonzero(discarded))
     finite = np.ones(len(rows), dtype=bool)
     for kind in kinds:
@@ -382,23 +383,15 @@ def _bures_block(args) -> _BlockOut:
         vb, vk, vm = logs["bures"], logs["kubo_mori"], logs["maximal"]
         slack = 1e-9 * np.maximum(1.0, np.abs(vk))
         ordering_faults = int(np.count_nonzero((vb > vk + slack) | (vk > vm + slack)))
-    sep = np.array([v.separable for v in verdicts], dtype=bool)[good]
-    cls = np.array([v.classical for v in verdicts], dtype=bool)[good]
-    acc.separable = int(np.count_nonzero(sep))
-    acc.classical = int(np.count_nonzero(cls))
-    weights = {"fisher": np.array(lw_fisher, dtype=float)[good]}
+    weights = {"fisher": front.fisher_log_weights()[good]}
     for kind in kinds:
         est = measures.VolumeEstimate.from_log_volumes(logs[kind], kind)
         for name in estimators:
             weights[f"{kind}:{name}"] = getattr(est, name)
-    for key, lw in weights.items():
-        tally = acc.tally(key)
-        tally.acc.add_array(lw)
-        tally.sep.add_array(lw[sep])
-        tally.cls.add_array(lw[cls])
+    _tally(acc, weights, front.verdict.separable[ok][good], front.verdict.classical[ok][good])
     return _BlockOut(
         acc=acc,
-        disagreement=disagreement,
+        disagreement=front.disagreement(tol),
         numerical_faults=numerical_faults,
         ordering_faults=ordering_faults,
     )
@@ -432,27 +425,21 @@ def _one_mode_block(args) -> _BlockOut:
 def _entropy_block(args) -> _BlockOut:
     seed, start, count, k, l = args
     tol = DEFAULT
-    u = substream_uniforms(seed, start, count, width=10)
-    M = _build_matrices(u, k, l)
-    idx, _ = _pd_candidates(M)
-    acc = CensusAccumulator(generated=count)
-    examples = []
-    for i in idx:
-        Mi = M[i]
-        if not states.is_physical(Mi, tol):
-            continue
-        acc.accepted += 1
-        separable, _ = criteria.is_separable_ppt(Mi, tol)
-        if not separable:
-            continue
-        acc.separable += 1
-        joint = states.entropy(Mi)
-        largest = max(states.entropy(Mi[:2, :2]), states.entropy(Mi[2:, 2:]))
-        if joint < largest - 1e-12:
-            acc.classical += 1
-            if len(examples) < 3:
-                examples.append((int(start + i), Mi.copy()))
-    return _BlockOut(acc=acc, extra=tuple(examples))
+    front = _front(seed, start, count, k, l, tol)
+    v = front.verdict
+    separable = v.physical & (v.margin_ppt >= tol.ppt_min_eig)
+    M = front.M[separable]
+    joint = states.entropy(M)
+    largest = np.maximum(states.entropy(M[:, :2, :2]), states.entropy(M[:, 2:, 2:]))
+    beats = np.flatnonzero(joint < largest - 1e-12)
+    acc = CensusAccumulator(
+        generated=count,
+        accepted=int(np.count_nonzero(v.physical)),
+        separable=len(M),
+        classical=beats.size,
+    )
+    where = (start + front.index[separable][beats[:3]]).tolist()
+    return _BlockOut(acc=acc, extra=tuple(zip(where, M[beats[:3]])))
 
 
 def _fold(
@@ -651,22 +638,19 @@ def run_entropy_probe(
 def iter_accepted(
     cfg: SamplerConfig, limit: int | None = None
 ) -> Iterator[tuple[int, np.ndarray, "criteria.Verdict"]]:
-    """Yield (index, matrix, verdict) for chain-accepted samples in order."""
+    """Yield (index, matrix, verdict) for chain-accepted samples in order.
+
+    With a limit, stops after that many samples; limit=0 yields none.
+    """
     _two_mode_only(cfg)
-    produced = 0
-    tol = DEFAULT
+    if limit is not None and limit < 0:
+        raise ValueError("limit must be nonnegative")
+    return itertools.islice(_accepted_samples(cfg), limit)
+
+
+def _accepted_samples(cfg: SamplerConfig) -> Iterator:
     for start, count in _block_ranges(cfg.samples):
-        u = substream_uniforms(cfg.seed, start, count, width=10)
-        M = _build_matrices(u, cfg.k, cfg.l)
-        idx, _ = _pd_candidates(M)
-        for i in idx:
-            try:
-                verdict = criteria.classify(M[i], tol)
-            except _SOLVER_ERRORS:
-                continue
-            if not verdict.physical:
-                continue
-            yield int(start + i), M[i], verdict
-            produced += 1
-            if limit is not None and produced >= limit:
-                return
+        front = _front(cfg.seed, start, count, cfg.k, cfg.l, DEFAULT)
+        ok = np.flatnonzero(front.accepted)
+        indices = (start + front.index[ok]).tolist()
+        yield from zip(indices, front.M[ok], map(front.verdict.lane, ok))

@@ -7,8 +7,10 @@ from dataclasses import dataclass
 class Tolerances:
     """Every cutoff used by the filters, solvers and verdicts.
 
-    One instance is threaded through the whole pipeline so that a
-    sensitivity study can tighten or loosen everything in one place.
+    The filters, solvers and kernel functions take an instance as `tol`,
+    but the census drivers do not: every block runner uses DEFAULT (and
+    the one-mode block hard-codes its physicality slack), so a census
+    cannot yet be run under other cutoffs.
     """
 
     physical_min_eig: float = -1e-10     # min eig of M + i*Omega for physicality

@@ -9,19 +9,22 @@ decides every verdict by batched eigenvalue tests.  The per-grid kernel
 pipeline keeps the one-kernel-at-a-time formulation the package's
 batched volume stage must reproduce bit for bit: every lattice entry by
 np.einsum, the lower triangle mirrored by conjugation, one eigensolve
-per grid.
+per grid.  Likewise the per-sample filter chain keeps the one-matrix-
+at-a-time classify, in Python floats and math, that the package's
+stacked classify must reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import numpy.polynomial.legendre as leg
 
 from gausscensus.rng import substream_uniforms
-
+from gausscensus.states import ComplexRootError, DegenerateError, NoConvergenceError
+from gausscensus.tolerances import DEFAULT, Tolerances
 
 
 def rotation(theta: float) -> np.ndarray:
@@ -377,3 +380,303 @@ def exact_census(cfg, tol) -> ExactCensus:
         prob_classical=math.exp(_log_sum_exp(lw_cls) - log_acc),
         **counts,
     )
+
+
+# ---------------------------------------------------------------------
+# The per-sample filter chain: classify, the form-I and form-II
+# reductions, the damped Newton and the three eigenvalue tests as the
+# package ran them one matrix at a time, in Python floats and math,
+# before its stages took stacks.  The function bodies are kept verbatim
+# (only the names carry a chain_ prefix); the stacked classify must
+# reproduce them bit for bit, its failure causes included.
+
+_CHAIN_OMEGA = np.zeros((4, 4))
+_CHAIN_OMEGA[:2, :2] = _CHAIN_OMEGA[2:, 2:] = [[0.0, 1.0], [-1.0, 0.0]]
+_CHAIN_MIRROR = np.diag([1.0, 1.0, 1.0, -1.0])
+_CHAIN_EYE4 = np.eye(4)
+
+
+@dataclass(frozen=True)
+class ChainFormI:
+    n: float
+    m: float
+    c: float
+    cp: float
+
+
+@dataclass(frozen=True)
+class ChainFormII:
+    n1: float
+    n2: float
+    m1: float
+    m2: float
+    c1: float
+    c2: float
+    a0: float
+    r1: float
+    r2: float
+
+
+@dataclass(frozen=True)
+class ChainVarianceReport:
+    total_variance: float
+    uncertainty_bound: float
+    separability_bound: float
+    a0: float
+
+
+@dataclass(frozen=True)
+class ChainVerdict:
+    physical: bool
+    separable: bool
+    classical: bool
+    margin_sep: float
+    margin_ppt: float
+
+
+def mode_blocks(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    M = np.asarray(M, dtype=float)
+    return M[:2, :2], M[2:, 2:], M[:2, 2:]
+
+
+def _det2(X: np.ndarray) -> float:
+    return float(X[0, 0] * X[1, 1] - X[0, 1] * X[1, 0])
+
+
+def chain_is_physical(M: np.ndarray, tol: Tolerances = DEFAULT) -> bool:
+    """Uncertainty-principle test: M + i*Omega positive semidefinite."""
+    M = np.asarray(M, dtype=float)
+    w = np.linalg.eigvalsh(M + 1j * _CHAIN_OMEGA)
+    return bool(w[0] >= tol.physical_min_eig)
+
+
+def chain_form_one(M: np.ndarray, tol: Tolerances = DEFAULT) -> ChainFormI:
+    """Reduce a positive definite matrix to its form-I invariants.
+
+    The four numbers are obtained from the local-symplectic invariants
+    det A, det B, det C and det M alone: n = sqrt(det A), m = sqrt(det B),
+    and c^2, cp^2 are the roots of t^2 - S t + (det C)^2 with
+    S = (n^2 m^2 + (det C)^2 - det M) / (n m).  Signs follow the
+    convention c >= 0, |c| >= |cp|, sign(c * cp) = sign(det C).
+
+    Raises ComplexRootError when the quadratic has no real roots beyond
+    numerical tolerance, which signals an inconsistent input.
+    """
+    M = np.asarray(M, dtype=float)
+    A, B, C = mode_blocks(M)
+    det_c = _det2(C)
+    det_m = float(np.linalg.det(M))
+    n = math.sqrt(_det2(A))
+    m = math.sqrt(_det2(B))
+    S = (n * n * m * m + det_c * det_c - det_m) / (n * m)
+    disc = S * S - 4.0 * det_c * det_c
+    scale = max(S * S, 4.0 * det_c * det_c, 1.0)
+    if disc < -tol.complex_root_rel * scale:
+        raise ComplexRootError(
+            f"cross-term quadratic discriminant {disc:.3e} below zero"
+        )
+    root = math.sqrt(max(disc, 0.0))
+    c = math.sqrt(max(0.5 * (S + root), 0.0))
+    cp = math.sqrt(max(0.5 * (S - root), 0.0))
+    if det_c < 0.0:
+        cp = -cp
+    return ChainFormI(n, m, c, cp)
+
+
+def _chain_form_two_state(u: float, v: float, n: float, m: float, ac: float, acp: float):
+    # Residuals and Jacobian of the balancing system at (log r1, log r2) = (u, v).
+    # Returns None when the iterate leaves the domain of the square roots.
+    if abs(u) > 300.0 or abs(v) > 300.0:
+        return None
+    eu = math.exp(u)
+    ev = math.exp(v)
+    al = eu * n
+    be = n / eu
+    ga = ev * m
+    de = m / ev
+    P1 = (al - 1.0) * (ga - 1.0)
+    P2 = (be - 1.0) * (de - 1.0)
+    if P1 < 0.0 or P2 < 0.0:
+        return None
+    R1 = math.sqrt(P1)
+    R2 = math.sqrt(P2)
+    s = math.exp(0.5 * (u + v))
+    F1 = (al - 1.0) * (de - 1.0) - (be - 1.0) * (ga - 1.0)
+    F2 = ac * s - acp / s - R1 + R2
+    h = 0.5 * (ac * s + acp / s)
+    e1 = 2.0 * R1 if R1 > 5e-13 else 1e-12
+    e2 = 2.0 * R2 if R2 > 5e-13 else 1e-12
+    J11 = al * (de - 1.0) + be * (ga - 1.0)
+    J12 = -de * (al - 1.0) - ga * (be - 1.0)
+    J21 = h - al * (ga - 1.0) / e1 - be * (de - 1.0) / e2
+    J22 = h - ga * (al - 1.0) / e1 - de * (be - 1.0) / e2
+    return F1, F2, J11, J12, J21, J22, al, be, ga, de, s
+
+
+def chain_form_two(f1: ChainFormI, tol: Tolerances = DEFAULT) -> ChainFormII:
+    """Solve the squeeze-balancing system and assemble form II.
+
+    Finds local squeeze factors r1, r2 > 0 satisfying
+
+        (r1 n - 1)(m / r2 - 1) = (n / r1 - 1)(r2 m - 1)
+        |c| sqrt(r1 r2) - |cp| / sqrt(r1 r2)
+            = sqrt((r1 n - 1)(r2 m - 1)) - sqrt((n / r1 - 1)(m / r2 - 1))
+
+    by a damped Newton iteration on (log r1, log r2) started at (0, 0),
+    then sets n1 = r1 n, n2 = n / r1, m1 = r2 m, m2 = m / r2,
+    c1 = c sqrt(r1 r2), c2 = cp / sqrt(r1 r2) and
+    a0^2 = sqrt((m1 - 1) / (n1 - 1)), with a0 = 1 in the degenerate case.
+
+    Raises NoConvergenceError when no admissible root is reached within
+    the iteration budget and DegenerateError when n = m = 1 with a
+    nonzero cross term.
+    """
+    n, m, c, cp = f1.n, f1.m, f1.c, f1.cp
+    if n < 1.0 or m < 1.0:
+        raise ValueError("form II requires n >= 1 and m >= 1")
+    if (
+        abs(n - 1.0) <= tol.degenerate_abs
+        and abs(m - 1.0) <= tol.degenerate_abs
+        and abs(c) > tol.degenerate_abs
+    ):
+        raise DegenerateError("unit local invariants with nonzero cross term")
+    ac = abs(c)
+    acp = abs(cp)
+    u = v = 0.0
+    state = _chain_form_two_state(u, v, n, m, ac, acp)
+    if state is None:
+        raise NoConvergenceError("start point outside the solver domain")
+    merit = state[0] * state[0] + state[1] * state[1]
+    resid = tol.newton_residual
+    for _ in range(tol.newton_max_iter):
+        F1, F2, J11, J12, J21, J22, al, be, ga, de, s = state
+        if abs(F1) < resid and abs(F2) < resid:
+            return _chain_assemble_form_two(al, be, ga, de, s, c, cp, u, v, tol)
+        det = J11 * J22 - J12 * J21
+        if det == 0.0 or not math.isfinite(det):
+            raise NoConvergenceError("singular Jacobian")
+        du = -(J22 * F1 - J12 * F2) / det
+        dv = -(-J21 * F1 + J11 * F2) / det
+        step = 1.0
+        moved = False
+        for _ in range(40):
+            trial = _chain_form_two_state(u + step * du, v + step * dv, n, m, ac, acp)
+            if (
+                trial is not None
+                and math.isfinite(trial[0])
+                and math.isfinite(trial[1])
+            ):
+                trial_merit = trial[0] * trial[0] + trial[1] * trial[1]
+                if trial_merit < merit:
+                    u += step * du
+                    v += step * dv
+                    state, merit = trial, trial_merit
+                    moved = True
+                    break
+            step *= 0.5
+        if not moved:
+            raise NoConvergenceError("line search stalled")
+    raise NoConvergenceError("iteration budget exhausted")
+
+
+def _chain_assemble_form_two(
+    al: float,
+    be: float,
+    ga: float,
+    de: float,
+    s: float,
+    c: float,
+    cp: float,
+    u: float,
+    v: float,
+    tol: Tolerances,
+) -> ChainFormII:
+    n1, n2, m1, m2 = al, be, ga, de
+    if abs(n1 - 1.0) <= tol.degenerate_abs or abs(m1 - 1.0) <= tol.degenerate_abs:
+        a0 = 1.0
+    else:
+        radicand = (m1 - 1.0) / (n1 - 1.0)
+        if radicand <= 0.0:
+            raise NoConvergenceError("root outside the admissible branch")
+        a0 = radicand**0.25
+    return ChainFormII(
+        n1=n1,
+        n2=n2,
+        m1=m1,
+        m2=m2,
+        c1=c * s,
+        c2=cp / s,
+        a0=a0,
+        r1=math.exp(u),
+        r2=math.exp(v),
+    )
+
+
+def chain_total_variance(f2: ChainFormII) -> ChainVarianceReport:
+    """Evaluate the scaled sum/difference variance and its bounds.
+
+    chain_total_variance = (1/2) [a0^2 (n1 + n2) + (m1 + m2) / a0^2]
+                     - |c1| - |c2|,
+    normalized so the separability threshold is exactly
+    a0^2 + 1/a0^2.
+    """
+    a0sq = f2.a0 * f2.a0
+    tv = (
+        0.5 * (a0sq * (f2.n1 + f2.n2) + (f2.m1 + f2.m2) / a0sq)
+        - abs(f2.c1)
+        - abs(f2.c2)
+    )
+    sep_bound = a0sq + 1.0 / a0sq
+    if f2.c1 * f2.c2 > 0.0:
+        unc_bound = sep_bound
+    else:
+        unc_bound = abs(a0sq - 1.0 / a0sq)
+    return ChainVarianceReport(tv, unc_bound, sep_bound, f2.a0)
+
+
+def chain_is_separable_ppt(
+    M: np.ndarray, tol: Tolerances = DEFAULT
+) -> tuple[bool, float]:
+    """Mirror-reflection oracle.
+
+    Reflects the momentum of mode 2 and checks that the reflected matrix
+    still satisfies the uncertainty relation.  Returns the verdict and
+    the minimum eigenvalue of reflected-M + i*Omega as a signed margin.
+    This test is necessary and sufficient for two-mode Gaussian states.
+    """
+    M = np.asarray(M, dtype=float)
+    reflected = _CHAIN_MIRROR @ M @ _CHAIN_MIRROR
+    margin = float(np.linalg.eigvalsh(reflected + 1j * _CHAIN_OMEGA)[0])
+    return margin >= tol.ppt_min_eig, margin
+
+
+def chain_is_classical(M: np.ndarray, tol: Tolerances = DEFAULT) -> bool:
+    """Positive-P test: M - I strictly positive definite."""
+    M = np.asarray(M, dtype=float)
+    w = np.linalg.eigvalsh(M - _CHAIN_EYE4)
+    return bool(w[0] > tol.classical_min_eig)
+
+
+def chain_classify(M: np.ndarray, tol: Tolerances = DEFAULT) -> ChainVerdict:
+    """Run the full filter chain on one positive definite matrix.
+
+    Chain: the physicality gate M + i*Omega >= 0 (states.is_physical),
+    the form-I reduction, the form-II solve, then the separability and
+    classicality verdicts.  Unphysical matrices leave at the gate
+    without a form-II solve.  The mirror margin is always computed so
+    the caller can compare the two separability tests.  Solver errors
+    from the form-I and form-II stages propagate to the caller.
+    """
+    _, margin_ppt = chain_is_separable_ppt(M, tol)
+    if not chain_is_physical(M, tol):
+        return ChainVerdict(False, False, False, math.nan, margin_ppt)
+    f1 = chain_form_one(M, tol)
+    # Physical means det A, det B >= 1 up to the gate tolerance, so n and
+    # m can only round below one on the boundary itself.
+    f1 = replace(f1, n=max(f1.n, 1.0), m=max(f1.m, 1.0))
+    f2 = chain_form_two(f1, tol)
+    report = chain_total_variance(f2)
+    margin_sep = report.total_variance - report.separability_bound
+    separable = margin_sep >= -tol.variance_slack
+    classical = separable and chain_is_classical(M, tol)
+    return ChainVerdict(True, separable, classical, margin_sep, margin_ppt)

@@ -1,6 +1,7 @@
 """Separability and classicality verdicts: variance test, mirror oracle,
 positive-P test, and the agreement properties between them."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,10 +29,20 @@ from gausscensus.states import (
     to_standard_form_two,
 )
 
-from gausscensus.montecarlo import SamplerConfig, sample_matrix
-from gausscensus.rng import sample_stream
+from gausscensus import criteria
+from gausscensus.montecarlo import SamplerConfig, _build_matrices, _pd_candidates, sample_matrix
+from gausscensus.rng import BLOCK, sample_stream, substream_uniforms
+from gausscensus.states import SolverFailure
 
-from oracles import form_one_matrix, random_local_symplectic
+from oracles import (
+    ChainFormI,
+    chain_classify,
+    chain_form_one,
+    chain_form_two,
+    chain_is_separable_ppt,
+    form_one_matrix,
+    random_local_symplectic,
+)
 
 SOLVER_ERRORS = (NoConvergenceError, DegenerateError, ComplexRootError)
 
@@ -313,3 +324,125 @@ class TestDisagreementFormat:
         assert not disagrees(v)  # both tests say entangled
         v = Verdict(True, True, False, margin_sep=5e-4, margin_ppt=-2.0e-4)
         assert disagrees(v)
+
+
+# The seven box shapes of the stacked-classify checks: the Table 1 rows,
+# the Bures box, and a narrow and a very wide box.
+STACK_CONFIGS = [(10, 5), (500, 250), (20, 10), (30, 20), (15, 15), (3, 2), (1000, 1000)]
+
+
+def block_candidates(k, l, seed=11):
+    u = substream_uniforms(seed, 0, BLOCK, width=10)
+    M = _build_matrices(u, float(k), float(l))
+    idx, _ = _pd_candidates(M)
+    return M[idx]
+
+
+# (exception type, message) -> SolverFailure code, from the errors the
+# single-sample forms raise; a complex-root message also carries the
+# discriminant, so that error is known by its type alone.
+CAUSES = {(type(e), str(e)): code
+          for code in SolverFailure if code for e in [code.error()]}
+
+
+def chain_lane(M):
+    """The reference chain's verdict on one matrix as (failure, fields).
+
+    A solver error is mapped to its SolverFailure code; the fields of a
+    failed lane are those the stacked verdict gives it."""
+    try:
+        v = chain_classify(M)
+    except SOLVER_ERRORS as exc:
+        if isinstance(exc, ComplexRootError):
+            code = SolverFailure.COMPLEX_ROOT
+        else:
+            code = CAUSES[(type(exc), str(exc))]
+        return code, (True, False, False, math.nan, chain_is_separable_ppt(M)[1])
+    return 0, (v.physical, v.separable, v.classical, v.margin_sep, v.margin_ppt)
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a), np.asarray(b), equal_nan=True)
+
+
+@pytest.mark.filterwarnings("error")
+class TestStackedClassify:
+    @pytest.fixture(scope="class")
+    def blocks(self):
+        return {kl: block_candidates(*kl) for kl in STACK_CONFIGS}
+
+    @pytest.mark.parametrize("kl", STACK_CONFIGS)
+    def test_block_matches_per_sample_chain(self, blocks, kl):
+        M = blocks[kl]
+        v = classify(M)
+        failures, rows = zip(*(chain_lane(Mi) for Mi in M))
+        assert same_bits(v.failure, failures)
+        for name, column in zip(("physical", "separable", "classical", "margin_sep",
+                                 "margin_ppt"), zip(*rows)):
+            assert same_bits(getattr(v, name), column), name
+        assert same_bits(disagrees(v), [disagrees(v.lane(i)) for i in range(len(M))])
+        if kl == (500, 250):
+            assert np.count_nonzero(v.failure == SolverFailure.LINE_SEARCH_STALLED) > 1000
+
+    def test_chunk_size_changes_nothing(self, blocks, monkeypatch):
+        M = np.concatenate([blocks[kl] for kl in STACK_CONFIGS])
+        assert len(M) > 2 * criteria.CLASSIFY_CHUNK
+        default = classify(M)
+        monkeypatch.setattr(criteria, "CLASSIFY_CHUNK", len(M) + 1)
+        whole = classify(M)
+        # Lanes 9000-9400 hold the end of the k=10 block and the start of
+        # the k=500 block, with its stalled lanes.
+        monkeypatch.setattr(criteria, "CLASSIFY_CHUNK", 1)
+        part = slice(9000, 9400)
+        one_by_one = classify(M[part])
+        assert np.count_nonzero(one_by_one.failure) > 50
+        for f in dataclasses.fields(default):
+            assert same_bits(getattr(whole, f.name), getattr(default, f.name)), f.name
+            assert same_bits(getattr(one_by_one, f.name), getattr(default, f.name)[part]), f.name
+
+    def test_empty_stack(self):
+        v = classify(np.zeros((0, 4, 4)))
+        assert v.physical.shape == v.failure.shape == (0,)
+        assert not disagrees(v).any()
+
+    def _raised(self, fn, *args):
+        try:
+            fn(*args)
+        except Exception as exc:  # noqa: BLE001 - the type is what is compared
+            return type(exc), str(exc)
+        return None
+
+    def test_stalled_lane_raises_as_before(self, blocks):
+        M = blocks[(500, 250)]
+        v = classify(M)
+        i = int(np.flatnonzero(v.failure == SolverFailure.LINE_SEARCH_STALLED)[0])
+        want = (NoConvergenceError, "line search stalled")
+        assert self._raised(chain_classify, M[i]) == want
+        assert self._raised(classify, M[i]) == want
+        f1 = to_standard_form_one(M[i])
+        assert self._raised(to_standard_form_two, f1) == want
+        assert self._raised(chain_form_two, ChainFormI(f1.n, f1.m, f1.c, f1.cp)) == want
+
+    def test_degenerate_input_raises_as_before(self):
+        want = (DegenerateError, "unit local invariants with nonzero cross term")
+        assert self._raised(chain_form_two, ChainFormI(1.0, 1.0, 0.3, 0.1)) == want
+        assert self._raised(to_standard_form_two, StandardFormI(1.0, 1.0, 0.3, 0.1)) == want
+        stacked = to_standard_form_two(StandardFormI(
+            np.array([1.0, 2.0]), np.array([1.0, 2.0]), np.array([0.3, 0.3]),
+            np.array([0.1, 0.1])))
+        assert list(stacked.failure) == [SolverFailure.DEGENERATE, SolverFailure.NONE]
+        assert math.isnan(stacked.a0[0]) and stacked.a0[1] > 0.0
+
+    def test_complex_root_input_raises_as_before(self):
+        # Diagonal 1e6 and cross terms +-0.1: det M loses the cross terms
+        # to rounding and the discriminant comes out negative.
+        M = form_one_matrix(1e6, 1e6, 0.1, -0.1)
+        for fn in (chain_form_one, to_standard_form_one, chain_classify, classify):
+            with pytest.raises(ComplexRootError):
+                fn(M)
+        f1 = to_standard_form_one(np.stack([M, np.eye(4)]))
+        assert list(f1.failure) == [SolverFailure.COMPLEX_ROOT, SolverFailure.NONE]
+        v = classify(np.stack([M, np.eye(4)]))
+        assert list(v.failure) == [SolverFailure.COMPLEX_ROOT, SolverFailure.NONE]
+        assert list(v.physical) == [True, True]
+        assert not v.separable[0] and v.separable[1]

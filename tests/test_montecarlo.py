@@ -1,5 +1,6 @@
 """Census drivers: determinism, streaming accuracy, and accounting."""
 
+import dataclasses
 import math
 import multiprocessing
 import time
@@ -7,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from gausscensus import criteria, measures, montecarlo
+from gausscensus import criteria, measures, montecarlo, states
 from gausscensus.montecarlo import (
     EntropyReport,
     LogSumExp,
@@ -22,7 +23,7 @@ from gausscensus.montecarlo import (
 )
 from gausscensus.rng import BLOCK, grid_stream, sample_stream, substream_uniforms
 
-from oracles import grid_coords, volumes_on_grids
+from oracles import chain_classify, grid_coords, volumes_on_grids
 
 
 class TestSamplerConfig:
@@ -204,6 +205,12 @@ class TestSampleAccess:
             assert again.separable == verdict.separable
             assert again.classical == verdict.classical
 
+    def test_iter_accepted_limit_zero_and_negative(self) -> None:
+        cfg = SamplerConfig(k=10.0, l=5.0, samples=5_000, seed=13)
+        assert list(iter_accepted(cfg, limit=0)) == []
+        with pytest.raises(ValueError, match="limit"):
+            list(iter_accepted(cfg, limit=-3))
+
 
 class TestBuresCensus:
     def test_small_census_accounting(self) -> None:
@@ -340,23 +347,74 @@ class TestBuresVolumeStage:
             assert _lse_fields(res.measures[key]) == _lse_fields(tally), key
 
 
+def _per_sample_classical(cfg: SamplerConfig):
+    """The Jeffreys census one candidate at a time with the reference chain.
+
+    Every positive definite candidate goes through the per-sample chain
+    of tests/oracles.py in sample order, a solver error counts as a
+    failure, and each accepted sample's weight -2.5 log det M goes into
+    the tallies in sample order, as the census did before its classify
+    stage took whole blocks.
+    """
+    counts = dict.fromkeys(("accepted", "separable", "classical", "solver_failures"), 0)
+    lws = ([], [], [])
+    for start in range(0, cfg.samples, BLOCK):
+        count = min(BLOCK, cfg.samples - start)
+        M = montecarlo._build_matrices(substream_uniforms(cfg.seed, start, count, 10), cfg.k, cfg.l)
+        idx, dets = montecarlo._pd_candidates(M)
+        for i, det in zip(idx, dets):
+            try:
+                verdict = chain_classify(M[i])
+            except (states.NoConvergenceError, states.DegenerateError, states.ComplexRootError):
+                counts["solver_failures"] += 1
+                continue
+            if not verdict.physical:
+                continue
+            lw = -2.5 * math.log(float(det))
+            counts["accepted"] += 1
+            lws[0].append(lw)
+            for key, part, flag in (("separable", 1, verdict.separable),
+                                    ("classical", 2, verdict.classical)):
+                if flag:
+                    counts[key] += 1
+                    lws[part].append(lw)
+    tally = montecarlo.MeasureTally()
+    for part, values in zip((tally.acc, tally.sep, tally.cls), lws):
+        part.add_array(values)
+    return counts, tally
+
+
+class TestClassicalBlock:
+    @pytest.mark.parametrize("k, l", [(10.0, 5.0), (500.0, 250.0)])
+    def test_matches_per_sample_reference(self, k, l) -> None:
+        cfg = SamplerConfig(k=k, l=l, samples=BLOCK, seed=7)
+        counts, tally = _per_sample_classical(cfg)
+        res = run_classical_census(cfg)
+        for name, value in counts.items():
+            assert getattr(res, name) == value, name
+        assert _lse_fields(res.measures["fisher"]) == _lse_fields(tally)
+        if k == 500.0:
+            assert res.solver_failures > 1000
+
+
 class TestOracleAbort:
     def _flag_first_accepted(self, monkeypatch, cfg):
-        # The mirror oracle "disagrees" on one sample of the first block.
+        # The mirror oracle "disagrees" on one sample of the first block:
+        # the patch flags the row of a stacked verdict that equals the
+        # sample's verdict in every field.
         _, matrix, target = next(iter_accepted(cfg))
         real = criteria.disagrees
 
         def disagrees(verdict, tol=criteria.DEFAULT):
-            if verdict == target:
-                return True
-            return real(verdict, tol)
+            row = np.ones(np.shape(verdict.physical), dtype=bool)
+            for f in dataclasses.fields(verdict):
+                row &= getattr(verdict, f.name) == getattr(target, f.name)
+            return real(verdict, tol) | row
 
         monkeypatch.setattr(criteria, "disagrees", disagrees)
         return matrix
 
-    def test_bures_census_aborts_in_process(self, monkeypatch) -> None:
-        cfg = SamplerConfig(k=15.0, l=15.0, samples=3 * BLOCK, seed=5)
-        matrix = self._flag_first_accepted(monkeypatch, cfg)
+    def _count_blocks(self, monkeypatch) -> list:
         blocks = []
         real = montecarlo.substream_uniforms
 
@@ -365,8 +423,23 @@ class TestOracleAbort:
             return real(seed, start, count, width)
 
         monkeypatch.setattr(montecarlo, "substream_uniforms", counted)
+        return blocks
+
+    def test_bures_census_aborts_in_process(self, monkeypatch) -> None:
+        cfg = SamplerConfig(k=15.0, l=15.0, samples=3 * BLOCK, seed=5)
+        matrix = self._flag_first_accepted(monkeypatch, cfg)
+        blocks = self._count_blocks(monkeypatch)
         with pytest.raises(criteria.OracleDisagreementError) as info:
             run_bures_census(cfg)
+        assert np.array_equal(info.value.matrix, matrix)
+        assert blocks == [0]
+
+    def test_classical_census_aborts_in_process(self, monkeypatch) -> None:
+        cfg = SamplerConfig(k=10.0, l=5.0, samples=3 * BLOCK, seed=5)
+        matrix = self._flag_first_accepted(monkeypatch, cfg)
+        blocks = self._count_blocks(monkeypatch)
+        with pytest.raises(criteria.OracleDisagreementError) as info:
+            run_classical_census(cfg)
         assert np.array_equal(info.value.matrix, matrix)
         assert blocks == [0]
 
