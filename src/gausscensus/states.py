@@ -236,9 +236,8 @@ _STEPS = np.ldexp(1.0, -np.arange(40))
 #: stalls has to try all forty.
 _TRIAL_POINTS = 2048
 
-# Rows of a stacked solver state.
-_F1, _F2, _J11, _J12, _J21, _J22 = range(6)
-_FORM = slice(6, 11)  # al, be, ga, de, s
+# Rows al, be, ga, de, s of a stacked solver state.
+_FORM = slice(6, 11)
 
 
 def _form_two_states(u, v, n, m, ac, acp):
@@ -273,8 +272,9 @@ def _form_two_states(u, v, n, m, ac, acp):
 
 def _merit(state: np.ndarray) -> np.ndarray:
     # Squares of residuals far outside overflow to inf, as in floats.
+    F1, F2 = state[:2]
     with np.errstate(over="ignore"):
-        return state[_F1] * state[_F1] + state[_F2] * state[_F2]
+        return F1 * F1 + F2 * F2
 
 
 def _line_search(u, v, du, dv, merit, params):
@@ -298,8 +298,7 @@ def _line_search(u, v, du, dv, merit, params):
         trial_merit = _merit(state)
         good = (
             inside
-            & np.isfinite(state[_F1])
-            & np.isfinite(state[_F2])
+            & np.isfinite(state[:2]).all(axis=0)
             & (trial_merit < np.repeat(merit[pending], steps.size))
         ).reshape(-1, steps.size)
         hit = good.any(axis=1)
