@@ -246,16 +246,19 @@ def sample_matrix(cfg: SamplerConfig, stream: np.random.Generator) -> np.ndarray
     return M
 
 
+# For each of the 16 matrix entries (row-major), which of a sample's ten
+# values it holds: 0-3 the diagonal, 4-9 the _PAIRS.
+_ENTRY_COLUMNS = np.array([0, 4, 5, 6, 4, 1, 7, 8, 5, 7, 2, 9, 6, 8, 9, 3])
+
+
 def _build_matrices(u: np.ndarray, k: float, l: float) -> np.ndarray:
+    # A sample's ten distinct entries, then one gather into its matrix:
+    # each array is read once, in row order.
     n = u.shape[0]
-    M = np.zeros((n, 4, 4))
-    for j in range(4):
-        M[:, j, j] = k * u[:, j]
-    off = -l + 2.0 * l * u[:, 4:]
-    for t, (i, j) in enumerate(_PAIRS):
-        M[:, i, j] = off[:, t]
-        M[:, j, i] = off[:, t]
-    return M
+    values = np.empty((n, 10))
+    values[:, :4] = k * u[:, :4]
+    values[:, 4:] = -l + 2.0 * l * u[:, 4:]
+    return np.take(values, _ENTRY_COLUMNS, axis=1).reshape(n, 4, 4)
 
 
 def _pd_candidates(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -325,13 +328,19 @@ class _Front:
         return self.M[i].copy(), float(self.verdict.margin_sep[i]), float(self.verdict.margin_ppt[i])
 
 
-def _front(seed: int, start: int, count: int, k: float, l: float, tol: Tolerances) -> _Front:
-    # The census chain shared by every two-mode block: uniforms,
-    # matrices, positive definite screen, one stacked classify.
+def _candidates(seed: int, start: int, count: int, k: float, l: float) -> tuple:
+    # The front of every two-mode block: uniforms, matrices, positive
+    # definite screen.  Returns the candidates' block positions,
+    # matrices and determinants.
     u = substream_uniforms(seed, start, count, width=10)
     M = _build_matrices(u, k, l)
     idx, dets = _pd_candidates(M)
-    M = M[idx]
+    return idx, M[idx], dets
+
+
+def _front(seed: int, start: int, count: int, k: float, l: float, tol: Tolerances) -> _Front:
+    # The census chain: the candidates and one stacked classify.
+    idx, M, dets = _candidates(seed, start, count, k, l)
     verdict = criteria.classify(M, tol)
     return _Front(idx, M, dets, verdict, verdict.physical & (verdict.failure == 0))
 
@@ -425,20 +434,22 @@ def _one_mode_block(args) -> _BlockOut:
 def _entropy_block(args) -> _BlockOut:
     seed, start, count, k, l = args
     tol = DEFAULT
-    front = _front(seed, start, count, k, l, tol)
-    v = front.verdict
-    separable = v.physical & (v.margin_ppt >= tol.ppt_min_eig)
-    M = front.M[separable]
+    # Only the physicality gate and the mirror oracle: no form-I or
+    # form-II solve.
+    index, M, _ = _candidates(seed, start, count, k, l)
+    physical = states.is_physical(M, tol)
+    separable = physical & criteria.is_separable_ppt(M, tol)[0]
+    M = M[separable]
     joint = states.entropy(M)
     largest = np.maximum(states.entropy(M[:, :2, :2]), states.entropy(M[:, 2:, 2:]))
     beats = np.flatnonzero(joint < largest - 1e-12)
     acc = CensusAccumulator(
         generated=count,
-        accepted=int(np.count_nonzero(v.physical)),
+        accepted=int(np.count_nonzero(physical)),
         separable=len(M),
         classical=beats.size,
     )
-    where = (start + front.index[separable][beats[:3]]).tolist()
+    where = (start + index[separable][beats[:3]]).tolist()
     return _BlockOut(acc=acc, extra=tuple(zip(where, M[beats[:3]])))
 
 

@@ -4,9 +4,17 @@ Every sample owns an independent Philox-4x64-10 substream whose key is
 (seed, sample_index).  Uniform variates for a sample therefore never
 depend on how samples are split across workers, which is what makes
 byte-identical parallel runs possible.  The vectorized generator here
-reproduces numpy's Generator(Philox(key=[seed, index])).uniform()
+reproduces numpy's Generator(Philox(key=[seed, index])).random()
 bit for bit; the Generator constructors are kept for consumers that
 need a full stream object (grid drawing, tests).
+
+The generator works _CHUNK samples at a time.  The counter blocks a
+row needs are stacked into one lane array, so each numpy operation of
+a round runs once per chunk, in buffers that stay in a core's cache,
+and the finished words are written straight into the output.  The first
+two rounds are worked partly in Python integers: there the counter, one
+counter word or the key word is the same in every lane.  Chunking
+changes no bit: every lane is exact 64-bit integer arithmetic.
 """
 
 from __future__ import annotations
@@ -20,13 +28,19 @@ __all__ = ["BLOCK", "substream_uniforms", "sample_stream", "grid_stream"]
 #: determinism contract and must not be made configurable.
 BLOCK = 65536
 
+# Samples per pass of the Philox kernel.  Any value gives the same
+# uniforms.  At 4,096 the ten lane buffers take about 1 MB at width 10;
+# it ran fastest of 1,024 to 65,536 on a Xeon with 2 MB of L2 per core.
+_CHUNK = 4096
+
+_MASK64 = 2**64 - 1
 _U64 = np.uint64
 _LO32 = _U64(0xFFFFFFFF)
 _SH32 = _U64(32)
-_MULT0 = _U64(0xD2E7470EE14C6C93)
-_MULT1 = _U64(0xCA5A826395121157)
-_WEYL0 = _U64(0x9E3779B97F4A7C15)
-_WEYL1 = _U64(0xBB67AE8584CAA73B)
+_MULT0 = 0xD2E7470EE14C6C93
+_MULT1 = 0xCA5A826395121157
+_WEYL0 = 0x9E3779B97F4A7C15
+_WEYL1 = 0xBB67AE8584CAA73B
 
 
 def _check_seed(seed: int) -> int:
@@ -36,28 +50,33 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
-def _mulhilo(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # 64x64 -> 128 bit product from 32-bit limbs; uint64 wraps by design.
-    al = a & _LO32
-    ah = a >> _SH32
-    bl = b & _LO32
-    bh = b >> _SH32
-    t1 = ah * bl
-    t2 = al * bh
-    lo = a * b
-    carry = (((al * bl) >> _SH32) + (t1 & _LO32) + (t2 & _LO32)) >> _SH32
-    hi = ah * bh + (t1 >> _SH32) + (t2 >> _SH32) + carry
-    return hi, lo
+def _mul128(a: int, b: int) -> tuple[int, int]:
+    # High and low words of the 128-bit product of two Python ints.
+    p = a * b
+    return p >> 64, p & _MASK64
 
 
-def _philox_round10(c0, c1, c2, c3, k0, k1):
-    for _ in range(10):
-        hi0, lo0 = _mulhilo(c0, _MULT0)
-        hi1, lo1 = _mulhilo(c2, _MULT1)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-        k0 = k0 + _WEYL0
-        k1 = k1 + _WEYL1
-    return c0, c1, c2, c3
+def _mulhilo(a: np.ndarray, b: int, hi: np.ndarray, lo: np.ndarray,
+             t1: np.ndarray, t2: np.ndarray) -> None:
+    # hi, lo = words of a * b from 32-bit limbs, in 15 in-place ufunc
+    # calls; t1 and t2 are scratch.  uint64 wraps by design.
+    bl = _U64(b & 0xFFFFFFFF)
+    bh = _U64(b >> 32)
+    np.bitwise_and(a, _LO32, out=t1)  # al
+    np.right_shift(a, _SH32, out=hi)  # ah
+    np.multiply(t1, bl, out=t2)
+    t2 >>= _SH32
+    np.multiply(hi, bl, out=lo)
+    t2 += lo  # mid = (al*bl >> 32) + ah*bl
+    t1 *= bh
+    np.bitwise_and(t2, _LO32, out=lo)
+    lo += t1  # mid2 = (mid & LO) + al*bh
+    hi *= bh
+    t2 >>= _SH32
+    hi += t2
+    lo >>= _SH32
+    hi += lo  # hi = ah*bh + (mid >> 32) + (mid2 >> 32)
+    np.multiply(a, _U64(b), out=lo)
 
 
 def substream_uniforms(seed: int, start: int, count: int, width: int = 10) -> np.ndarray:
@@ -68,18 +87,55 @@ def substream_uniforms(seed: int, start: int, count: int, width: int = 10) -> np
     them one sample at a time.
     """
     seed = _check_seed(seed)
-    index = np.arange(start, start + count, dtype=np.uint64)
-    key0 = np.full(count, seed, dtype=np.uint64)
+    start, count = int(start), int(count)
+    if start < 0:
+        raise ValueError("start must be a nonnegative sample index")
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    if start + count > 2**64:
+        raise ValueError("sample indices must fit in an unsigned 64-bit integer")
+    out = np.empty((count, width))
+    # Counter block b (numpy's counter b + 1) gives uniforms 4b .. 4b + 3.
     blocks = -(-width // 4)
-    words = []
-    for counter in range(1, blocks + 1):
-        c0 = np.full(count, counter, dtype=np.uint64)
-        zero = np.zeros(count, dtype=np.uint64)
-        words.extend(
-            _philox_round10(c0, zero, zero.copy(), zero.copy(), key0.copy(), index.copy())
-        )
-    raw = np.stack(words, axis=1)[:, :width]
-    return (raw >> np.uint64(11)) * 2.0**-53
+    first = [_mul128(counter, _MULT0) for counter in range(1, blocks + 1)]
+    first_hi = np.array([hi for hi, _ in first], dtype=np.uint64)
+    first_lo = np.array([lo for _, lo in first], dtype=np.uint64)
+    seed_hi, seed_lo = _mul128(seed, _MULT0)
+    size = min(_CHUNK, count)
+    buffers = np.empty((10, size, blocks), dtype=np.uint64)
+    for s in range(0, count, _CHUNK):
+        n = min(_CHUNK, count - s)
+        c0, c1, c2, c3, h0, l0, h1, l1, t1, t2 = buffers[:, :n]
+        k1 = np.arange(start + s, start + s + n, dtype=np.uint64)[:, None]
+        # Round 1 on the counter (counter, 0, 0, 0), key (seed, index):
+        # c0 = seed, c1 = 0, c2 = hi(counter*M0) ^ index, c3 = lo(counter*M0).
+        np.bitwise_xor(k1, first_hi, out=c2)
+        k0 = (seed + _WEYL0) & _MASK64
+        k1 = k1 + _U64(_WEYL1)
+        # Round 2: the product of c0 = seed is a scalar and c1 is zero.
+        _mulhilo(c2, _MULT1, c0, c1, t1, t2)
+        c0 ^= _U64(k0)
+        np.bitwise_xor(k1, first_lo ^ _U64(seed_hi), out=c2)
+        c3.fill(seed_lo)
+        # Rounds 3 to 10 on full lanes; the buffers of a round's input
+        # words take the next round's products.
+        for _ in range(8):
+            k0 = (k0 + _WEYL0) & _MASK64
+            k1 += _U64(_WEYL1)
+            _mulhilo(c0, _MULT0, h0, l0, t1, t2)
+            _mulhilo(c2, _MULT1, h1, l1, t1, t2)
+            h1 ^= c1
+            h1 ^= _U64(k0)
+            h0 ^= c3
+            h0 ^= k1
+            c0, c1, c2, c3, h0, l0, h1, l1 = h1, l1, h0, l0, c0, c1, c2, c3
+        # Word j of counter block b is uniform 4b + j: its top 53 bits
+        # over 2^53, as numpy's random() takes them.
+        rows = out[s:s + n]
+        for j, word in enumerate((c0, c1, c2, c3)):
+            word >>= _U64(11)
+            np.multiply(word[:, :len(range(j, width, 4))], 2.0**-53, out=rows[:, j::4])
+    return out
 
 
 def _key(seed: int, index: int) -> np.ndarray:

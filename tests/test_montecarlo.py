@@ -194,6 +194,15 @@ class TestSampleAccess:
                 block[i, j] = block[j, i] = value
             assert np.array_equal(single, block)
 
+    @pytest.mark.parametrize("k,l", [(10.0, 5.0), (15.0, 15.0)])
+    def test_block_matrices_match_sample_matrix(self, k, l) -> None:
+        cfg = SamplerConfig(k=k, l=l, samples=1, seed=42)
+        M = montecarlo._build_matrices(substream_uniforms(42, 1000, 200, 10), k, l)
+        assert M.shape == (200, 4, 4)
+        for i in range(200):
+            single = sample_matrix(cfg, sample_stream(42, 1000 + i))
+            assert M[i].tobytes() == single.tobytes()
+
     def test_iter_accepted_verdicts_and_limit(self) -> None:
         cfg = SamplerConfig(k=10.0, l=5.0, samples=5_000, seed=13)
         seen = list(iter_accepted(cfg, limit=25))
@@ -504,6 +513,28 @@ class TestOneModeClassicality:
             run_one_mode_classicality(cfg, ks=(10.0, 0.0))
 
 
+def _classify_entropy_block(args):
+    # The entropy block as it was built on the full stacked classify,
+    # form-II solve included; its report is the reference.
+    seed, start, count, k, l = args
+    tol = criteria.DEFAULT
+    front = montecarlo._front(seed, start, count, k, l, tol)
+    v = front.verdict
+    separable = v.physical & (v.margin_ppt >= tol.ppt_min_eig)
+    M = front.M[separable]
+    joint = states.entropy(M)
+    largest = np.maximum(states.entropy(M[:, :2, :2]), states.entropy(M[:, 2:, 2:]))
+    beats = np.flatnonzero(joint < largest - 1e-12)
+    acc = montecarlo.CensusAccumulator(
+        generated=count,
+        accepted=int(np.count_nonzero(v.physical)),
+        separable=len(M),
+        classical=beats.size,
+    )
+    where = (start + front.index[separable][beats[:3]]).tolist()
+    return montecarlo._BlockOut(acc=acc, extra=tuple(zip(where, M[beats[:3]])))
+
+
 class TestEntropyProbe:
     def test_no_violations_among_separable_samples(self) -> None:
         # Joint entropy below a marginal entropy certifies entanglement,
@@ -531,3 +562,41 @@ class TestEntropyProbe:
         assert len(first.examples) == len(second.examples) <= 3
         for a, b in zip(first.examples, second.examples):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_matches_full_classify(self, monkeypatch, flip) -> None:
+        # With the entropy negated, most separable samples count as
+        # violations, so the kept examples are compared too.
+        if flip:
+            entropy = states.entropy
+            monkeypatch.setattr(states, "entropy", lambda M: -entropy(M))
+        cfg = SamplerConfig(k=10.0, l=5.0, samples=140_000, seed=3)
+        ours = run_entropy_probe(cfg)
+        with monkeypatch.context() as m:
+            m.setattr(montecarlo, "_entropy_block", _classify_entropy_block)
+            reference = run_entropy_probe(cfg)
+        assert ours.generated == reference.generated == 140_000
+        assert ours.physical == reference.physical
+        assert ours.separable == reference.separable
+        assert ours.violations == reference.violations
+        assert ours.example_indices == reference.example_indices
+        assert len(ours.examples) == len(reference.examples) == (3 if flip else 0)
+        for a, b in zip(ours.examples, reference.examples):
+            assert np.array_equal(a, b)
+
+    def test_skips_form_two_solve(self, monkeypatch) -> None:
+        calls = []
+        solve = criteria.to_standard_form_two
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(criteria, "to_standard_form_two", counted)
+        cfg = SamplerConfig(k=10.0, l=5.0, samples=70_000, seed=3)
+        run_entropy_probe(cfg)
+        assert calls == []
+        # The wrapper does see the solves of the full classify.
+        monkeypatch.setattr(montecarlo, "_entropy_block", _classify_entropy_block)
+        run_entropy_probe(cfg)
+        assert calls
