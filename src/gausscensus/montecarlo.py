@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import criteria, measures, states
-from .rng import BLOCK, _check_seed, grid_stream, substream_uniforms
+from .rng import BLOCK, _check_seed, grid_stream, substream_uniforms, third_block_uniforms
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -249,31 +249,24 @@ def sample_matrix(cfg: SamplerConfig, stream: np.random.Generator) -> np.ndarray
 # For each of the 16 matrix entries (row-major), which of a sample's ten
 # values it holds: 0-3 the diagonal, 4-9 the _PAIRS.
 _ENTRY_COLUMNS = np.array([0, 4, 5, 6, 4, 1, 7, 8, 5, 7, 2, 9, 6, 8, 9, 3])
+# The same for the leading 3x3 submatrix, whose values are all among a
+# sample's first eight.
+_MINOR3_COLUMNS = _ENTRY_COLUMNS.reshape(4, 4)[:3, :3].ravel()
+
+
+def _values(u: np.ndarray, k: float, l: float) -> np.ndarray:
+    # A sample's distinct entries: k*u on the diagonal columns 0-3,
+    # -l + 2l*u on the off-diagonal columns from 4 on.
+    values = np.empty(u.shape)
+    values[:, :4] = k * u[:, :4]
+    values[:, 4:] = -l + 2.0 * l * u[:, 4:]
+    return values
 
 
 def _build_matrices(u: np.ndarray, k: float, l: float) -> np.ndarray:
     # A sample's ten distinct entries, then one gather into its matrix:
     # each array is read once, in row order.
-    n = u.shape[0]
-    values = np.empty((n, 10))
-    values[:, :4] = k * u[:, :4]
-    values[:, 4:] = -l + 2.0 * l * u[:, 4:]
-    return np.take(values, _ENTRY_COLUMNS, axis=1).reshape(n, 4, 4)
-
-
-def _pd_candidates(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Sylvester screen: leading minors 1..4 positive.  Returns surviving
-    # indices and their determinants (reused for the Jeffreys weight).
-    d2 = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] ** 2
-    idx = np.nonzero((M[:, 0, 0] > 0.0) & (d2 > 0.0))[0]
-    if idx.size:
-        d3 = np.linalg.det(M[idx][:, :3, :3])
-        idx = idx[d3 > 0.0]
-    if not idx.size:
-        return idx, np.empty(0)
-    d4 = np.linalg.det(M[idx])
-    keep = d4 > 0.0
-    return idx[keep], d4[keep]
+    return np.take(_values(u, k, l), _ENTRY_COLUMNS, axis=1).reshape(len(u), 4, 4)
 
 
 def _block_ranges(samples: int) -> list[tuple[int, int]]:
@@ -329,13 +322,32 @@ class _Front:
 
 
 def _candidates(seed: int, start: int, count: int, k: float, l: float) -> tuple:
-    # The front of every two-mode block: uniforms, matrices, positive
-    # definite screen.  Returns the candidates' block positions,
-    # matrices and determinants.
-    u = substream_uniforms(seed, start, count, width=10)
-    M = _build_matrices(u, k, l)
-    idx, dets = _pd_candidates(M)
-    return idx, M[idx], dets
+    # The front of every two-mode block: Sylvester's screen (leading
+    # minors 1..4 positive) taken as soon as a minor's uniforms exist.
+    # Uniforms 0-7 (counter blocks 0 and 1) hold the diagonal and the
+    # pairs (0,1), (0,2), (0,3), (1,2), so they decide the 2x2 and 3x3
+    # minors; uniforms 8-9 are drawn, and matrices built, for the 3x3
+    # survivors only.  Returns the candidates' block positions, matrices
+    # and determinants (reused for the Jeffreys weight).
+    u = substream_uniforms(seed, start, count, width=8)
+    m00 = k * u[:, 0]
+    m01 = -l + 2.0 * l * u[:, 4]
+    d2 = m00 * (k * u[:, 1]) - m01 ** 2
+    idx = np.flatnonzero((m00 > 0.0) & (d2 > 0.0))
+    if idx.size:
+        u = u[idx]
+        minor = np.take(_values(u, k, l), _MINOR3_COLUMNS, axis=1).reshape(-1, 3, 3)
+        keep = np.linalg.det(minor) > 0.0
+        idx, u = idx[keep], u[keep]
+    if not idx.size:
+        return idx, np.empty((0, 4, 4)), np.empty(0)
+    full = np.empty((idx.size, 10))
+    full[:, :8] = u
+    full[:, 8:] = third_block_uniforms(seed, idx.astype(np.uint64) + np.uint64(start))
+    M = _build_matrices(full, k, l)
+    d4 = np.linalg.det(M)
+    keep = d4 > 0.0
+    return idx[keep], M[keep], d4[keep]
 
 
 def _front(seed: int, start: int, count: int, k: float, l: float, tol: Tolerances) -> _Front:
@@ -593,8 +605,8 @@ def run_one_mode_classicality(
         l = ratio * k
         argses = [(cfg.seed, s, c, k, l) for s, c in _block_ranges(cfg.samples)]
         total, _, _, _ = _fold(_one_mode_block, argses, workers, progress)
-        tally = total.measures["fisher"]
-        squared = total.measures["fisher:squared"]
+        tally = total.tally("fisher")  # present even when nothing was drawn
+        squared = total.tally("fisher:squared")
         la = tally.acc.log_total()
         if la == -math.inf:
             points.append(OneModePoint(k, l, cfg.samples, 0, 0, 0.0, 0.0))

@@ -15,13 +15,22 @@ and the finished words are written straight into the output.  The first
 two rounds are worked partly in Python integers: there the counter, one
 counter word or the key word is the same in every lane.  Chunking
 changes no bit: every lane is exact 64-bit integer arithmetic.
+
+There is one kernel, `_philox`: it takes an array of sample indices and
+the first counter block to draw, so a row can start at any uniform 4b.
+`substream_uniforms` is its contiguous case (indices start .. start +
+count - 1, from counter block 0), and `third_block_uniforms` draws
+uniforms 8 and 9 (counter block 2) for any index array, which lets the
+census draw them only for samples that pass its first screens.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
-__all__ = ["BLOCK", "substream_uniforms", "sample_stream", "grid_stream"]
+__all__ = ["BLOCK", "substream_uniforms", "third_block_uniforms", "sample_stream", "grid_stream"]
 
 #: Fixed reduction granularity of all censuses.  Partial results are
 #: folded in block order, so this constant participates in the
@@ -94,19 +103,49 @@ def substream_uniforms(seed: int, start: int, count: int, width: int = 10) -> np
         raise ValueError("count must be nonnegative")
     if start + count > 2**64:
         raise ValueError("sample indices must fit in an unsigned 64-bit integer")
+    return _philox(seed, np.arange(start, start + count, dtype=np.uint64), 0, width)
+
+
+def third_block_uniforms(seed: int, index) -> np.ndarray:
+    """Uniforms 8 and 9 (counter block 2) of the samples in `index`.
+
+    Row i holds `sample_stream(seed, index[i]).random(10)[8:10]`.  The
+    indices may come in any order, repeat or skip.
+    """
+    return _philox(_check_seed(seed), _sample_indices(index), 2, 2)
+
+
+def _sample_indices(index) -> np.ndarray:
+    # The indices as a contiguous uint64 array.  Python ints are taken
+    # one by one: numpy would carry a list mixing 5 and 2^63 as float64.
+    if isinstance(index, np.ndarray) and index.dtype.kind in "iu":
+        if index.size and index.min() < 0:
+            raise ValueError("sample indices must be nonnegative")
+        return np.ascontiguousarray(index.ravel(), dtype=np.uint64)
+    values = [operator.index(i) for i in np.asarray(index, dtype=object).ravel()]
+    if not all(0 <= i < 2**64 for i in values):
+        raise ValueError("sample indices must fit in an unsigned 64-bit integer")
+    return np.array(values, dtype=np.uint64)
+
+
+def _philox(seed: int, index: np.ndarray, first_block: int, width: int) -> np.ndarray:
+    # Row i: `width` uniforms of the substream keyed (seed, index[i]),
+    # from uniform 4*first_block on; index is a contiguous uint64 array.
+    count = len(index)
     out = np.empty((count, width))
     # Counter block b (numpy's counter b + 1) gives uniforms 4b .. 4b + 3.
     blocks = -(-width // 4)
-    first = [_mul128(counter, _MULT0) for counter in range(1, blocks + 1)]
-    first_hi = np.array([hi for hi, _ in first], dtype=np.uint64)
-    first_lo = np.array([lo for _, lo in first], dtype=np.uint64)
+    counters = range(first_block + 1, first_block + blocks + 1)
+    words = [_mul128(counter, _MULT0) for counter in counters]
+    first_hi = np.array([hi for hi, _ in words], dtype=np.uint64)
+    first_lo = np.array([lo for _, lo in words], dtype=np.uint64)
     seed_hi, seed_lo = _mul128(seed, _MULT0)
     size = min(_CHUNK, count)
     buffers = np.empty((10, size, blocks), dtype=np.uint64)
     for s in range(0, count, _CHUNK):
         n = min(_CHUNK, count - s)
         c0, c1, c2, c3, h0, l0, h1, l1, t1, t2 = buffers[:, :n]
-        k1 = np.arange(start + s, start + s + n, dtype=np.uint64)[:, None]
+        k1 = index[s:s + n, None]
         # Round 1 on the counter (counter, 0, 0, 0), key (seed, index):
         # c0 = seed, c1 = 0, c2 = hi(counter*M0) ^ index, c3 = lo(counter*M0).
         np.bitwise_xor(k1, first_hi, out=c2)

@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import numpy.polynomial.legendre as leg
 
+from gausscensus.montecarlo import _build_matrices
 from gausscensus.rng import substream_uniforms
 from gausscensus.states import ComplexRootError, DegenerateError, NoConvergenceError
 from gausscensus.tolerances import DEFAULT, Tolerances
@@ -380,6 +381,42 @@ def exact_census(cfg, tol) -> ExactCensus:
         prob_classical=math.exp(_log_sum_exp(lw_cls) - log_acc),
         **counts,
     )
+
+
+# ---------------------------------------------------------------------
+# The full-materialising two-mode front end: every sample's ten uniforms
+# and its matrix, then Sylvester's screen on the whole stack, as each
+# block ran it before the screen moved ahead of the third Philox counter
+# block.  `pd_candidates` is kept verbatim (it was
+# montecarlo._pd_candidates); montecarlo._candidates must reproduce
+# `materialised_candidates` bit for bit.
+
+# The seven box shapes of the stacked front-end and classify checks:
+# the Table 1 rows, the Bures box, and a narrow and a very wide box.
+STACK_CONFIGS = [(10, 5), (500, 250), (20, 10), (30, 20), (15, 15), (3, 2), (1000, 1000)]
+
+
+def pd_candidates(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Sylvester screen: leading minors 1..4 positive.  Returns surviving
+    # indices and their determinants (reused for the Jeffreys weight).
+    d2 = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] ** 2
+    idx = np.nonzero((M[:, 0, 0] > 0.0) & (d2 > 0.0))[0]
+    if idx.size:
+        d3 = np.linalg.det(M[idx][:, :3, :3])
+        idx = idx[d3 > 0.0]
+    if not idx.size:
+        return idx, np.empty(0)
+    d4 = np.linalg.det(M[idx])
+    keep = d4 > 0.0
+    return idx[keep], d4[keep]
+
+
+def materialised_candidates(seed: int, start: int, count: int, k: float, l: float) -> tuple:
+    """A block's candidate positions, matrices and determinants."""
+    u = substream_uniforms(seed, start, count, width=10)
+    M = _build_matrices(u, k, l)
+    idx, dets = pd_candidates(M)
+    return idx, M[idx], dets
 
 
 # ---------------------------------------------------------------------

@@ -244,6 +244,13 @@ class TestOtherSubcommands:
         assert ks == ["10", "100"]
         assert ls == ["5", "50"]
 
+    def test_one_mode_zero_samples(self, capsys) -> None:
+        code, out, _ = run_cli(
+            capsys, ["one-mode", "--k", "2", "--l", "1", "--samples", "0"]
+        )
+        assert code == 0
+        assert out.splitlines() == [",".join(cli.ONE_MODE_FIELDS), "2,1,0,0,0,0,0,1"]
+
     def test_entropy_single_row(self, capsys) -> None:
         code, out, _ = run_cli(
             capsys, ["entropy", "--samples", "20000", "--seed", "2"]

@@ -30,17 +30,19 @@ from gausscensus.states import (
 )
 
 from gausscensus import criteria
-from gausscensus.montecarlo import SamplerConfig, _build_matrices, _pd_candidates, sample_matrix
-from gausscensus.rng import BLOCK, sample_stream, substream_uniforms
+from gausscensus.montecarlo import SamplerConfig, sample_matrix
+from gausscensus.rng import BLOCK, sample_stream
 from gausscensus.states import SolverFailure
 
 from oracles import (
+    STACK_CONFIGS,
     ChainFormI,
     chain_classify,
     chain_form_one,
     chain_form_two,
     chain_is_separable_ppt,
     form_one_matrix,
+    materialised_candidates,
     random_local_symplectic,
 )
 
@@ -326,16 +328,8 @@ class TestDisagreementFormat:
         assert disagrees(v)
 
 
-# The seven box shapes of the stacked-classify checks: the Table 1 rows,
-# the Bures box, and a narrow and a very wide box.
-STACK_CONFIGS = [(10, 5), (500, 250), (20, 10), (30, 20), (15, 15), (3, 2), (1000, 1000)]
-
-
 def block_candidates(k, l, seed=11):
-    u = substream_uniforms(seed, 0, BLOCK, width=10)
-    M = _build_matrices(u, float(k), float(l))
-    idx, _ = _pd_candidates(M)
-    return M[idx]
+    return materialised_candidates(seed, 0, BLOCK, float(k), float(l))[1]
 
 
 # (exception type, message) -> SolverFailure code, from the errors the

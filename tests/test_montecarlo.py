@@ -23,7 +23,13 @@ from gausscensus.montecarlo import (
 )
 from gausscensus.rng import BLOCK, grid_stream, sample_stream, substream_uniforms
 
-from oracles import chain_classify, grid_coords, volumes_on_grids
+from oracles import (
+    STACK_CONFIGS,
+    chain_classify,
+    grid_coords,
+    materialised_candidates,
+    volumes_on_grids,
+)
 
 
 class TestSamplerConfig:
@@ -369,11 +375,10 @@ def _per_sample_classical(cfg: SamplerConfig):
     lws = ([], [], [])
     for start in range(0, cfg.samples, BLOCK):
         count = min(BLOCK, cfg.samples - start)
-        M = montecarlo._build_matrices(substream_uniforms(cfg.seed, start, count, 10), cfg.k, cfg.l)
-        idx, dets = montecarlo._pd_candidates(M)
-        for i, det in zip(idx, dets):
+        _, M, dets = materialised_candidates(cfg.seed, start, count, cfg.k, cfg.l)
+        for Mi, det in zip(M, dets):
             try:
-                verdict = chain_classify(M[i])
+                verdict = chain_classify(Mi)
             except (states.NoConvergenceError, states.DegenerateError, states.ComplexRootError):
                 counts["solver_failures"] += 1
                 continue
@@ -391,6 +396,42 @@ def _per_sample_classical(cfg: SamplerConfig):
     for part, values in zip((tally.acc, tally.sep, tally.cls), lws):
         part.add_array(values)
     return counts, tally
+
+
+def _same_candidates(seed, start, count, k, l):
+    ours = montecarlo._candidates(seed, start, count, float(k), float(l))
+    ref = materialised_candidates(seed, start, count, float(k), float(l))
+    for name, a, b in zip(("index", "matrices", "dets"), ours, ref):
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+    return ours
+
+
+@pytest.mark.filterwarnings("error")
+class TestCandidates:
+    """The screened front end against the full-materialising one."""
+
+    @pytest.mark.parametrize("kl", STACK_CONFIGS)
+    def test_every_box(self, kl) -> None:
+        index, _, _ = _same_candidates(11, 0, BLOCK, *kl)
+        assert index.size > 0
+
+    @pytest.mark.parametrize("count", [0, 1, 12_345])
+    def test_short_blocks(self, count) -> None:
+        _same_candidates(7, 3 * BLOCK, count, 10, 5)
+
+    def test_last_block_of_the_index_range(self) -> None:
+        count = BLOCK - 1000
+        index, _, _ = _same_candidates(7, 2**64 - count, count, 10, 5)
+        assert index.size > 0
+
+    def test_box_with_no_3x3_survivor(self) -> None:
+        # About 300 samples of the block pass the 2x2 minor, none the 3x3.
+        index, M, dets = _same_candidates(11, 0, BLOCK, 0.01, 1.0)
+        assert index.size == 0 and M.shape == (0, 4, 4) and dets.shape == (0,)
+        u = substream_uniforms(11, 0, BLOCK, width=10)
+        M = montecarlo._build_matrices(u, 0.01, 1.0)
+        assert np.count_nonzero(M[:, 0, 0] * M[:, 1, 1] > M[:, 0, 1] ** 2) > 100
 
 
 class TestClassicalBlock:
@@ -511,6 +552,12 @@ class TestOneModeClassicality:
         cfg = SamplerConfig(k=10.0, l=5.0, samples=10, seed=1, mode_count=1)
         with pytest.raises(ValueError):
             run_one_mode_classicality(cfg, ks=(10.0, 0.0))
+
+    def test_zero_samples_give_the_empty_point(self) -> None:
+        cfg = SamplerConfig(k=2.0, l=1.0, samples=0, seed=1, mode_count=1)
+        (point,) = run_one_mode_classicality(cfg)
+        assert (point.k, point.l, point.samples, point.physical, point.classical,
+                point.prob_classical, point.stderr) == (2.0, 1.0, 0, 0, 0, 0.0, 0.0)
 
 
 def _classify_entropy_block(args):

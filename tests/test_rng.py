@@ -7,6 +7,7 @@ from gausscensus.rng import (
     grid_stream,
     sample_stream,
     substream_uniforms,
+    third_block_uniforms,
 )
 
 
@@ -115,3 +116,48 @@ def test_sample_range_checked(start, count, match):
 def test_last_sample_index_allowed():
     ours = substream_uniforms(1, 2**64 - 1, 1, width=10)
     assert ours.tolist() == _reference_rows(1, 2**64 - 1, 1, 10)
+
+
+class TestThirdBlock:
+    """third_block_uniforms against numpy's Philox, row by row."""
+
+    @staticmethod
+    def _reference(seed, index):
+        return [sample_stream(seed, i).random(10)[8:10].tolist() for i in index]
+
+    def test_unsorted_repeated_and_sparse(self):
+        index = [9, 3, 3, 1000, 4, 2**40, 3, 65_537]
+        ours = third_block_uniforms(20250819, index)
+        assert ours.shape == (len(index), 2)
+        assert ours.tolist() == self._reference(20250819, index)
+
+    @pytest.mark.parametrize("empty", [[], np.array([], dtype=np.uint64),
+                                       np.array([], dtype=np.int64)])
+    def test_empty(self, empty):
+        assert third_block_uniforms(5, empty).shape == (0, 2)
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_extreme_indices(self, as_array):
+        index = [2**63, 2**64 - 1, 0, 2**63 - 1]
+        if as_array:
+            index = np.array(index, dtype=np.uint64)
+        ours = third_block_uniforms(2**64 - 1, index)
+        assert ours.tolist() == self._reference(2**64 - 1, [2**63, 2**64 - 1, 0, 2**63 - 1])
+
+    @pytest.mark.parametrize("chunk", [1, 7, 100])
+    def test_independent_of_chunk(self, monkeypatch, chunk):
+        monkeypatch.setattr(rng, "_CHUNK", chunk)
+        index = np.array([5 * i * i + 3 for i in range(37)][::-1], dtype=np.int64)
+        ours = third_block_uniforms(3, index)
+        assert ours.tolist() == self._reference(3, index.tolist())
+
+    @pytest.mark.parametrize("start", [0, 4090, 2**64 - 300])
+    def test_columns_of_the_contiguous_draw(self, start):
+        index = np.arange(start, start + 300, dtype=np.uint64)
+        whole = substream_uniforms(7, start, 300, width=10)
+        assert np.array_equal(third_block_uniforms(7, index), whole[:, 8:])
+
+    @pytest.mark.parametrize("index", [[-1], [3, 2**64], np.array([4, -2])])
+    def test_index_range_checked(self, index):
+        with pytest.raises(ValueError, match="sample indices"):
+            third_block_uniforms(1, index)
