@@ -518,7 +518,7 @@ def main(argv=None) -> int:
         return EXIT_IO
     except criteria.OracleDisagreementError as exc:
         try:
-            path = _dump_disagreement(exc, getattr(args, "out", None))
+            path = _dump_disagreement(exc, out)
         except OSError as io_exc:
             print(f"could not write disagreement dump: {io_exc}", file=sys.stderr)
             return EXIT_ORACLE

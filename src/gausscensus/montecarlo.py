@@ -54,6 +54,8 @@ class SamplerConfig:
     mode_count: int = 2
 
     def __post_init__(self):
+        if not (math.isfinite(self.k) and math.isfinite(self.l)):
+            raise ValueError(f"bounds k and l must be finite, got k={self.k!r}, l={self.l!r}")
         if not (self.k > 0.0 and self.l > 0.0):
             raise ValueError("bounds k and l must be positive")
         if self.samples < 0:
@@ -247,11 +249,9 @@ def sample_matrix(cfg: SamplerConfig, stream: np.random.Generator) -> np.ndarray
 
 
 # For each of the 16 matrix entries (row-major), which of a sample's ten
-# values it holds: 0-3 the diagonal, 4-9 the _PAIRS.
+# values it holds: 0-3 the diagonal, 4-9 the _PAIRS.  The leading 3x3
+# submatrix holds values from a sample's first eight only.
 _ENTRY_COLUMNS = np.array([0, 4, 5, 6, 4, 1, 7, 8, 5, 7, 2, 9, 6, 8, 9, 3])
-# The same for the leading 3x3 submatrix, whose values are all among a
-# sample's first eight.
-_MINOR3_COLUMNS = _ENTRY_COLUMNS.reshape(4, 4)[:3, :3].ravel()
 
 
 def _values(u: np.ndarray, k: float, l: float) -> np.ndarray:
@@ -263,10 +263,77 @@ def _values(u: np.ndarray, k: float, l: float) -> np.ndarray:
     return values
 
 
-def _build_matrices(u: np.ndarray, k: float, l: float) -> np.ndarray:
-    # A sample's ten distinct entries, then one gather into its matrix:
+def _leading(values: np.ndarray, n: int) -> np.ndarray:
+    # Each row's leading n x n submatrix, by one gather from its values:
     # each array is read once, in row order.
-    return np.take(_values(u, k, l), _ENTRY_COLUMNS, axis=1).reshape(len(u), 4, 4)
+    columns = _ENTRY_COLUMNS.reshape(4, 4)[:n, :n].ravel()
+    return np.take(values, columns, axis=1).reshape(len(values), n, n)
+
+
+def _build_matrices(u: np.ndarray, k: float, l: float) -> np.ndarray:
+    return _leading(_values(u, k, l), 4)
+
+
+# Leading minors decided in closed form.  Let u = 2**-53, g_j = j*u/(1 - j*u)
+# and m bound the |entries|; n is 3 or 4.
+# - np.linalg.det takes its sign from LAPACK's LU with partial pivoting:
+#   the pivot signs give the sign of det(A + E) exactly, where |E| <= g_n
+#   |L||U| with |l_ij| <= 1 and |u_ij| <= 2**(n-1) m (the growth bound),
+#   so |E_ij| <= g_n n 2**(n-1) m (Higham, Accuracy and Stability of
+#   Numerical Algorithms, Thm 9.3).  Over the n! terms of the Leibniz
+#   sum, |det(A + E) - det A| <= n! n max|E_ij| m**(n-1) to first order:
+#   7.2e-14 m**3 and 1.36e-12 m**4.
+# - The closed form sums 6 (n = 3) or 24 (n = 4) monomials of size at
+#   most m**n, each through at most 5 or 10 roundings, so it errs by at
+#   most g_5 6 m**3 = 3.3e-15 m**3 or g_10 24 m**4 = 2.7e-14 m**4.
+# Where |closed form| > tau_n m**n, with tau_3 = 1e-11 and tau_4 = 1e-10
+# (about 130 and 70 times the two errors together), both signs are the
+# sign of det A; rows inside the band take LAPACK's sign.  For m outside
+# _SIGN_SCALES a product could overflow, or underflow (here or in the
+# value np.linalg.det returns) by more than the band allows, so every
+# row takes LAPACK's sign.
+_SIGN_BAND = {3: 1e-11, 4: 1e-10}
+_SIGN_SCALES = (1e-60, 1e60)
+
+
+def _closed_minor(values: np.ndarray, n: int) -> np.ndarray:
+    # The leading n x n minor of each row's matrix from its values.
+    m00, m11, m22 = values[:, 0], values[:, 1], values[:, 2]
+    m01, m02, m12 = values[:, 4], values[:, 5], values[:, 7]
+    if n == 3:
+        return (m00 * (m11 * m22 - m12 * m12) - m01 * (m01 * m22 - m02 * m12)
+                + m02 * (m01 * m12 - m02 * m11))
+    m33, m03, m13, m23 = values[:, 3], values[:, 6], values[:, 8], values[:, 9]
+    # Laplace expansion over the 2x2 minors of rows 0-1 (s) and 2-3 (t).
+    s01 = m00 * m11 - m01 * m01
+    s02 = m00 * m12 - m02 * m01
+    s03 = m00 * m13 - m03 * m01
+    s12 = m01 * m12 - m02 * m11
+    s13 = m01 * m13 - m03 * m11
+    s23 = m02 * m13 - m03 * m12
+    t01 = m02 * m13 - m12 * m03
+    t02 = m02 * m23 - m22 * m03
+    t03 = m02 * m33 - m23 * m03
+    t12 = m12 * m23 - m22 * m13
+    t13 = m12 * m33 - m23 * m13
+    t23 = m22 * m33 - m23 * m23
+    return s01 * t23 - s02 * t13 + s03 * t12 + s12 * t03 - s13 * t02 + s23 * t01
+
+
+def _minor_positive(values: np.ndarray, n: int, scale: float) -> np.ndarray:
+    # Whether each row's leading n x n minor is positive, as
+    # np.linalg.det(...) > 0 decides it; scale bounds the |entries|.
+    if _SIGN_SCALES[0] <= scale <= _SIGN_SCALES[1]:
+        minor = _closed_minor(values, n)
+        band = _SIGN_BAND[n] * scale ** n
+        positive = minor > band
+        unsure = np.flatnonzero(~(np.abs(minor) > band))
+    else:
+        positive = np.zeros(len(values), dtype=bool)
+        unsure = np.arange(len(values))
+    if unsure.size:
+        positive[unsure] = np.linalg.det(_leading(values[unsure], n)) > 0.0
+    return positive
 
 
 def _block_ranges(samples: int) -> list[tuple[int, int]]:
@@ -326,28 +393,32 @@ def _candidates(seed: int, start: int, count: int, k: float, l: float) -> tuple:
     # minors 1..4 positive) taken as soon as a minor's uniforms exist.
     # Uniforms 0-7 (counter blocks 0 and 1) hold the diagonal and the
     # pairs (0,1), (0,2), (0,3), (1,2), so they decide the 2x2 and 3x3
-    # minors; uniforms 8-9 are drawn, and matrices built, for the 3x3
-    # survivors only.  Returns the candidates' block positions, matrices
-    # and determinants (reused for the Jeffreys weight).
+    # minors; uniforms 8-9 are drawn for the 3x3 survivors only.  The 3x3
+    # and 4x4 signs come from _minor_positive, which calls LAPACK only
+    # on rows in its rounding band; matrices are built, and their
+    # determinants taken by np.linalg.det one matrix at a time, for the
+    # candidates only.  Returns the candidates' block positions,
+    # matrices and determinants (reused for the Jeffreys weight).
     u = substream_uniforms(seed, start, count, width=8)
     m00 = k * u[:, 0]
     m01 = -l + 2.0 * l * u[:, 4]
     d2 = m00 * (k * u[:, 1]) - m01 ** 2
     idx = np.flatnonzero((m00 > 0.0) & (d2 > 0.0))
+    # Every entry lies in [-max(k, l), max(k, l)].
+    scale = max(k, l)
     if idx.size:
         u = u[idx]
-        minor = np.take(_values(u, k, l), _MINOR3_COLUMNS, axis=1).reshape(-1, 3, 3)
-        keep = np.linalg.det(minor) > 0.0
+        keep = _minor_positive(_values(u, k, l), 3, scale)
         idx, u = idx[keep], u[keep]
     if not idx.size:
         return idx, np.empty((0, 4, 4)), np.empty(0)
     full = np.empty((idx.size, 10))
     full[:, :8] = u
     full[:, 8:] = third_block_uniforms(seed, idx.astype(np.uint64) + np.uint64(start))
-    M = _build_matrices(full, k, l)
-    d4 = np.linalg.det(M)
-    keep = d4 > 0.0
-    return idx[keep], M[keep], d4[keep]
+    values = _values(full, k, l)
+    keep = _minor_positive(values, 4, scale)
+    M = _leading(values[keep], 4)
+    return idx[keep], M, np.linalg.det(M)
 
 
 def _front(seed: int, start: int, count: int, k: float, l: float, tol: Tolerances) -> _Front:
@@ -600,8 +671,8 @@ def run_one_mode_classicality(
     ratio = cfg.l / cfg.k
     points = []
     for k in schedule:
-        if k <= 0.0:
-            raise ValueError("k schedule entries must be positive")
+        if not (k > 0.0 and math.isfinite(k)):
+            raise ValueError(f"k schedule entries must be positive and finite, got {k!r}")
         l = ratio * k
         argses = [(cfg.seed, s, c, k, l) for s, c in _block_ranges(cfg.samples)]
         total, _, _, _ = _fold(_one_mode_block, argses, workers, progress)

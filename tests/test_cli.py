@@ -199,6 +199,14 @@ class TestUsageErrors:
         assert code == 64
         assert "--n-grids 1" in err
 
+    @pytest.mark.parametrize("bounds", [["--k", "inf", "--l", "5"], ["--k", "10", "--l", "inf"],
+                                        ["--k", "nan"]])
+    def test_nonfinite_bounds(self, capsys, bounds) -> None:
+        code, out, err = run_cli(capsys, ["census", "--samples", "2000"] + bounds)
+        assert code == 64
+        assert out == ""
+        assert "k and l must be finite" in err
+
     def test_zero_workers(self, capsys) -> None:
         code, _, _ = run_cli(
             capsys, ["census", "--samples", "1000", "--workers", "0"]
@@ -226,6 +234,23 @@ class TestOracleExit:
         dump = tmp_path / "oracle-disagreement.txt"
         assert dump.exists()
         assert "0.001" in dump.read_text(encoding="utf-8")
+        assert str(dump) in err
+
+    def test_dump_follows_out_from_config(self, capsys, tmp_path, monkeypatch) -> None:
+        def boom(cfg, workers=1, progress=None):
+            raise criteria.OracleDisagreementError(np.eye(4), 1e-3, -2e-3)
+
+        monkeypatch.setattr(montecarlo, "run_classical_census", boom)
+        monkeypatch.chdir(tmp_path)
+        results = tmp_path / "results"
+        results.mkdir()
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"out = {results / 'res.csv'}\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, ["census", "--config", str(conf)])
+        assert code == 2
+        dump = results / "oracle-disagreement.txt"
+        assert dump.exists()
+        assert not (tmp_path / "oracle-disagreement.txt").exists()
         assert str(dump) in err
 
 

@@ -53,6 +53,12 @@ class TestSamplerConfig:
         with pytest.raises(ValueError):
             SamplerConfig(k=10.0, l=5.0, samples=10, seed=2**64)
 
+    @pytest.mark.parametrize("k, l", [(math.inf, 5.0), (10.0, math.inf), (math.nan, 5.0),
+                                      (10.0, -math.inf)])
+    def test_rejects_nonfinite_bounds(self, k, l) -> None:
+        with pytest.raises(ValueError, match="k and l must be finite"):
+            SamplerConfig(k=k, l=l, samples=10, seed=1)
+
 
 class TestLogSumExp:
     def test_matches_direct_reduction(self) -> None:
@@ -434,6 +440,89 @@ class TestCandidates:
         assert np.count_nonzero(M[:, 0, 0] * M[:, 1, 1] > M[:, 0, 1] ** 2) > 100
 
 
+def _adversarial(n: int, scale: float, eps: float, count: int, seed: int) -> np.ndarray:
+    # Symmetric n x n matrices whose determinants sit at or near zero:
+    # PSD matrices of rank 1..n-1 plus a rank-one term of relative size
+    # eps and random sign, scaled to max|entry| == scale.  A quarter get
+    # entries spread over eight decades, and a quarter exact zeros off
+    # the diagonal.
+    rng = np.random.default_rng(seed)
+    per = count // (n - 1)
+    parts = []
+    for rank in range(1, n):
+        X = rng.normal(size=(per, n, rank))
+        parts.append(X @ X.transpose(0, 2, 1))
+    G = np.concatenate(parts)
+    y = rng.normal(size=(len(G), n, 1))
+    sign = rng.choice([-1.0, 1.0], size=(len(G), 1, 1))
+    peak = np.abs(G).max(axis=(1, 2), keepdims=True)
+    G = G + sign * eps * peak * (y @ y.transpose(0, 2, 1)) / np.abs(y).max(axis=1, keepdims=True) ** 2
+    quarter = len(G) // 4
+    d = 10.0 ** rng.uniform(-8.0, 0.0, size=(quarter, n, 1))
+    G[:quarter] *= d * d.transpose(0, 2, 1)
+    zero = rng.random((quarter, n, n)) < 0.3
+    zero = (zero | zero.transpose(0, 2, 1)) & ~np.eye(n, dtype=bool)
+    G[quarter:2 * quarter][zero] = 0.0
+    return G * (scale / np.abs(G).max(axis=(1, 2), keepdims=True))
+
+
+def _as_values(G: np.ndarray) -> np.ndarray:
+    # The ten _values columns of the 4x4 matrices whose leading block is G.
+    M = np.zeros((len(G), 4, 4))
+    n = G.shape[1]
+    M[:, :n, :n] = G
+    rows, cols = zip(*([(j, j) for j in range(4)] + list(montecarlo._PAIRS)))
+    return M[:, rows, cols]
+
+
+@pytest.mark.filterwarnings("error")
+class TestMinorSigns:
+    """The closed-form sign screen against LAPACK's sign."""
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-18, 1e-15, 1e-12, 1e-9])
+    @pytest.mark.parametrize("scale", [1.0, 15.0, 500.0])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_lapack_near_singular(self, n, scale, eps) -> None:
+        G = _adversarial(n, scale, eps, 24_000, seed=n * 1000 + int(scale))
+        ours = montecarlo._minor_positive(_as_values(G), n, scale)
+        assert np.array_equal(ours, np.linalg.det(G) > 0.0)
+
+    @pytest.mark.parametrize("scale", [1e-80, 1e80])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_extreme_scales_take_lapack_sign(self, n, scale) -> None:
+        # A 4x4 determinant near 1e320 overflows to +-inf in LAPACK's
+        # det, with its sign kept; the closed form is never evaluated.
+        G = _adversarial(n, scale, 1e-9, 3_000, seed=5)
+        with np.errstate(over="ignore"):
+            ours = montecarlo._minor_positive(_as_values(G), n, scale)
+            assert np.array_equal(ours, np.linalg.det(G) > 0.0)
+
+    def test_lapack_only_on_candidates(self, monkeypatch) -> None:
+        # On this block no row falls in a rounding band, so the only
+        # np.linalg.det call is on the returned candidates.
+        seed, k, l = 11, 15.0, 15.0
+        values = montecarlo._values(substream_uniforms(seed, 0, BLOCK, width=10), k, l)
+        m00, m11, m01 = values[:, 0], values[:, 1], values[:, 4]
+        two = (m00 > 0.0) & (m00 * m11 - m01 ** 2 > 0.0)
+        minor3 = montecarlo._closed_minor(values, 3)
+        minor4 = montecarlo._closed_minor(values, 4)
+        band3 = two & (np.abs(minor3) <= montecarlo._SIGN_BAND[3] * k ** 3)
+        band4 = two & (minor3 > 0.0) & (np.abs(minor4) <= montecarlo._SIGN_BAND[4] * k ** 4)
+        assert not band3.any() and not band4.any()
+        calls = []
+        det = np.linalg.det
+
+        def recorded(a):
+            calls.append(np.array(a))
+            return det(a)
+
+        monkeypatch.setattr(np.linalg, "det", recorded)
+        index, M, _ = montecarlo._candidates(seed, 0, BLOCK, k, l)
+        monkeypatch.undo()
+        assert index.size > 0
+        assert len(calls) == 1 and np.array_equal(calls[0], M)
+
+
 class TestClassicalBlock:
     @pytest.mark.parametrize("k, l", [(10.0, 5.0), (500.0, 250.0)])
     def test_matches_per_sample_reference(self, k, l) -> None:
@@ -552,6 +641,12 @@ class TestOneModeClassicality:
         cfg = SamplerConfig(k=10.0, l=5.0, samples=10, seed=1, mode_count=1)
         with pytest.raises(ValueError):
             run_one_mode_classicality(cfg, ks=(10.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_nonfinite_schedule(self, bad) -> None:
+        cfg = SamplerConfig(k=10.0, l=5.0, samples=10, seed=1, mode_count=1)
+        with pytest.raises(ValueError, match="positive and finite"):
+            run_one_mode_classicality(cfg, ks=(10.0, bad))
 
     def test_zero_samples_give_the_empty_point(self) -> None:
         cfg = SamplerConfig(k=2.0, l=1.0, samples=0, seed=1, mode_count=1)
