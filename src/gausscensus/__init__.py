@@ -36,7 +36,6 @@ from .criteria import (
     is_classical,
     is_separable_duan,
     is_separable_ppt,
-    passes_uncertainty_filter,
     total_variance,
 )
 from .measures import (

@@ -281,8 +281,8 @@ def _cmd_table1(args, config) -> tuple[list[str], list[dict]]:
     scale = _resolve(args, config, "scale", 1.0)
     seed = _resolve(args, config, "seed", 1)
     workers = _resolve_workers(args, config)
-    if scale <= 0.0:
-        raise UsageError("--scale must be positive")
+    if not (scale > 0.0 and math.isfinite(scale)):
+        raise UsageError(f"--scale must be positive and finite, got {scale!r}")
     rows = []
     for i, (k, l, full) in enumerate(TABLE1_ROWS):
         samples = max(1, int(round(full * scale)))

@@ -16,7 +16,6 @@ import numpy as np
 from .states import (
     OMEGA,
     SolverFailure,
-    StandardFormI,
     StandardFormII,
     is_physical,
     to_standard_form_one,
@@ -30,7 +29,6 @@ __all__ = [
     "Verdict",
     "OracleDisagreementError",
     "total_variance",
-    "passes_uncertainty_filter",
     "is_separable_duan",
     "is_separable_ppt",
     "is_classical",
@@ -55,17 +53,10 @@ _EYE4.setflags(write=False)
 
 @dataclass(frozen=True)
 class VarianceReport:
-    """Total variance of a reduced quadrature pair and its two bounds.
-
-    uncertainty_bound is the commutator floor of the pair.  The pair is
-    built with the cross-term signs that minimize the variance, so its
-    commutator scales as a0^2 + s / a0^2 with s the product of the two
-    cross-term signs: opposite signs give |a0^2 - 1/a0^2|, equal signs
-    give a0^2 + 1/a0^2.  separability_bound is always a0^2 + 1/a0^2.
-    """
+    """Total variance of a reduced quadrature pair and its separability
+    bound, which is always a0^2 + 1/a0^2."""
 
     total_variance: float
-    uncertainty_bound: float
     separability_bound: float
     a0: float
 
@@ -116,7 +107,7 @@ class OracleDisagreementError(RuntimeError):
 
 
 def total_variance(f2: StandardFormII) -> VarianceReport:
-    """Evaluate the scaled sum/difference variance and its bounds.
+    """Evaluate the scaled sum/difference variance and its bound.
 
     total_variance = (1/2) [a0^2 (n1 + n2) + (m1 + m2) / a0^2]
                      - |c1| - |c2|,
@@ -129,27 +120,7 @@ def total_variance(f2: StandardFormII) -> VarianceReport:
         - abs(f2.c1)
         - abs(f2.c2)
     )
-    sep_bound = a0sq + 1.0 / a0sq
-    unc_bound = np.where(f2.c1 * f2.c2 > 0.0, sep_bound, abs(a0sq - 1.0 / a0sq))
-    if unc_bound.ndim == 0:
-        unc_bound = float(unc_bound)
-    return VarianceReport(tv, unc_bound, sep_bound, f2.a0)
-
-
-def passes_uncertainty_filter(
-    v: VarianceReport, f1: StandardFormI, tol: Tolerances = DEFAULT
-) -> bool:
-    """Physicality proxy: n, m >= 1 and variance at or above its floor.
-
-    Necessary but not sufficient: with opposite cross-term signs the
-    floor |a0^2 - 1/a0^2| admits matrices that violate M + i*Omega >= 0,
-    so the census population is gated by states.is_physical instead.
-    """
-    return (
-        f1.n >= 1.0
-        and f1.m >= 1.0
-        and v.total_variance >= v.uncertainty_bound - tol.variance_slack
-    )
+    return VarianceReport(tv, a0sq + 1.0 / a0sq, f2.a0)
 
 
 def is_separable_duan(v: VarianceReport, tol: Tolerances = DEFAULT) -> bool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -42,6 +43,16 @@ _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 _PROGRESS_EVERY = 4
 
+# The largest box bound m = max(k, l) at which no sample's determinant
+# can overflow float64, per mode count.  Every entry of an n-mode sample
+# lies in [-m, m], so each of the (2n)! signed products in the Leibniz
+# sum for det M is at most m**(2n) in size: |det M| <= 2 m**2 for one
+# mode and <= 24 m**4 for two.  Each leading minor and each partial
+# product of LU pivots is a smaller determinant of the same kind and
+# obeys the same bound, so m <= (DBL_MAX / (2n)!)**(1 / 2n): about
+# 9.5e153 for one mode and 5.2e76 for two.
+_MAX_BOUND = {n: (sys.float_info.max / math.factorial(2 * n)) ** (0.5 / n) for n in (1, 2)}
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -62,7 +73,14 @@ class SamplerConfig:
             raise ValueError("sample count must be nonnegative")
         if self.mode_count not in (1, 2):
             raise ValueError("mode_count must be 1 or 2")
+        _check_bound(max(self.k, self.l), self.mode_count)
         _check_seed(self.seed)
+
+
+def _check_bound(m: float, mode_count: int) -> None:
+    if m > _MAX_BOUND[mode_count]:
+        raise ValueError(f"max(k, l) = {m!r} is above {_MAX_BOUND[mode_count]:.3g}, where "
+                         f"a {mode_count}-mode determinant can overflow")
 
 
 @dataclass
@@ -138,6 +156,8 @@ class CensusAccumulator:
     classical: int = 0
     discarded_grids: int = 0
     solver_failures: int = 0
+    numerical_faults: int = 0
+    ordering_faults: int = 0
     measures: dict = field(default_factory=dict)
 
     def tally(self, measure: str) -> MeasureTally:
@@ -153,6 +173,8 @@ class CensusAccumulator:
         self.classical += other.classical
         self.discarded_grids += other.discarded_grids
         self.solver_failures += other.solver_failures
+        self.numerical_faults += other.numerical_faults
+        self.ordering_faults += other.ordering_faults
         for key, tally in other.measures.items():
             self.tally(key).merge(tally)
 
@@ -222,8 +244,6 @@ class EntropyReport:
 class _BlockOut:
     acc: CensusAccumulator
     disagreement: tuple | None = None
-    numerical_faults: int = 0
-    ordering_faults: int = 0
     extra: tuple = ()
 
 
@@ -355,39 +375,6 @@ def _map_blocks(fn: Callable, argses: list, workers: int) -> Iterator:
     return run()
 
 
-@dataclass
-class _Front:
-    """A block's positive definite candidates and their stacked verdict."""
-
-    index: np.ndarray  # position of each candidate in the block
-    M: np.ndarray
-    det: np.ndarray
-    verdict: "criteria.Verdict"
-    accepted: np.ndarray  # physical and solved by form I and form II
-
-    def counts(self, generated: int) -> CensusAccumulator:
-        v = self.verdict
-        return CensusAccumulator(
-            generated=generated,
-            accepted=int(np.count_nonzero(self.accepted)),
-            solver_failures=int(np.count_nonzero(v.physical & (v.failure != 0))),
-        )
-
-    def fisher_log_weights(self) -> np.ndarray:
-        # log det(M)^(-5/2) of the accepted candidates through math.log,
-        # which np.log does not match in the last bit on a few inputs in
-        # a thousand.
-        det = self.det[self.accepted]
-        return -2.5 * np.fromiter(map(math.log, det.tolist()), float, det.size)
-
-    def disagreement(self, tol: Tolerances) -> tuple | None:
-        flagged = np.flatnonzero(criteria.disagrees(self.verdict, tol) & self.accepted)
-        if not flagged.size:
-            return None
-        i = flagged[0]
-        return self.M[i].copy(), float(self.verdict.margin_sep[i]), float(self.verdict.margin_ppt[i])
-
-
 def _candidates(seed: int, start: int, count: int, k: float, l: float) -> tuple:
     # The front of every two-mode block: Sylvester's screen (leading
     # minors 1..4 positive) taken as soon as a minor's uniforms exist.
@@ -421,14 +408,60 @@ def _candidates(seed: int, start: int, count: int, k: float, l: float) -> tuple:
     return idx[keep], M, np.linalg.det(M)
 
 
-def _front(seed: int, start: int, count: int, k: float, l: float, tol: Tolerances) -> _Front:
-    # The census chain: the candidates and one stacked classify.
+def _front(seed: int, start: int, count: int, k: float, l: float, tol: Tolerances) -> tuple:
+    # The census chain: the candidates and one stacked classify.  Returns
+    # the candidates' block positions, matrices, determinants and verdict,
+    # and which are accepted (physical and solved by form I and form II).
     idx, M, dets = _candidates(seed, start, count, k, l)
     verdict = criteria.classify(M, tol)
-    return _Front(idx, M, dets, verdict, verdict.physical & (verdict.failure == 0))
+    return idx, M, dets, verdict, verdict.physical & (verdict.failure == 0)
 
 
-def _tally(acc: CensusAccumulator, weights: dict, sep: np.ndarray, cls: np.ndarray) -> None:
+def _census_block(args) -> _BlockOut:
+    # One two-mode census block: the chain, the Jeffreys weight and, when
+    # n_grids > 0, the volume-element stage.  With n_grids == 0 (the
+    # Jeffreys census) no grid is drawn and no sample is discarded.
+    (seed, start, count, k, l, grid_size, n_grids, lo, hi, kinds, estimators) = args
+    tol = DEFAULT
+    index, M, det, verdict, ok = _front(seed, start, count, k, l, tol)
+    acc = CensusAccumulator(
+        generated=count,
+        accepted=int(np.count_nonzero(ok)),
+        solver_failures=int(np.count_nonzero(verdict.physical & (verdict.failure != 0))),
+    )
+    # log det(M)^(-5/2) of the accepted candidates through math.log,
+    # which np.log does not match in the last bit on a few inputs in a
+    # thousand.
+    det = det[ok]
+    weights = {"fisher": -2.5 * np.fromiter(map(math.log, det.tolist()), float, det.size)}
+    sep, cls = verdict.separable[ok], verdict.classical[ok]
+    if n_grids:
+        # Each sample draws all its grids from its own stream before any
+        # of its kernels is judged, so a rejection never changes what is
+        # drawn.
+        rows = (start + index[ok]).tolist()
+        coords = np.array([
+            [measures.random_grid(grid_size, stream, lo, hi, tol).coords for _ in range(n_grids)]
+            for stream in (grid_stream(seed, i) for i in rows)
+        ]).reshape(len(rows), n_grids, grid_size)
+        discarded, logs = measures._volume_logs(M[ok], coords, kinds, tol)
+        acc.discarded_grids = int(np.count_nonzero(discarded))
+        finite = np.ones(len(rows), dtype=bool)
+        for kind in kinds:
+            finite &= np.isfinite(logs[kind]).all(axis=-1)
+        acc.numerical_faults = int(np.count_nonzero(~discarded & ~finite))
+        good = ~discarded & finite
+        logs = {kind: v[good] for kind, v in logs.items()}
+        if all(kind in kinds for kind in ("bures", "kubo_mori", "maximal")):
+            vb, vk, vm = logs["bures"], logs["kubo_mori"], logs["maximal"]
+            slack = 1e-9 * np.maximum(1.0, np.abs(vk))
+            acc.ordering_faults = int(np.count_nonzero((vb > vk + slack) | (vk > vm + slack)))
+        weights["fisher"] = weights["fisher"][good]
+        sep, cls = sep[good], cls[good]
+        for kind in kinds:
+            est = measures.VolumeEstimate.from_log_volumes(logs[kind], kind)
+            for name in estimators:
+                weights[f"{kind}:{name}"] = getattr(est, name)
     acc.separable = int(np.count_nonzero(sep))
     acc.classical = int(np.count_nonzero(cls))
     for key, lw in weights.items():
@@ -436,57 +469,12 @@ def _tally(acc: CensusAccumulator, weights: dict, sep: np.ndarray, cls: np.ndarr
         tally.acc.add_array(lw)
         tally.sep.add_array(lw[sep])
         tally.cls.add_array(lw[cls])
-
-
-def _classical_block(args) -> _BlockOut:
-    seed, start, count, k, l = args
-    tol = DEFAULT
-    front = _front(seed, start, count, k, l, tol)
-    acc = front.counts(count)
-    ok = front.accepted
-    weights = {"fisher": front.fisher_log_weights()}
-    _tally(acc, weights, front.verdict.separable[ok], front.verdict.classical[ok])
-    return _BlockOut(acc=acc, disagreement=front.disagreement(tol))
-
-
-def _bures_block(args) -> _BlockOut:
-    (seed, start, count, k, l, grid_size, n_grids, lo, hi, kinds, estimators) = args
-    tol = DEFAULT
-    front = _front(seed, start, count, k, l, tol)
-    acc = front.counts(count)
-    ok = front.accepted
-    # Each sample draws all its grids from its own stream before any of
-    # its kernels is judged, so a rejection never changes what is drawn.
-    rows = (start + front.index[ok]).tolist()
-    coords = np.array([
-        [measures.random_grid(grid_size, stream, lo, hi, tol).coords for _ in range(n_grids)]
-        for stream in (grid_stream(seed, i) for i in rows)
-    ]).reshape(len(rows), n_grids, grid_size)
-    discarded, logs = measures._volume_logs(front.M[ok], coords, kinds, tol)
-    acc.discarded_grids = int(np.count_nonzero(discarded))
-    finite = np.ones(len(rows), dtype=bool)
-    for kind in kinds:
-        finite &= np.isfinite(logs[kind]).all(axis=-1)
-    numerical_faults = int(np.count_nonzero(~discarded & ~finite))
-    good = ~discarded & finite
-    logs = {kind: v[good] for kind, v in logs.items()}
-    ordering_faults = 0
-    if all(kind in kinds for kind in ("bures", "kubo_mori", "maximal")):
-        vb, vk, vm = logs["bures"], logs["kubo_mori"], logs["maximal"]
-        slack = 1e-9 * np.maximum(1.0, np.abs(vk))
-        ordering_faults = int(np.count_nonzero((vb > vk + slack) | (vk > vm + slack)))
-    weights = {"fisher": front.fisher_log_weights()[good]}
-    for kind in kinds:
-        est = measures.VolumeEstimate.from_log_volumes(logs[kind], kind)
-        for name in estimators:
-            weights[f"{kind}:{name}"] = getattr(est, name)
-    _tally(acc, weights, front.verdict.separable[ok][good], front.verdict.classical[ok][good])
-    return _BlockOut(
-        acc=acc,
-        disagreement=front.disagreement(tol),
-        numerical_faults=numerical_faults,
-        ordering_faults=ordering_faults,
-    )
+    flagged = np.flatnonzero(criteria.disagrees(verdict, tol) & ok)
+    disagreement = None
+    if flagged.size:
+        i = flagged[0]
+        disagreement = (M[i].copy(), float(verdict.margin_sep[i]), float(verdict.margin_ppt[i]))
+    return _BlockOut(acc=acc, disagreement=disagreement)
 
 
 def _one_mode_block(args) -> _BlockOut:
@@ -541,26 +529,50 @@ def _fold(
     argses: list,
     workers: int,
     progress: Callable | None,
-) -> tuple[CensusAccumulator, int, int, list]:
+) -> tuple[CensusAccumulator, list]:
     total = CensusAccumulator()
-    numerical_faults = 0
-    ordering_faults = 0
     extras: list = []
     for done, out in enumerate(_map_blocks(runner, argses, workers)):
         total.merge(out.acc)
-        numerical_faults += out.numerical_faults
-        ordering_faults += out.ordering_faults
         extras.extend(out.extra)
         if out.disagreement is not None:
             raise criteria.OracleDisagreementError(*out.disagreement)
         if progress is not None and (done % _PROGRESS_EVERY == 0 or done == len(argses) - 1):
             progress(total.generated, total.accepted)
-    return total, numerical_faults, ordering_faults, extras
+    return total, extras
 
 
 def _two_mode_only(cfg: SamplerConfig) -> None:
     if cfg.mode_count != 2:
         raise ValueError("this census is defined for two-mode sampling")
+
+
+def _two_mode_census(cfg: SamplerConfig, workers: int, progress: Callable | None,
+                     grids: tuple = (0, 0, 0.0, 0.0, (), ())) -> CensusResult:
+    # Both two-mode censuses.  grids holds the grid size and count, the
+    # grid range, and the metric kinds and estimators of _census_block;
+    # a grid count of 0 is the Jeffreys census.
+    t0 = time.perf_counter()
+    argses = [(cfg.seed, s, c, cfg.k, cfg.l, *grids) for s, c in _block_ranges(cfg.samples)]
+    total, _ = _fold(_census_block, argses, workers, progress)
+    total.tally("fisher")  # present even when nothing was accepted
+    kinds, estimators = grids[-2:]
+    for kind in kinds:
+        for name in estimators:
+            total.tally(f"{kind}:{name}")
+    return CensusResult(
+        config=cfg,
+        generated=total.generated,
+        accepted=total.accepted,
+        separable=total.separable,
+        classical=total.classical,
+        discarded_grids=total.discarded_grids,
+        solver_failures=total.solver_failures,
+        measures=total.measures,
+        wall_time=time.perf_counter() - t0,
+        numerical_faults=total.numerical_faults,
+        ordering_faults=total.ordering_faults,
+    )
 
 
 def run_classical_census(
@@ -575,24 +587,11 @@ def run_classical_census(
     (less any form-I or form-II solver failures, which are counted);
     the survivors get separability and classicality verdicts under the
     det(M)^(-5/2) weight.  A verdict conflict with the mirror oracle
-    outside the boundary band aborts the run.
+    outside the boundary band aborts the run.  This is the volume-element
+    census below with no grids.
     """
     _two_mode_only(cfg)
-    t0 = time.perf_counter()
-    argses = [(cfg.seed, s, c, cfg.k, cfg.l) for s, c in _block_ranges(cfg.samples)]
-    total, _, _, _ = _fold(_classical_block, argses, workers, progress)
-    total.tally("fisher")  # present even when nothing was accepted
-    return CensusResult(
-        config=cfg,
-        generated=total.generated,
-        accepted=total.accepted,
-        separable=total.separable,
-        classical=total.classical,
-        discarded_grids=0,
-        solver_failures=total.solver_failures,
-        measures=total.measures,
-        wall_time=time.perf_counter() - t0,
-    )
+    return _two_mode_census(cfg, workers, progress)
 
 
 def run_bures_census(
@@ -620,33 +619,15 @@ def run_bures_census(
     for name in estimators:
         if name not in ("median", "trimmed_mean"):
             raise ValueError(f"unknown robust estimator {name!r}")
-    t0 = time.perf_counter()
+    if grid_size < 1:
+        raise ValueError(f"grid_size must be at least 1, got {grid_size!r}")
+    if n_grids < 1:
+        raise ValueError(f"n_grids must be at least 1, got {n_grids!r}")
     lo, hi = float(grid_range[0]), float(grid_range[1])
     if not hi > lo:
         raise ValueError("empty grid range")
-    argses = [
-        (cfg.seed, s, c, cfg.k, cfg.l, grid_size, n_grids, lo, hi,
-         tuple(metric_kinds), tuple(estimators))
-        for s, c in _block_ranges(cfg.samples)
-    ]
-    total, bad, unordered, _ = _fold(_bures_block, argses, workers, progress)
-    total.tally("fisher")
-    for kind in metric_kinds:
-        for name in estimators:
-            total.tally(f"{kind}:{name}")
-    return CensusResult(
-        config=cfg,
-        generated=total.generated,
-        accepted=total.accepted,
-        separable=total.separable,
-        classical=total.classical,
-        discarded_grids=total.discarded_grids,
-        solver_failures=total.solver_failures,
-        measures=total.measures,
-        wall_time=time.perf_counter() - t0,
-        numerical_faults=bad,
-        ordering_faults=unordered,
-    )
+    grids = (grid_size, n_grids, lo, hi, tuple(metric_kinds), tuple(estimators))
+    return _two_mode_census(cfg, workers, progress, grids)
 
 
 def run_one_mode_classicality(
@@ -674,8 +655,9 @@ def run_one_mode_classicality(
         if not (k > 0.0 and math.isfinite(k)):
             raise ValueError(f"k schedule entries must be positive and finite, got {k!r}")
         l = ratio * k
+        _check_bound(max(k, l), 1)
         argses = [(cfg.seed, s, c, k, l) for s, c in _block_ranges(cfg.samples)]
-        total, _, _, _ = _fold(_one_mode_block, argses, workers, progress)
+        total, _ = _fold(_one_mode_block, argses, workers, progress)
         tally = total.tally("fisher")  # present even when nothing was drawn
         squared = total.tally("fisher:squared")
         la = tally.acc.log_total()
@@ -717,7 +699,7 @@ def run_entropy_probe(
     """
     _two_mode_only(cfg)
     argses = [(cfg.seed, s, c, cfg.k, cfg.l) for s, c in _block_ranges(cfg.samples)]
-    total, _, _, extras = _fold(_entropy_block, argses, workers, progress)
+    total, extras = _fold(_entropy_block, argses, workers, progress)
     extras = extras[:3]
     return EntropyReport(
         generated=total.generated,
@@ -744,7 +726,6 @@ def iter_accepted(
 
 def _accepted_samples(cfg: SamplerConfig) -> Iterator:
     for start, count in _block_ranges(cfg.samples):
-        front = _front(cfg.seed, start, count, cfg.k, cfg.l, DEFAULT)
-        ok = np.flatnonzero(front.accepted)
-        indices = (start + front.index[ok]).tolist()
-        yield from zip(indices, front.M[ok], map(front.verdict.lane, ok))
+        index, M, _, verdict, accepted = _front(cfg.seed, start, count, cfg.k, cfg.l, DEFAULT)
+        ok = np.flatnonzero(accepted)
+        yield from zip((start + index[ok]).tolist(), M[ok], map(verdict.lane, ok))

@@ -14,7 +14,6 @@ class Tolerances:
     """
 
     physical_min_eig: float = -1e-10     # min eig of M + i*Omega for physicality
-    invariant_rel: float = 1e-10         # relative slack on algebraic invariants
     complex_root_rel: float = 1e-10      # discriminant guard in the form-I split
     newton_residual: float = 1e-12       # convergence target for the form-II solver
     newton_max_iter: int = 200

@@ -188,8 +188,11 @@ class TestUsageErrors:
         assert code == 64
 
     def test_zero_scale(self, capsys) -> None:
-        code, _, _ = run_cli(capsys, ["table1", "--scale", "0"])
-        assert code == 64
+        for scale in ("0", "inf", "nan"):
+            code, out, err = run_cli(capsys, ["table1", "--scale", scale])
+            assert code == 64, scale
+            assert out == ""
+            assert "--scale must be positive and finite" in err
 
     def test_robust_none_needs_single_grid(self, capsys) -> None:
         code, _, err = run_cli(
@@ -206,6 +209,21 @@ class TestUsageErrors:
         assert code == 64
         assert out == ""
         assert "k and l must be finite" in err
+
+    def test_bad_grid_arguments(self, capsys) -> None:
+        for flag, value in (("--grid-size", "0"), ("--grid-size", "-3"), ("--n-grids", "0")):
+            code, out, err = run_cli(capsys, ["bures", "--samples", "2000", flag, value])
+            assert code == 64, (flag, value)
+            assert out == ""
+            assert flag[2:].replace("-", "_") + " must be at least 1" in err
+
+    @pytest.mark.parametrize("argv", [["census", "--k", "1e200", "--l", "5"],
+                                      ["one-mode", "--ks", "1e200"]])
+    def test_bounds_that_overflow_the_determinant(self, capsys, argv) -> None:
+        code, out, err = run_cli(capsys, argv + ["--samples", "2000"])
+        assert code == 64
+        assert out == ""
+        assert "determinant can overflow" in err
 
     def test_zero_workers(self, capsys) -> None:
         code, _, _ = run_cli(

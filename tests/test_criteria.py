@@ -15,7 +15,6 @@ from gausscensus.criteria import (
     is_classical,
     is_separable_duan,
     is_separable_ppt,
-    passes_uncertainty_filter,
     total_variance,
 )
 from gausscensus.states import (
@@ -81,7 +80,6 @@ class TestTotalVariance:
     def test_product_thermal(self):
         rep = total_variance(form_two(2, 2, 2, 2, 0.0, 0.0, 1.0))
         assert rep.total_variance == pytest.approx(4.0, abs=1e-14)
-        assert rep.uncertainty_bound == pytest.approx(0.0, abs=1e-14)
         assert rep.separability_bound == pytest.approx(2.0, abs=1e-14)
 
     def test_squeezed_vacuum_closed_form(self):
@@ -90,48 +88,12 @@ class TestTotalVariance:
         ch, sh = math.cosh(2 * r), math.sinh(2 * r)
         rep = total_variance(form_two(ch, ch, ch, ch, sh, -sh, 1.0))
         assert rep.total_variance == pytest.approx(2 * math.exp(-2 * r), rel=1e-14)
-        assert rep.uncertainty_bound == 0.0
         assert rep.separability_bound == pytest.approx(2.0)
 
     def test_vacuum_boundary(self):
         rep = total_variance(form_two(1, 1, 1, 1, 0.0, 0.0, 1.0))
         assert rep.total_variance == pytest.approx(2.0, abs=1e-14)
         assert rep.separability_bound == pytest.approx(2.0, abs=1e-14)
-
-    def test_equal_signs_raise_uncertainty_bound(self):
-        rep = total_variance(form_two(2, 2, 3, 3, 0.5, 0.5, 1.2))
-        a0sq = 1.2**2
-        assert rep.uncertainty_bound == pytest.approx(a0sq + 1 / a0sq)
-        assert rep.uncertainty_bound == rep.separability_bound
-
-    def test_bound_ordering_always(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            n1, n2, m1, m2 = 1.0 + rng.random(4) * 3
-            c1, c2 = rng.normal(size=2)
-            a0 = 0.5 + rng.random()
-            rep = total_variance(form_two(n1, n2, m1, m2, c1, c2, a0))
-            assert rep.separability_bound >= rep.uncertainty_bound >= 0.0
-
-
-class TestUncertaintyFilter:
-    def test_vacuum_passes(self):
-        f1 = StandardFormI(n=1.0, m=1.0, c=0.0, cp=0.0)
-        rep = total_variance(form_two(1, 1, 1, 1, 0.0, 0.0, 1.0))
-        assert passes_uncertainty_filter(rep, f1)
-
-    def test_sub_vacuum_mode_fails(self):
-        f1 = StandardFormI(n=0.9, m=2.0, c=0.0, cp=0.0)
-        rep = total_variance(form_two(0.9, 0.9, 2, 2, 0.0, 0.0, 1.0))
-        assert not passes_uncertainty_filter(rep, f1)
-
-    def test_squeezed_vacuum_passes_any_r(self):
-        for r in (0.1, 0.5, 1.5, 3.0):
-            M = tmsv(r)
-            f1 = to_standard_form_one(M)
-            ch, sh = math.cosh(2 * r), math.sinh(2 * r)
-            rep = total_variance(form_two(ch, ch, ch, ch, sh, -sh, 1.0))
-            assert passes_uncertainty_filter(rep, f1)
 
 
 class TestSeparableDuan:
@@ -268,8 +230,9 @@ class TestClassify:
 
     def test_unphysical_sample_passing_variance_floor_left_out(self):
         # Sample 68557 of seed 20250819 at k=10, l=5.  Its cross terms
-        # have opposite signs, so it clears the |a0^2 - 1/a0^2| floor,
-        # yet min eig(M + i*Omega) is -0.0385 (smaller symplectic
+        # have opposite signs, so it clears the variance floor
+        # |a0^2 - 1/a0^2| that a proxy physicality test would use, yet
+        # min eig(M + i*Omega) is -0.0385 (smaller symplectic
         # eigenvalue 0.794): the state violates the uncertainty relation.
         M = np.array([
             [3.6745021778030762, 1.6460957192937711, 3.3630209612543354, 2.5337829093378286],
@@ -281,7 +244,6 @@ class TestClassify:
         assert np.array_equal(sample_matrix(cfg, sample_stream(20250819, 68557)), M)
         f1 = to_standard_form_one(M)
         assert f1.c * f1.cp < 0.0
-        assert passes_uncertainty_filter(total_variance(to_standard_form_two(f1)), f1)
         assert not is_physical(M)
         v = classify(M)
         assert not v.physical

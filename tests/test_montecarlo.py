@@ -59,6 +59,19 @@ class TestSamplerConfig:
         with pytest.raises(ValueError, match="k and l must be finite"):
             SamplerConfig(k=k, l=l, samples=10, seed=1)
 
+    @pytest.mark.parametrize("k, l, mode_count", [(1e200, 5.0, 2), (10.0, 6e76, 2),
+                                                  (1e154, 1.0, 1), (1.0, 1e200, 1)])
+    def test_rejects_bounds_that_overflow_the_determinant(self, k, l, mode_count) -> None:
+        with pytest.raises(ValueError, match="determinant can overflow"):
+            SamplerConfig(k=k, l=l, samples=10, seed=1, mode_count=mode_count)
+
+    def test_accepts_bounds_below_the_overflow_limit(self) -> None:
+        SamplerConfig(k=5e76, l=5e76, samples=10, seed=1)
+        SamplerConfig(k=9e153, l=9e153, samples=10, seed=1, mode_count=1)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            res = run_classical_census(SamplerConfig(k=5e76, l=5e76, samples=20_000, seed=1))
+        assert res.accepted > 0
+
 
 class TestLogSumExp:
     def test_matches_direct_reduction(self) -> None:
@@ -281,6 +294,29 @@ class TestBuresCensus:
             run_bures_census(cfg, estimators=("midhinge",))
         with pytest.raises(ValueError, match="grid range"):
             run_bures_census(cfg, grid_range=(2.0, -2.0))
+        for size in (0, -3):
+            with pytest.raises(ValueError, match="grid_size"):
+                run_bures_census(cfg, grid_size=size)
+        with pytest.raises(ValueError, match="n_grids"):
+            run_bures_census(cfg, n_grids=0)
+
+    def test_jeffreys_census_does_no_volume_work(self, monkeypatch) -> None:
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(montecarlo, "grid_stream", counted(montecarlo.grid_stream))
+        monkeypatch.setattr(measures, "_volume_logs", counted(measures._volume_logs))
+        cfg = SamplerConfig(k=15.0, l=15.0, samples=BLOCK, seed=21)
+        assert run_classical_census(cfg).accepted > 0
+        assert calls == []
+        # The wrappers do see the volume stage of the same config.
+        run_bures_census(cfg)
+        assert {"grid_stream", "_volume_logs"} <= set(calls)
 
 
 ALL_KINDS = ("bures", "kubo_mori", "maximal")
@@ -648,6 +684,15 @@ class TestOneModeClassicality:
         with pytest.raises(ValueError, match="positive and finite"):
             run_one_mode_classicality(cfg, ks=(10.0, bad))
 
+    def test_rejects_schedule_that_overflows_the_determinant(self) -> None:
+        cfg = SamplerConfig(k=10.0, l=5.0, samples=10, seed=1, mode_count=1)
+        with pytest.raises(ValueError, match="determinant can overflow"):
+            run_one_mode_classicality(cfg, ks=(10.0, 1e200))
+        # l scales with k, so the limit applies to max(k, l).
+        wide = SamplerConfig(k=1.0, l=4.0, samples=10, seed=1, mode_count=1)
+        with pytest.raises(ValueError, match="determinant can overflow"):
+            run_one_mode_classicality(wide, ks=(5e153,))
+
     def test_zero_samples_give_the_empty_point(self) -> None:
         cfg = SamplerConfig(k=2.0, l=1.0, samples=0, seed=1, mode_count=1)
         (point,) = run_one_mode_classicality(cfg)
@@ -660,10 +705,9 @@ def _classify_entropy_block(args):
     # form-II solve included; its report is the reference.
     seed, start, count, k, l = args
     tol = criteria.DEFAULT
-    front = montecarlo._front(seed, start, count, k, l, tol)
-    v = front.verdict
+    index, M, _, v, _ = montecarlo._front(seed, start, count, k, l, tol)
     separable = v.physical & (v.margin_ppt >= tol.ppt_min_eig)
-    M = front.M[separable]
+    M = M[separable]
     joint = states.entropy(M)
     largest = np.maximum(states.entropy(M[:, :2, :2]), states.entropy(M[:, 2:, 2:]))
     beats = np.flatnonzero(joint < largest - 1e-12)
@@ -673,7 +717,7 @@ def _classify_entropy_block(args):
         separable=len(M),
         classical=beats.size,
     )
-    where = (start + front.index[separable][beats[:3]]).tolist()
+    where = (start + index[separable][beats[:3]]).tolist()
     return montecarlo._BlockOut(acc=acc, extra=tuple(zip(where, M[beats[:3]])))
 
 
