@@ -37,9 +37,9 @@ __all__ = [
 
 METRIC_KINDS = ("bures", "kubo_mori", "maximal")
 
-# Matrices whose kernels share one stacked eigensolve in _volume_logs.
-# Results do not depend on it; it bounds the memory of a chunk.
-KERNEL_CHUNK = 16
+# Kernels that share one stacked eigensolve in _volume_logs.  Results
+# do not depend on it; it bounds the memory of a chunk.
+KERNEL_CHUNK = 80
 
 # Smallest eigenvalue of the inverse's momentum block, relative to the
 # largest, below which the block counts as singular.
@@ -222,7 +222,14 @@ def _quadratic_form(x: list, A: np.ndarray, y: list) -> np.ndarray:
     return out
 
 
-def discretize(M: np.ndarray, grid: GridSpec, tol: Tolerances = DEFAULT) -> KernelMatrix:
+def discretize(
+    M: np.ndarray,
+    grid: GridSpec,
+    tol: Tolerances = DEFAULT,
+    *,
+    pieces: tuple | None = None,
+    hermitian: bool = True,
+) -> KernelMatrix:
     """Evaluate the kernel on the grid's point lattice and diagonalize.
 
     Points are the row-major Cartesian product of the coordinates with
@@ -237,6 +244,10 @@ def discretize(M: np.ndarray, grid: GridSpec, tol: Tolerances = DEFAULT) -> Kern
     once, shaped (S, G, ...): the kernel pieces are computed once per
     matrix, all spectra come from one stacked eigensolve, and rejection
     is reported per kernel in `passed_floor` (log_det is NaN there).
+
+    A caller that already holds the `_kernel_pieces` of M passes them
+    as `pieces`.  With hermitian=False only the lower triangle of gamma
+    is filled, which is all the eigensolve reads.
     """
     M = np.asarray(M, dtype=float)
     coords = np.asarray(grid.coords, dtype=float)
@@ -245,7 +256,9 @@ def discretize(M: np.ndarray, grid: GridSpec, tol: Tolerances = DEFAULT) -> Kern
         M = M[None]
         coords = coords[None, None]
     S, G, m = coords.shape
-    Aq, Kpp_inv, Cqv = (np.repeat(p, G, axis=0) for p in _kernel_pieces(M, tol))
+    if pieces is None:
+        pieces = _kernel_pieces(M, tol)
+    Aq, Kpp_inv, Cqv = (np.repeat(p, G, axis=0) for p in pieces)
     axes = _grid_axes(coords.reshape(S * G, m), M.shape[-1] // 2)
     n = axes[0].shape[-1]
     # The kernel is evaluated on and above the diagonal only; the entries
@@ -261,7 +274,8 @@ def discretize(M: np.ndarray, grid: GridSpec, tol: Tolerances = DEFAULT) -> Kern
     upper = np.exp(re + 1j * im)
     gamma = np.empty((S * G, n, n), dtype=complex)
     gamma[:, b, a] = np.conj(upper)
-    gamma[:, a, b] = upper
+    if hermitian:
+        gamma[:, a, b] = upper
     w = np.linalg.eigvalsh(gamma)
     passed = ~(w[:, 0] <= tol.spectrum_floor_rel * w[:, -1])
     lam = w / w.sum(axis=-1, keepdims=True)
@@ -328,24 +342,42 @@ def _volume_logs(
     """Per-grid log volumes for a stack of matrices on their own grids.
 
     M has shape (S, 2d, 2d) and coords (S, G, m): G grids per matrix.
-    Kernels are built and diagonalized KERNEL_CHUNK matrices at a time.
-    Returns a (S,) mask of discarded matrices (any of their kernels
-    rejected) and, per metric, the (S, G) log volumes, NaN on the
-    discarded rows.  No row depends on the others or on the chunk size.
+    The kernel pieces are computed once per matrix.  Grid g is then
+    discretized, KERNEL_CHUNK kernels at a time, only for the matrices
+    that no earlier grid rejected, so a matrix is discarded at its first
+    rejected kernel and the later ones are never built.  Log volumes
+    are taken once, on the kept matrices, KERNEL_CHUNK spectra at a
+    time.  Returns a (S,) mask of discarded matrices and, per metric,
+    the (S, G) log volumes, NaN on the discarded rows.  No row depends
+    on the others or on the chunk size.
     """
-    S, G = coords.shape[:2]
-    discarded = np.zeros(S, dtype=bool)
+    S, G, m = coords.shape
+    pieces = _kernel_pieces(M, tol)
+    lam = np.empty((S, G, m ** (M.shape[-1] // 2)))
+    kept = np.arange(S)
+    for g in range(G):
+        passed = np.empty(kept.size, dtype=bool)
+        for lo in range(0, kept.size, KERNEL_CHUNK):
+            rows = kept[lo:lo + KERNEL_CHUNK]
+            kern = discretize(
+                M[rows],
+                GridSpec(coords=coords[rows, g, None], kind="random"),
+                tol,
+                pieces=tuple(p[rows] for p in pieces),
+                hermitian=False,
+            )
+            lam[rows, g] = kern.eigenvalues[:, 0]
+            passed[lo:lo + KERNEL_CHUNK] = kern.passed_floor[:, 0]
+        kept = kept[passed]
+    discarded = np.ones(S, dtype=bool)
+    discarded[kept] = False
     logs = {kind: np.full((S, G), np.nan) for kind in metric_kinds}
-    for lo in range(0, S, KERNEL_CHUNK):
-        rows = slice(lo, lo + KERNEL_CHUNK)
-        kern = discretize(M[rows], GridSpec(coords=coords[rows], kind="random"), tol)
-        kept = kern.passed_floor.all(axis=-1)
-        discarded[rows] = ~kept
-        if not kept.any():
-            continue
-        lam = kern.eigenvalues[kept]
+    step = max(1, KERNEL_CHUNK // G)
+    for lo in range(0, kept.size, step):
+        rows = kept[lo:lo + step]
+        spectra = lam[rows]
         for kind in metric_kinds:
-            logs[kind][rows][kept] = log_volume_element(lam, kind)
+            logs[kind][rows] = log_volume_element(spectra, kind)
     return discarded, logs
 
 

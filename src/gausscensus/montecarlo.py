@@ -19,7 +19,14 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import criteria, measures, states
-from .rng import BLOCK, _check_seed, grid_stream, substream_uniforms, third_block_uniforms
+from .rng import (
+    BLOCK,
+    _check_seed,
+    grid_stream,
+    grid_uniforms,
+    substream_uniforms,
+    third_block_uniforms,
+)
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -417,6 +424,25 @@ def _front(seed: int, start: int, count: int, k: float, l: float, tol: Tolerance
     return idx, M, dets, verdict, verdict.physical & (verdict.failure == 0)
 
 
+def _grids(seed: int, index: np.ndarray, grid_size: int, n_grids: int,
+           lo: float, hi: float, tol: Tolerances) -> np.ndarray:
+    # The (len(index), n_grids, grid_size) coordinates that n_grids calls
+    # of measures.random_grid draw from each sample's grid stream.  All
+    # are taken from one Philox pass over the head of the streams, with
+    # numpy's own uniform arithmetic; a sample with a coordinate gap
+    # below tol.grid_coincidence in any of its grids would have redrawn
+    # that grid and shifted the later ones, so it is drawn again whole
+    # from its stream.
+    u = grid_uniforms(seed, index, n_grids * grid_size)
+    coords = np.sort(lo + (hi - lo) * u.reshape(len(index), n_grids, grid_size), axis=-1)
+    gaps = np.diff(coords, axis=-1).min(axis=-1, initial=np.inf)
+    for i in np.flatnonzero(~(gaps >= tol.grid_coincidence).all(axis=-1)):
+        stream = grid_stream(seed, index[i])
+        for g in range(n_grids):
+            coords[i, g] = measures.random_grid(grid_size, stream, lo, hi, tol).coords
+    return coords
+
+
 def _census_block(args) -> _BlockOut:
     # One two-mode census block: the chain, the Jeffreys weight and, when
     # n_grids > 0, the volume-element stage.  With n_grids == 0 (the
@@ -436,17 +462,10 @@ def _census_block(args) -> _BlockOut:
     weights = {"fisher": -2.5 * np.fromiter(map(math.log, det.tolist()), float, det.size)}
     sep, cls = verdict.separable[ok], verdict.classical[ok]
     if n_grids:
-        # Each sample draws all its grids from its own stream before any
-        # of its kernels is judged, so a rejection never changes what is
-        # drawn.
-        rows = (start + index[ok]).tolist()
-        coords = np.array([
-            [measures.random_grid(grid_size, stream, lo, hi, tol).coords for _ in range(n_grids)]
-            for stream in (grid_stream(seed, i) for i in rows)
-        ]).reshape(len(rows), n_grids, grid_size)
+        coords = _grids(seed, start + index[ok], grid_size, n_grids, lo, hi, tol)
         discarded, logs = measures._volume_logs(M[ok], coords, kinds, tol)
         acc.discarded_grids = int(np.count_nonzero(discarded))
-        finite = np.ones(len(rows), dtype=bool)
+        finite = np.ones(len(coords), dtype=bool)
         for kind in kinds:
             finite &= np.isfinite(logs[kind]).all(axis=-1)
         acc.numerical_faults = int(np.count_nonzero(~discarded & ~finite))
@@ -624,8 +643,14 @@ def run_bures_census(
     if n_grids < 1:
         raise ValueError(f"n_grids must be at least 1, got {n_grids!r}")
     lo, hi = float(grid_range[0]), float(grid_range[1])
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(hi - lo)):
+        raise ValueError(f"grid range ({lo!r}, {hi!r}) and its width must be finite")
     if not hi > lo:
         raise ValueError("empty grid range")
+    # Narrower ranges cannot hold grid_size coordinates that far apart.
+    if not hi - lo > (grid_size - 1) * DEFAULT.grid_coincidence:
+        raise ValueError(f"grid range ({lo!r}, {hi!r}) is too narrow for {grid_size} "
+                         f"coordinates {DEFAULT.grid_coincidence!r} apart")
     grids = (grid_size, n_grids, lo, hi, tuple(metric_kinds), tuple(estimators))
     return _two_mode_census(cfg, workers, progress, grids)
 

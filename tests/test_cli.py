@@ -217,6 +217,26 @@ class TestUsageErrors:
             assert out == ""
             assert flag[2:].replace("-", "_") + " must be at least 1" in err
 
+    @pytest.mark.parametrize("grid_range,message", [
+        ("-1e308 1e308", "must be finite"),
+        ("0 inf", "must be finite"),
+        ("0 1e-12", "too narrow"),
+    ])
+    def test_bad_grid_range(self, capsys, tmp_path, grid_range, message) -> None:
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"samples = 2000\ngrid_range = {grid_range}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, ["bures", "--config", str(conf)])
+        assert code == 64
+        assert out == ""
+        assert message in err
+        if grid_range.startswith("-"):
+            return  # argparse would take the value for an option
+        code, out, err = run_cli(capsys, ["bures", "--samples", "2000", "--grid-range",
+                                          *grid_range.split()])
+        assert code == 64
+        assert out == ""
+        assert message in err
+
     @pytest.mark.parametrize("argv", [["census", "--k", "1e200", "--l", "5"],
                                       ["one-mode", "--ks", "1e200"]])
     def test_bounds_that_overflow_the_determinant(self, capsys, argv) -> None:

@@ -27,6 +27,7 @@ from oracles import (
     STACK_CONFIGS,
     chain_classify,
     grid_coords,
+    kernel_on_grid,
     materialised_candidates,
     volumes_on_grids,
 )
@@ -299,6 +300,16 @@ class TestBuresCensus:
                 run_bures_census(cfg, grid_size=size)
         with pytest.raises(ValueError, match="n_grids"):
             run_bures_census(cfg, n_grids=0)
+        for bad in ((-math.inf, 2.0), (-2.0, math.inf), (math.nan, 2.0), (-2.0, math.nan),
+                    (-1e308, 1e308)):
+            with pytest.raises(ValueError, match="must be finite"):
+                run_bures_census(cfg, grid_range=bad)
+        # Five coordinates at least grid_coincidence = 1e-9 apart need a
+        # range wider than 4e-9.
+        for bad in ((0.0, 1e-12), (0.0, 4e-9)):
+            with pytest.raises(ValueError, match="too narrow"):
+                run_bures_census(cfg, grid_range=bad)
+        run_bures_census(cfg, grid_range=(0.0, 1e-12), grid_size=1)
 
     def test_jeffreys_census_does_no_volume_work(self, monkeypatch) -> None:
         calls = []
@@ -309,28 +320,31 @@ class TestBuresCensus:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(montecarlo, "grid_stream", counted(montecarlo.grid_stream))
+        monkeypatch.setattr(montecarlo, "grid_uniforms", counted(montecarlo.grid_uniforms))
         monkeypatch.setattr(measures, "_volume_logs", counted(measures._volume_logs))
         cfg = SamplerConfig(k=15.0, l=15.0, samples=BLOCK, seed=21)
         assert run_classical_census(cfg).accepted > 0
         assert calls == []
         # The wrappers do see the volume stage of the same config.
         run_bures_census(cfg)
-        assert {"grid_stream", "_volume_logs"} <= set(calls)
+        assert {"grid_uniforms", "_volume_logs"} <= set(calls)
 
 
 ALL_KINDS = ("bures", "kubo_mori", "maximal")
 ESTIMATORS = ("median", "trimmed_mean")
 
 
-def _per_sample_bures(cfg: SamplerConfig):
+def _per_sample_bures(cfg: SamplerConfig, coincidence: float = 1e-9):
     """The Bures census one accepted sample at a time.
 
-    Each sample draws five grids from its own grid stream and gets one
+    Each sample draws five grids from its own grid stream, redrawing a
+    grid whose coordinates come closer than `coincidence`, and gets one
     reference kernel per grid (tests/oracles.py), and the tallies are
     built in sample order, as the census did before its volume stage
-    worked on whole blocks.  Returns the counts, the tallies, and the
-    positions (among accepted samples) of the discarded ones.
+    worked on whole blocks.  Returns the counts, the tallies, the
+    positions (among accepted samples) of the discarded ones, and the
+    number of kernels up to and including each sample's first rejected
+    one (all five if none is rejected).
     """
     keys = ["fisher"] + [f"{kind}:{name}" for kind in ALL_KINDS for name in ESTIMATORS]
     lws = {key: ([], [], []) for key in keys}
@@ -338,15 +352,19 @@ def _per_sample_bures(cfg: SamplerConfig):
         ("accepted", "separable", "classical", "discarded_grids",
          "numerical_faults", "ordering_faults"), 0)
     discarded_at = []
+    kernels = 0
     for index, matrix, verdict in iter_accepted(cfg):
         counts["accepted"] += 1
         stream = grid_stream(cfg.seed, index)
-        grids = [grid_coords(stream) for _ in range(5)]
+        grids = [grid_coords(stream, coincidence=coincidence) for _ in range(5)]
         volumes = volumes_on_grids(matrix, grids, ALL_KINDS)
         if volumes is None:
             counts["discarded_grids"] += 1
             discarded_at.append(counts["accepted"] - 1)
+            rejected = [kernel_on_grid(matrix, coords)[1] is None for coords in grids]
+            kernels += rejected.index(True) + 1
             continue
+        kernels += len(grids)
         if not all(np.isfinite(volumes[kind][0]).all() for kind in ALL_KINDS):
             counts["numerical_faults"] += 1
             continue
@@ -370,7 +388,7 @@ def _per_sample_bures(cfg: SamplerConfig):
         tally = tallies[key] = montecarlo.MeasureTally()
         for part, values in zip((tally.acc, tally.sep, tally.cls), parts):
             part.add_array(values)
-    return counts, tallies, discarded_at
+    return counts, tallies, discarded_at, kernels
 
 
 def _lse_fields(tally) -> list:
@@ -387,7 +405,7 @@ class TestBuresVolumeStage:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("chunk", [None, 1, 10**6])
     def test_block_matches_per_sample_reference(self, reference, monkeypatch, chunk) -> None:
-        counts, tallies, discarded_at = reference
+        counts, tallies, discarded_at, _ = reference
         # A discarded sample strictly inside a chunk of the default size,
         # with kept samples before and after it in the same chunk.
         size = measures.KERNEL_CHUNK
@@ -400,6 +418,49 @@ class TestBuresVolumeStage:
         for name, value in counts.items():
             assert getattr(res, name) == value, name
         assert sorted(res.measures) == sorted(tallies)
+        for key, tally in tallies.items():
+            assert _lse_fields(res.measures[key]) == _lse_fields(tally), key
+
+    @pytest.mark.parametrize("chunk", [None, 1])
+    def test_stops_at_the_first_rejected_grid(self, reference, monkeypatch, chunk) -> None:
+        # A sample's kernels are built grid by grid, and none after its
+        # first rejected one.
+        counts, _, _, kernels = reference
+        built = []
+        discretize = measures.discretize
+
+        def counted(*args, **kwargs):
+            kern = discretize(*args, **kwargs)
+            built.append(kern.passed_floor.size)
+            return kern
+
+        monkeypatch.setattr(measures, "discretize", counted)
+        if chunk is not None:
+            monkeypatch.setattr(measures, "KERNEL_CHUNK", chunk)
+        res = run_bures_census(self.CFG)
+        assert res.discarded_grids == counts["discarded_grids"]
+        assert sum(built) == kernels < 5 * counts["accepted"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_coincident_grids_are_redrawn_from_the_stream(self, monkeypatch) -> None:
+        # At grid_coincidence 0.01 about a fifth of the samples have a
+        # gap below it among their 25 coordinates and are redrawn whole
+        # through grid_stream and random_grid.
+        tol = dataclasses.replace(montecarlo.DEFAULT, grid_coincidence=0.01)
+        counts, tallies, _, _ = _per_sample_bures(self.CFG, coincidence=tol.grid_coincidence)
+        redrawn = []
+        stream = montecarlo.grid_stream
+
+        def counted(seed, index):
+            redrawn.append(index)
+            return stream(seed, index)
+
+        monkeypatch.setattr(montecarlo, "DEFAULT", tol)
+        monkeypatch.setattr(montecarlo, "grid_stream", counted)
+        res = run_bures_census(self.CFG, metric_kinds=ALL_KINDS)
+        assert len(redrawn) >= 0.1 * counts["accepted"]
+        for name, value in counts.items():
+            assert getattr(res, name) == value, name
         for key, tally in tallies.items():
             assert _lse_fields(res.measures[key]) == _lse_fields(tally), key
 

@@ -5,6 +5,7 @@ from gausscensus import rng
 from gausscensus.rng import (
     BLOCK,
     grid_stream,
+    grid_uniforms,
     sample_stream,
     substream_uniforms,
     third_block_uniforms,
@@ -161,3 +162,52 @@ class TestThirdBlock:
     def test_index_range_checked(self, index):
         with pytest.raises(ValueError, match="sample indices"):
             third_block_uniforms(1, index)
+
+
+class TestGridUniforms:
+    """grid_uniforms against numpy's Philox at counter 2^64, row by row."""
+
+    @staticmethod
+    def _reference(seed, index, width):
+        return [grid_stream(seed, i).random(width).tolist() for i in index]
+
+    @pytest.mark.parametrize("width", [1, 4, 25, 26])
+    def test_unsorted_repeated_and_sparse(self, width):
+        index = [9, 3, 3, 1000, 4, 2**40, 3, 65_537]
+        ours = grid_uniforms(20250819, index, width)
+        assert ours.shape == (len(index), width)
+        assert ours.tolist() == self._reference(20250819, index, width)
+
+    @pytest.mark.parametrize("width", [1, 4, 25, 26])
+    def test_numpy_uniform_arithmetic(self, width):
+        # lo + (hi - lo) * u is what Generator.uniform(lo, hi, size) draws.
+        index = np.arange(300, 340)
+        u = grid_uniforms(7, index, width)
+        for lo, hi in ((-2.0, 2.0), (-1e-3, 3.7), (5.0, 5.000001)):
+            want = [grid_stream(7, i).uniform(lo, hi, width).tolist() for i in index.tolist()]
+            assert (lo + (hi - lo) * u).tolist() == want
+
+    @pytest.mark.parametrize("empty", [[], np.array([], dtype=np.uint64),
+                                       np.array([], dtype=np.int64)])
+    def test_empty(self, empty):
+        assert grid_uniforms(5, empty, 25).shape == (0, 25)
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_extreme_indices(self, as_array):
+        index = [2**63, 2**64 - 1, 0, 2**63 - 1]
+        if as_array:
+            index = np.array(index, dtype=np.uint64)
+        ours = grid_uniforms(2**64 - 1, index, 25)
+        assert ours.tolist() == self._reference(2**64 - 1, [2**63, 2**64 - 1, 0, 2**63 - 1], 25)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 100])
+    def test_independent_of_chunk(self, monkeypatch, chunk):
+        monkeypatch.setattr(rng, "_CHUNK", chunk)
+        index = np.array([5 * i * i + 3 for i in range(37)][::-1], dtype=np.int64)
+        ours = grid_uniforms(3, index, 26)
+        assert ours.tolist() == self._reference(3, index.tolist(), 26)
+
+    @pytest.mark.parametrize("index", [[-1], [3, 2**64], np.array([4, -2])])
+    def test_index_range_checked(self, index):
+        with pytest.raises(ValueError, match="sample indices"):
+            grid_uniforms(1, index, 25)
