@@ -39,6 +39,7 @@ from .criteria import (
     total_variance,
 )
 from .measures import (
+    GridDrawError,
     GridSpec,
     KernelMatrix,
     NonPositiveSpectrumError,

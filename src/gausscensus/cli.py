@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from . import criteria, fidelity, montecarlo
+from . import criteria, fidelity, measures, montecarlo
 from .states import SqueezedThermalParams
 from .montecarlo import SamplerConfig
 
@@ -508,7 +508,7 @@ def main(argv=None) -> int:
         handler = _COMMANDS[args.command]
         try:
             fields, rows = handler(args, config)
-        except ValueError as exc:
+        except (ValueError, measures.GridDrawError) as exc:
             raise UsageError(str(exc))
     except UsageError as exc:
         print(str(exc), file=sys.stderr)

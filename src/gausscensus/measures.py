@@ -19,9 +19,11 @@ from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
     "METRIC_KINDS",
+    "ESTIMATORS",
     "SingularBlockError",
     "NonPositiveSpectrumError",
     "SampleDiscarded",
+    "GridDrawError",
     "GridSpec",
     "KernelMatrix",
     "VolumeEstimate",
@@ -36,6 +38,7 @@ __all__ = [
 ]
 
 METRIC_KINDS = ("bures", "kubo_mori", "maximal")
+ESTIMATORS = ("median", "trimmed_mean")
 
 # Kernels that share one stacked eigensolve in _volume_logs.  Results
 # do not depend on it; it bounds the memory of a chunk.
@@ -58,11 +61,15 @@ class SampleDiscarded(Exception):
     """A grid rejection discarded the whole sample."""
 
 
+class GridDrawError(RuntimeError):
+    """No grid with distinct enough coordinates was drawn."""
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Strictly increasing coordinates used on both axes of the grid.
 
-    A stack of grids carries coordinates of shape (..., m).
+    A stack of grids, one per matrix, carries coordinates of shape (S, m).
     """
 
     coords: np.ndarray
@@ -73,8 +80,9 @@ class GridSpec:
 class KernelMatrix:
     """Discretized kernel with its normalized positive spectrum.
 
-    A stack of kernels carries leading axes on every field and marks
-    the kernels that passed the spectrum floor in passed_floor.
+    A stack of S kernels carries a leading axis S on every field, sets
+    only the lower triangle of gamma and marks in passed_floor the
+    kernels that passed the spectrum floor.
     """
 
     gamma: np.ndarray
@@ -131,7 +139,8 @@ def random_grid(
         coords = np.sort(rng.uniform(lo, hi, size=m))
         if m < 2 or float(np.diff(coords).min()) >= tol.grid_coincidence:
             return GridSpec(coords=coords, kind="random")
-    raise RuntimeError("could not draw distinct grid coordinates")
+    raise GridDrawError(f"could not draw {m} grid coordinates {tol.grid_coincidence!r} "
+                        f"apart on [{lo!r}, {hi!r}]; widen the grid range")
 
 
 def jeffreys_log_weight(M: np.ndarray) -> float:
@@ -228,41 +237,32 @@ def discretize(
     tol: Tolerances = DEFAULT,
     *,
     pieces: tuple | None = None,
-    hermitian: bool = True,
 ) -> KernelMatrix:
     """Evaluate the kernel on the grid's point lattice and diagonalize.
 
     Points are the row-major Cartesian product of the coordinates with
-    themselves (for one-mode input, the coordinates directly).  The
-    matrix is Hermitian by construction: entries below the diagonal are
-    the conjugates of their mirror images.  A spectrum with any
-    eigenvalue at or below the relative floor rejects the kernel.
+    themselves (for one-mode input, the coordinates directly).  Entries
+    are evaluated on and above the diagonal; those below are their
+    mirror images' conjugates.  A spectrum with any eigenvalue at or
+    below the relative floor rejects the kernel.
 
-    A single matrix with one grid returns one kernel and raises
-    NonPositiveSpectrumError on rejection.  A stack of S matrices with
-    grid coordinates of shape (S, G, m) returns all S * G kernels at
-    once, shaped (S, G, ...): the kernel pieces are computed once per
-    matrix, all spectra come from one stacked eigensolve, and rejection
-    is reported per kernel in `passed_floor` (log_det is NaN there).
-
-    A caller that already holds the `_kernel_pieces` of M passes them
-    as `pieces`.  With hermitian=False only the lower triangle of gamma
-    is filled, which is all the eigensolve reads.
+    One matrix with one grid returns one kernel with the full Hermitian
+    gamma and raises NonPositiveSpectrumError on rejection.  A stack of
+    S matrices with one grid each, coordinates of shape (S, m), returns
+    S kernels from one stacked eigensolve and reports rejection per
+    kernel in `passed_floor` (log_det is NaN there).  A stack sets only
+    the lower triangle of gamma, all that the eigensolve reads; the
+    entries above the diagonal are not set.  A caller that already
+    holds the `_kernel_pieces` of M passes them as `pieces`.
     """
     M = np.asarray(M, dtype=float)
     coords = np.asarray(grid.coords, dtype=float)
     single = M.ndim == 2
     if single:
-        M = M[None]
-        coords = coords[None, None]
-    S, G, m = coords.shape
-    if pieces is None:
-        pieces = _kernel_pieces(M, tol)
-    Aq, Kpp_inv, Cqv = (np.repeat(p, G, axis=0) for p in pieces)
-    axes = _grid_axes(coords.reshape(S * G, m), M.shape[-1] // 2)
+        M, coords = M[None], coords[None]
+    Aq, Kpp_inv, Cqv = _kernel_pieces(M, tol) if pieces is None else pieces
+    axes = _grid_axes(coords, M.shape[-1] // 2)
     n = axes[0].shape[-1]
-    # The kernel is evaluated on and above the diagonal only; the entries
-    # below are the conjugates of their mirror images.
     a, b = _triu(n)
     x_a = [np.take(x, a, axis=-1) for x in axes]
     x_b = [np.take(x, b, axis=-1) for x in axes]
@@ -272,27 +272,22 @@ def discretize(
     re -= 0.125 * _quadratic_form(v, Kpp_inv, v)
     im = -0.5 * _quadratic_form(q, Cqv, v)
     upper = np.exp(re + 1j * im)
-    gamma = np.empty((S * G, n, n), dtype=complex)
+    gamma = np.empty((len(M), n, n), dtype=complex)
     gamma[:, b, a] = np.conj(upper)
-    if hermitian:
+    if single:
         gamma[:, a, b] = upper
     w = np.linalg.eigvalsh(gamma)
     passed = ~(w[:, 0] <= tol.spectrum_floor_rel * w[:, -1])
     lam = w / w.sum(axis=-1, keepdims=True)
-    log_det = np.full(S * G, np.nan)
+    log_det = np.full(len(M), np.nan)
     log_det[passed] = np.log(lam[passed]).sum(axis=-1)
-    if single:
-        if not passed[0]:
-            raise NonPositiveSpectrumError(
-                f"minimum eigenvalue {w[0, 0]:.3e} of {n}x{n} kernel matrix"
-            )
-        return KernelMatrix(gamma=gamma[0], eigenvalues=lam[0], log_det=float(log_det[0]))
-    return KernelMatrix(
-        gamma=gamma.reshape(S, G, n, n),
-        eigenvalues=lam.reshape(S, G, n),
-        log_det=log_det.reshape(S, G),
-        passed_floor=passed.reshape(S, G),
-    )
+    if not single:
+        return KernelMatrix(gamma=gamma, eigenvalues=lam, log_det=log_det, passed_floor=passed)
+    if not passed[0]:
+        raise NonPositiveSpectrumError(
+            f"minimum eigenvalue {w[0, 0]:.3e} of {n}x{n} kernel matrix"
+        )
+    return KernelMatrix(gamma=gamma[0], eigenvalues=lam[0], log_det=float(log_det[0]))
 
 
 def _log_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -301,6 +296,28 @@ def _log_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     d = a - b
     safe = np.where(d == 0.0, 1.0, np.log1p(d / b))
     return np.where(d == 0.0, a, d / safe)
+
+
+def _log_volumes(lam: np.ndarray, log_det: np.ndarray, metric_kinds) -> dict:
+    # ln V per metric kind for contiguous spectra (..., n) with their
+    # log_det = sum_i ln lambda_i; the eigenvalue pairs are gathered once
+    # for all kinds.  Contiguous rows keep every row's sums in the same
+    # order as a lone spectrum's, so stacked and single calls agree bit
+    # for bit.
+    i, j = _triu(lam.shape[-1], 1)
+    a, b = np.take(lam, i, axis=-1), np.take(lam, j, axis=-1)
+    out = {}
+    for kind in metric_kinds:
+        if kind == "bures":
+            pair = a + b
+        elif kind == "kubo_mori":
+            pair = 2.0 * _log_mean(a, b)
+        elif kind == "maximal":
+            pair = a * b / (a + b)
+        else:
+            raise ValueError(f"unknown metric kind {kind!r}")
+        out[kind] = -0.5 * log_det - np.log(pair).sum(axis=-1)
+    return out
 
 
 def log_volume_element(kernel, metric_kind: str):
@@ -316,20 +333,8 @@ def log_volume_element(kernel, metric_kind: str):
     an array of log volumes (...), a single spectrum a float.
     """
     lam = kernel.eigenvalues if isinstance(kernel, KernelMatrix) else kernel
-    # Contiguous rows keep every row's sums in the same order as a lone
-    # spectrum's, so stacked and single calls agree bit for bit.
     lam = np.ascontiguousarray(lam, dtype=float)
-    i, j = _triu(lam.shape[-1], 1)
-    a, b = np.take(lam, i, axis=-1), np.take(lam, j, axis=-1)
-    if metric_kind == "bures":
-        pair = a + b
-    elif metric_kind == "kubo_mori":
-        pair = 2.0 * _log_mean(a, b)
-    elif metric_kind == "maximal":
-        pair = a * b / (a + b)
-    else:
-        raise ValueError(f"unknown metric kind {metric_kind!r}")
-    out = -0.5 * np.log(lam).sum(axis=-1) - np.log(pair).sum(axis=-1)
+    out = _log_volumes(lam, np.log(lam).sum(axis=-1), (metric_kind,))[metric_kind]
     return float(out) if out.ndim == 0 else out
 
 
@@ -345,39 +350,33 @@ def _volume_logs(
     The kernel pieces are computed once per matrix.  Grid g is then
     discretized, KERNEL_CHUNK kernels at a time, only for the matrices
     that no earlier grid rejected, so a matrix is discarded at its first
-    rejected kernel and the later ones are never built.  Log volumes
-    are taken once, on the kept matrices, KERNEL_CHUNK spectra at a
-    time.  Returns a (S,) mask of discarded matrices and, per metric,
-    the (S, G) log volumes, NaN on the discarded rows.  No row depends
-    on the others or on the chunk size.
+    rejected kernel and the later ones are never built.  The log volumes
+    of every requested metric are taken right away on each chunk's
+    kernels that passed the floor.  Returns a (S,) mask of discarded
+    matrices and, per metric, the (S, G) log volumes, NaN on the
+    discarded rows.  No row depends on the others or on the chunk size.
     """
-    S, G, m = coords.shape
+    S, G, _ = coords.shape
     pieces = _kernel_pieces(M, tol)
-    lam = np.empty((S, G, m ** (M.shape[-1] // 2)))
-    kept = np.arange(S)
+    logs = {kind: np.empty((S, G)) for kind in metric_kinds}
+    discarded = np.zeros(S, dtype=bool)
     for g in range(G):
-        passed = np.empty(kept.size, dtype=bool)
+        kept = np.flatnonzero(~discarded)
         for lo in range(0, kept.size, KERNEL_CHUNK):
             rows = kept[lo:lo + KERNEL_CHUNK]
             kern = discretize(
                 M[rows],
-                GridSpec(coords=coords[rows, g, None], kind="random"),
+                GridSpec(coords=coords[rows, g], kind="random"),
                 tol,
                 pieces=tuple(p[rows] for p in pieces),
-                hermitian=False,
             )
-            lam[rows, g] = kern.eigenvalues[:, 0]
-            passed[lo:lo + KERNEL_CHUNK] = kern.passed_floor[:, 0]
-        kept = kept[passed]
-    discarded = np.ones(S, dtype=bool)
-    discarded[kept] = False
-    logs = {kind: np.full((S, G), np.nan) for kind in metric_kinds}
-    step = max(1, KERNEL_CHUNK // G)
-    for lo in range(0, kept.size, step):
-        rows = kept[lo:lo + step]
-        spectra = lam[rows]
-        for kind in metric_kinds:
-            logs[kind][rows] = log_volume_element(spectra, kind)
+            ok = kern.passed_floor
+            discarded[rows[~ok]] = True
+            volumes = _log_volumes(kern.eigenvalues[ok], kern.log_det[ok], metric_kinds)
+            for kind, values in volumes.items():
+                logs[kind][rows[ok], g] = values
+    for values in logs.values():
+        values[discarded] = np.nan
     return discarded, logs
 
 

@@ -619,7 +619,7 @@ def run_bures_census(
     n_grids: int = 5,
     grid_range: tuple[float, float] = (-2.0, 2.0),
     metric_kinds: tuple[str, ...] = ("bures",),
-    estimators: tuple[str, ...] = ("median", "trimmed_mean"),
+    estimators: tuple[str, ...] = measures.ESTIMATORS,
     workers: int = 1,
     progress: Callable | None = None,
 ) -> CensusResult:
@@ -636,7 +636,7 @@ def run_bures_census(
         if kind not in measures.METRIC_KINDS:
             raise ValueError(f"unknown metric kind {kind!r}")
     for name in estimators:
-        if name not in ("median", "trimmed_mean"):
+        if name not in measures.ESTIMATORS:
             raise ValueError(f"unknown robust estimator {name!r}")
     if grid_size < 1:
         raise ValueError(f"grid_size must be at least 1, got {grid_size!r}")

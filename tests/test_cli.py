@@ -237,6 +237,16 @@ class TestUsageErrors:
         assert out == ""
         assert message in err
 
+    def test_grid_range_too_narrow_to_draw(self, capsys) -> None:
+        # Five coordinates 1e-9 apart fit in a range of 4.4e-9, so the
+        # census starts, but random_grid almost never draws them.
+        code, out, err = run_cli(capsys, ["bures", "--samples", "20000", "--grid-range",
+                                          "0", "4.4e-9"])
+        assert code == 64
+        assert out == ""
+        assert "could not draw 5 grid coordinates" in err
+        assert "[0.0, 4.4e-09]" in err
+
     @pytest.mark.parametrize("argv", [["census", "--k", "1e200", "--l", "5"],
                                       ["one-mode", "--ks", "1e200"]])
     def test_bounds_that_overflow_the_determinant(self, capsys, argv) -> None:

@@ -164,7 +164,8 @@ class TestDiscretize:
 
 def _stack_with_grids(seed: int, grids: int = 3):
     # Physical matrices, the pure vacuum (whose kernels fall to the
-    # spectrum floor) in the middle, and random 5-point grids for each.
+    # spectrum floor) in the middle, and random 5-point grids for each:
+    # coordinates of shape (matrices, grids, 5).
     rng = np.random.default_rng(seed)
     matrices = [random_physical_matrix(rng) for _ in range(4)]
     matrices.insert(2, np.eye(4))
@@ -179,22 +180,26 @@ class TestStackedKernels:
 
     The reference evaluates every lattice entry with np.einsum, mirrors
     the lower triangle by conjugation and diagonalizes one kernel at a
-    time; the package must agree with it bit for bit.
+    time; the package must agree with it bit for bit: a stack on the
+    lower triangle of gamma (all that it sets), a single kernel on the
+    whole matrix.
     """
 
-    def _assert_matches_reference(self, M, coords, kern, s, g):
-        gamma, lam, log_det = kernel_on_grid(M[s], coords[s, g])
-        assert np.array_equal(kern.gamma[s, g], gamma)
-        grid = GridSpec(coords=coords[s, g], kind="random")
+    def _assert_matches_reference(self, M, coords, kern, s):
+        # kern is the stack of M on coords, one (m,) grid per matrix.
+        gamma, lam, log_det = kernel_on_grid(M[s], coords[s])
+        lower = np.tril_indices(len(gamma))
+        assert np.array_equal(kern.gamma[s][lower], gamma[lower])
+        grid = GridSpec(coords=coords[s], kind="random")
         if lam is None:
-            assert not kern.passed_floor[s, g]
-            assert math.isnan(kern.log_det[s, g])
+            assert not kern.passed_floor[s]
+            assert math.isnan(kern.log_det[s])
             with pytest.raises(NonPositiveSpectrumError):
                 discretize(M[s], grid)
             return False
-        assert kern.passed_floor[s, g]
-        assert np.array_equal(kern.eigenvalues[s, g], lam)
-        assert kern.log_det[s, g] == log_det
+        assert kern.passed_floor[s]
+        assert np.array_equal(kern.eigenvalues[s], lam)
+        assert kern.log_det[s] == log_det
         one = discretize(M[s], grid)
         assert np.array_equal(one.gamma, gamma)
         assert np.array_equal(one.eigenvalues, lam)
@@ -203,26 +208,27 @@ class TestStackedKernels:
 
     def test_two_mode_kernels_match_reference(self):
         M, coords = _stack_with_grids(3)
-        kern = discretize(M, GridSpec(coords=coords, kind="random"))
-        assert kern.eigenvalues.shape == (5, 3, 25)
-        assert kern.gamma.shape == (5, 3, 25, 25)
-        passed = [
-            self._assert_matches_reference(M, coords, kern, s, g)
-            for s in range(5) for g in range(3)
-        ]
-        assert not any(passed[6:9])
-        assert sum(passed) >= 5
+        passed = []
+        for g in range(3):
+            kern = discretize(M, GridSpec(coords=coords[:, g], kind="random"))
+            assert kern.eigenvalues.shape == (5, 25)
+            assert kern.gamma.shape == (5, 25, 25)
+            passed.append([
+                self._assert_matches_reference(M, coords[:, g], kern, s) for s in range(5)
+            ])
+        assert not any(row[2] for row in passed)
+        assert sum(map(sum, passed)) >= 5
 
     @pytest.mark.parametrize("m", [3, 5, 7])
     def test_regular_and_one_mode_kernels_match_reference(self, m):
         rng = np.random.default_rng(29 + m)
         two = np.array([random_physical_matrix(rng) for _ in range(3)])
         one = np.array([[[2.0, 0.2], [0.2, 1.7]], two[0, :2, :2], two[1, 2:, 2:]])
-        coords = np.broadcast_to(regular_grid(m).coords, (3, 1, m))
+        coords = np.broadcast_to(regular_grid(m).coords, (3, m))
         for M in (two, one):
             kern = discretize(M, GridSpec(coords=coords, kind="regular"))
             for s in range(3):
-                assert self._assert_matches_reference(M, coords, kern, s, 0)
+                assert self._assert_matches_reference(M, coords, kern, s)
 
     def test_stacked_spectra_match_reference(self):
         rng = np.random.default_rng(23)
@@ -262,6 +268,27 @@ class TestStackedKernels:
                 assert np.array_equal(est[kind].log_volumes, values)
                 assert (est[kind].median, est[kind].trimmed_mean) == (median, trimmed)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("chunk", [1, 2, 16, 1000])
+    def test_sample_rejected_at_its_last_grid_is_discarded(self, monkeypatch, chunk):
+        # Sample 1 passes grids 0-3, so its log volumes there are taken
+        # before its last grid, with two points 1e-6 apart, rejects it.
+        M, coords = _stack_with_grids(7, grids=5)
+        coords[1, 4] = [-1.5, -0.5, 0.3, 0.3 + 1e-6, 1.2]
+        rejected = [kernel_on_grid(M[1], c)[1] is None for c in coords[1]]
+        assert rejected == [False, False, False, False, True]
+        want = {s: volumes_on_grids(M[s], coords[s], METRIC_KINDS) for s in range(len(M))}
+        monkeypatch.setattr(measures, "KERNEL_CHUNK", chunk)
+        discarded, logs = measures._volume_logs(M, coords, METRIC_KINDS)
+        assert list(discarded) == [want[s] is None for s in range(len(M))]
+        assert discarded[1] and not discarded.all()
+        for s, ref in want.items():
+            for kind in METRIC_KINDS:
+                if ref is None:
+                    assert np.isnan(logs[kind][s]).all()
+                else:
+                    assert np.array_equal(logs[kind][s], ref[kind][0])
+
     def test_singular_momentum_block_raises(self):
         # The inverse's momentum block diag(1, 1e-15) falls below the
         # relative cutoff of 1e-14.
@@ -270,7 +297,7 @@ class TestStackedKernels:
         with pytest.raises(SingularBlockError):
             discretize(M, GridSpec(coords=coords, kind="regular"))
         with pytest.raises(SingularBlockError):
-            discretize(M[None], GridSpec(coords=coords[None, None], kind="regular"))
+            discretize(M[None], GridSpec(coords=coords[None], kind="regular"))
         with pytest.raises(SingularBlockError):
             schroedinger_kernel(M, np.zeros(2), np.zeros(2))
         assert schroedinger_kernel(np.diag([1.0, 1.0, 1.0, 1e13]), np.zeros(2), np.zeros(2)) == 1
