@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from gausscensus.fidelity import (
-    BURES_MARGINALS,
     bures_distance_sq,
     fidelity_one_mode,
     improperness_probe,
@@ -54,7 +53,7 @@ def main() -> None:
 
     print("\nthe squeezing marginal integrates to (cosh 2R - 1)/2:")
     for R in (5.0, 10.0, 20.0):
-        got = improperness_probe(BURES_MARGINALS, "f", R)
+        got = improperness_probe(marginal_f, R)
         closed = (math.cosh(2.0 * R) - 1.0) / 2.0
         print(f"  integral to R = {R:4.1f}: {got:.6e} (closed form {closed:.6e})")
 

@@ -453,17 +453,23 @@ def _cmd_fidelity_check(args, config) -> tuple[list[str], list[dict]]:
     h = _resolve(args, config, "h", None)
     if points < 2:
         raise UsageError("--grid-points must be at least 2")
-    betas = np.linspace(beta_range[0], beta_range[1], points)
-    rs = np.linspace(r_range[0], r_range[1], points)
+    for flag, (lo, hi) in (("--beta-range", beta_range), ("--r-range", r_range)):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise UsageError(f"{flag} must be finite, got {lo!r} {hi!r}")
+    betas = np.linspace(beta_range[0], beta_range[1], points).tolist()
+    rs = np.linspace(r_range[0], r_range[1], points).tolist()
     entries = []
     for beta in betas:
         for r in rs:
-            g = fidelity.metric_by_finite_difference(
-                SqueezedThermalParams(beta=float(beta), r=float(r)), h=h
-            )
-            sqrt_det = math.sqrt(max(float(np.linalg.det(g)), 0.0))
-            ratio = sqrt_det / (fidelity.marginal_f(r) * fidelity.marginal_g(beta))
-            entries.append((float(beta), float(r), sqrt_det, ratio))
+            try:
+                g = fidelity.metric_by_finite_difference(
+                    SqueezedThermalParams(beta=beta, r=r), h=h
+                )
+                sqrt_det = math.sqrt(max(float(np.linalg.det(g)), 0.0))
+                ratio = sqrt_det / (fidelity.marginal_f(r) * fidelity.marginal_g(beta))
+            except (OverflowError, fidelity.StepError) as exc:
+                raise UsageError(f"fidelity-check at beta={beta!r}, r={r!r}: {exc}")
+            entries.append((beta, r, sqrt_det, ratio))
     ratios = np.array([e[3] for e in entries])
     spread = float((ratios.max() - ratios.min()) / ratios.mean())
     print(f"fidelity-check: global-constant relative spread {spread:.3e}",

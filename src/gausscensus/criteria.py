@@ -29,7 +29,6 @@ __all__ = [
     "Verdict",
     "OracleDisagreementError",
     "total_variance",
-    "is_separable_duan",
     "is_separable_ppt",
     "is_classical",
     "classify",
@@ -123,12 +122,6 @@ def total_variance(f2: StandardFormII) -> VarianceReport:
     return VarianceReport(tv, a0sq + 1.0 / a0sq, f2.a0)
 
 
-def is_separable_duan(v: VarianceReport, tol: Tolerances = DEFAULT) -> bool:
-    """Variance criterion: separable iff the total variance reaches
-    a0^2 + 1/a0^2 (boundary counted separable)."""
-    return v.total_variance >= v.separability_bound - tol.variance_slack
-
-
 def is_separable_ppt(M: np.ndarray, tol: Tolerances = DEFAULT) -> tuple:
     """Mirror-reflection oracle.
 
@@ -197,6 +190,8 @@ def _classify_stack(M: np.ndarray, tol: Tolerances) -> Verdict:
     report = total_variance(f2)
     failure = np.zeros(count, dtype=np.int8)
     failure[lanes] = f2.failure
+    # The variance criterion: separable iff the total variance reaches
+    # a0^2 + 1/a0^2, the boundary counted separable.
     margin_sep = np.full(count, math.nan)
     margin_sep[lanes] = report.total_variance - report.separability_bound
     separable = margin_sep >= -tol.variance_slack

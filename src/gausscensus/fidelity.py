@@ -10,7 +10,6 @@ that exhibits their unnormalizability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,11 +21,7 @@ __all__ = [
     "DomainError",
     "ShapeError",
     "StepError",
-    "OneModeState",
-    "MarginalDensity",
-    "BURES_MARGINALS",
     "fidelity_one_mode",
-    "fidelity_two_mode_diagonal",
     "bures_distance_sq",
     "metric_by_finite_difference",
     "marginal_f",
@@ -40,37 +35,21 @@ class DomainError(ValueError):
 
 
 class ShapeError(ValueError):
-    """Input matrix is not of the required thermal-diagonal form."""
+    """Input matrix is not a 2x2 covariance matrix."""
 
 
 class StepError(RuntimeError):
     """Finite-difference steps h and h/2 disagree beyond tolerance."""
 
 
-@dataclass(frozen=True)
-class OneModeState:
-    """One-mode covariance matrix, vacuum = identity."""
-
-    A: np.ndarray
-
-
-@dataclass(frozen=True)
-class MarginalDensity:
-    """Marginals of the squeezed-thermal Bures volume element."""
-
-    f_of_r: Callable[[float], float]
-    g_of_beta: Callable[[float], float]
-
-
-def _cov(state) -> np.ndarray:
-    A = getattr(state, "A", state)
+def _cov(A) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.shape != (2, 2):
         raise ShapeError(f"expected a 2x2 covariance matrix, got {A.shape}")
     return A
 
 
-def fidelity_one_mode(s1, s2, tol: Tolerances = DEFAULT) -> float:
+def fidelity_one_mode(A1, A2, tol: Tolerances = DEFAULT) -> float:
     """Fidelity of two one-mode Gaussian states from their covariances.
 
         F = 2 / (sqrt(det(A1 + A2) + P) - sqrt(P)),
@@ -79,8 +58,8 @@ def fidelity_one_mode(s1, s2, tol: Tolerances = DEFAULT) -> float:
     Identical states give F = 1; the identity against 3*identity gives
     exactly 1/2.
     """
-    A1 = _cov(s1)
-    A2 = _cov(s2)
+    A1 = _cov(A1)
+    A2 = _cov(A2)
     d1 = float(np.linalg.det(A1))
     d2 = float(np.linalg.det(A2))
     P = (d1 - 1.0) * (d2 - 1.0)
@@ -89,32 +68,6 @@ def fidelity_one_mode(s1, s2, tol: Tolerances = DEFAULT) -> float:
     if rad < -1e-10 * scale or P < -1e-10 * scale:
         raise DomainError(f"negative fidelity radicand ({rad:.3e}, P={P:.3e})")
     return 2.0 / (math.sqrt(max(rad, 0.0)) - math.sqrt(max(P, 0.0)))
-
-
-def _thermal_blocks(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    D = np.asarray(D, dtype=float)
-    if D.shape != (4, 4):
-        raise ShapeError(f"expected a 4x4 matrix, got {D.shape}")
-    scale = max(1.0, float(np.abs(D).max()))
-    off = D - np.diag(np.diag(D))
-    if np.abs(off).max() > 1e-9 * scale:
-        raise ShapeError("matrix is not diagonal")
-    d = np.diag(D)
-    if abs(d[0] - d[1]) > 1e-9 * scale or abs(d[2] - d[3]) > 1e-9 * scale:
-        raise ShapeError("per-mode position/momentum entries differ")
-    return D[:2, :2], D[2:, 2:]
-
-
-def fidelity_two_mode_diagonal(D1, D2, tol: Tolerances = DEFAULT) -> float:
-    """Fidelity of two thermal-diagonal two-mode states.
-
-    Both inputs must be diagonal with equal position and momentum
-    entries within each mode; the result is the product of the two
-    per-mode one-mode fidelities.
-    """
-    a1, b1 = _thermal_blocks(D1)
-    a2, b2 = _thermal_blocks(D2)
-    return fidelity_one_mode(a1, a2, tol) * fidelity_one_mode(b1, b2, tol)
 
 
 def bures_distance_sq(F: float) -> float:
@@ -160,16 +113,20 @@ def metric_by_finite_difference(
     because the volume element of the family needs it (the in-plane
     block alone carries no r dependence).
 
-    Estimates at steps h and h/2 must agree; otherwise StepError.
+    h must be positive and finite.  Estimates at steps h and h/2 must
+    agree; otherwise StepError, which is also raised when an estimate is
+    not finite.
     """
     if h is None:
         h = tol.fd_step_rel
+    if not (h > 0.0 and math.isfinite(h)):
+        raise ValueError(f"finite-difference step h must be positive and finite, got {h!r}")
     p = np.array([param_point.beta, param_point.r, param_point.theta], dtype=float)
     steps = h * np.maximum(1.0, np.abs(p))
     g_full = _metric_at_step(p, steps)
     g_half = _metric_at_step(p, 0.5 * steps)
     scale = max(float(np.abs(g_half).max()), 1e-300)
-    if float(np.abs(g_full - g_half).max()) > tol.fd_richardson_rel * scale:
+    if not float(np.abs(g_full - g_half).max()) <= tol.fd_richardson_rel * scale:
         raise StepError(
             f"metric estimates at h={h:.1e} and h/2 disagree beyond "
             f"{tol.fd_richardson_rel:.0e} relative"
@@ -189,11 +146,9 @@ def marginal_g(beta: float) -> float:
     return math.cosh(quarter) ** 2 / (8.0 * math.sinh(quarter) * math.cosh(0.5 * beta))
 
 
-BURES_MARGINALS = MarginalDensity(f_of_r=marginal_f, g_of_beta=marginal_g)
-
-
-def improperness_probe(density: MarginalDensity, which: str, R: float) -> float:
-    """Adaptive quadrature of a marginal density over [1e-6, R].
+def improperness_probe(marginal: Callable[[float], float], R: float) -> float:
+    """Adaptive quadrature of a marginal density, such as marginal_f or
+    marginal_g, over [1e-6, R].
 
     The integrals grow without bound in R, which is the numerical
     statement that the marginals are unnormalizable.
@@ -204,11 +159,5 @@ def improperness_probe(density: MarginalDensity, which: str, R: float) -> float:
 
     if R <= 0.0:
         raise ValueError("upper limit must be positive")
-    if which == "f":
-        integrand = density.f_of_r
-    elif which == "g":
-        integrand = density.g_of_beta
-    else:
-        raise ValueError(f"unknown marginal {which!r}")
-    value, _ = quad(integrand, 1e-6, R, epsabs=0.0, epsrel=1e-10, limit=200)
+    value, _ = quad(marginal, 1e-6, R, epsabs=0.0, epsrel=1e-10, limit=200)
     return float(value)

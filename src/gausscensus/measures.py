@@ -1,16 +1,16 @@
-"""Prior measures over Gaussian states.
+"""Monotone-metric prior measures over Gaussian states.
 
-Two families are implemented: the closed-form information-metric weight
-det(M) to a negative half-integer power, and monotone-metric volume
-elements (Bures, Kubo-Mori, maximal) obtained by discretizing the
-Gaussian position-representation kernel on a grid and working with its
-normalized spectrum.  All volume arithmetic stays in the log domain.
+Bures, Kubo-Mori and maximal-metric volume elements are obtained by
+discretizing the Gaussian position-representation kernel on a grid and
+working with its normalized spectrum.  All volume arithmetic stays in
+the log domain.  The closed-form information-metric weight, det(M) to a
+negative half-integer power, is taken by the census blocks in
+`montecarlo` from the determinants they already hold.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,16 +24,13 @@ __all__ = [
     "NonPositiveSpectrumError",
     "SampleDiscarded",
     "GridDrawError",
-    "GridSpec",
     "KernelMatrix",
     "VolumeEstimate",
     "regular_grid",
     "random_grid",
-    "jeffreys_log_weight",
     "schroedinger_kernel",
     "discretize",
     "log_volume_element",
-    "robust_volume",
     "robust_volume_multi",
 ]
 
@@ -63,17 +60,6 @@ class SampleDiscarded(Exception):
 
 class GridDrawError(RuntimeError):
     """No grid with distinct enough coordinates was drawn."""
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Strictly increasing coordinates used on both axes of the grid.
-
-    A stack of grids, one per matrix, carries coordinates of shape (S, m).
-    """
-
-    coords: np.ndarray
-    kind: str
 
 
 @dataclass(frozen=True)
@@ -119,12 +105,11 @@ class VolumeEstimate:
         return cls(log_volumes, median, trimmed, metric_kind)
 
 
-def regular_grid(m: int) -> GridSpec:
+def regular_grid(m: int) -> np.ndarray:
     """Unit-spacing coordinates centered at the origin; m must be odd."""
     if m < 1 or m % 2 == 0:
         raise ValueError("regular grids need an odd point count")
-    coords = np.arange(m, dtype=float) - 0.5 * (m - 1)
-    return GridSpec(coords=coords, kind="regular")
+    return np.arange(m, dtype=float) - 0.5 * (m - 1)
 
 
 def random_grid(
@@ -133,25 +118,14 @@ def random_grid(
     lo: float = -2.0,
     hi: float = 2.0,
     tol: Tolerances = DEFAULT,
-) -> GridSpec:
+) -> np.ndarray:
     """Sorted uniform coordinates on [lo, hi], redrawn on coincidences."""
     for _ in range(1000):
         coords = np.sort(rng.uniform(lo, hi, size=m))
         if m < 2 or float(np.diff(coords).min()) >= tol.grid_coincidence:
-            return GridSpec(coords=coords, kind="random")
+            return coords
     raise GridDrawError(f"could not draw {m} grid coordinates {tol.grid_coincidence!r} "
                         f"apart on [{lo!r}, {hi!r}]; widen the grid range")
-
-
-def jeffreys_log_weight(M: np.ndarray) -> float:
-    """Log of det(M)^(-(d+1)/2) for a d-dimensional covariance matrix.
-
-    d = 4 gives the -5/2 power used for two-mode states, d = 2 the -3/2
-    power for one-mode states.  Only ratios of weights are meaningful.
-    """
-    M = np.asarray(M, dtype=float)
-    d = M.shape[0]
-    return -0.5 * (d + 1) * math.log(float(np.linalg.det(M)))
 
 
 def _kernel_pieces(M: np.ndarray, tol: Tolerances):
@@ -233,14 +207,15 @@ def _quadratic_form(x: list, A: np.ndarray, y: list) -> np.ndarray:
 
 def discretize(
     M: np.ndarray,
-    grid: GridSpec,
+    coords: np.ndarray,
     tol: Tolerances = DEFAULT,
     *,
     pieces: tuple | None = None,
 ) -> KernelMatrix:
-    """Evaluate the kernel on the grid's point lattice and diagonalize.
+    """Evaluate the kernel on a grid's point lattice and diagonalize.
 
-    Points are the row-major Cartesian product of the coordinates with
+    The grid's strictly increasing coordinates serve on every axis:
+    points are the row-major Cartesian product of the coordinates with
     themselves (for one-mode input, the coordinates directly).  Entries
     are evaluated on and above the diagonal; those below are their
     mirror images' conjugates.  A spectrum with any eigenvalue at or
@@ -256,7 +231,7 @@ def discretize(
     holds the `_kernel_pieces` of M passes them as `pieces`.
     """
     M = np.asarray(M, dtype=float)
-    coords = np.asarray(grid.coords, dtype=float)
+    coords = np.asarray(coords, dtype=float)
     single = M.ndim == 2
     if single:
         M, coords = M[None], coords[None]
@@ -364,12 +339,8 @@ def _volume_logs(
         kept = np.flatnonzero(~discarded)
         for lo in range(0, kept.size, KERNEL_CHUNK):
             rows = kept[lo:lo + KERNEL_CHUNK]
-            kern = discretize(
-                M[rows],
-                GridSpec(coords=coords[rows, g], kind="random"),
-                tol,
-                pieces=tuple(p[rows] for p in pieces),
-            )
+            kern = discretize(M[rows], coords[rows, g], tol,
+                              pieces=tuple(p[rows] for p in pieces))
             ok = kern.passed_floor
             discarded[rows[~ok]] = True
             volumes = _log_volumes(kern.eigenvalues[ok], kern.log_det[ok], metric_kinds)
@@ -388,16 +359,16 @@ def robust_volume_multi(
     n_grids: int = 5,
     grid_size: int = 5,
     grid_range: tuple[float, float] = (-2.0, 2.0),
-    grid: GridSpec | None = None,
+    grid: np.ndarray | None = None,
     tol: Tolerances = DEFAULT,
 ) -> dict[str, VolumeEstimate]:
     """Volume estimates for several metrics from one set of grids.
 
     Draws n_grids random grids from the caller-owned stream (or uses the
-    single supplied grid), discretizes once per grid, and evaluates every
-    requested metric on the shared spectra.  Any rejected kernel discards
-    the whole sample by raising SampleDiscarded.  This is _volume_logs on
-    a stack of one matrix.
+    single supplied grid's coordinates), discretizes once per grid, and
+    evaluates every requested metric on the shared spectra.  Any rejected
+    kernel discards the whole sample by raising SampleDiscarded.  This is
+    _volume_logs on a stack of one matrix.
     """
     if grid is not None:
         grids = [grid]
@@ -406,32 +377,9 @@ def robust_volume_multi(
             raise ValueError("a random stream is required to draw grids")
         lo, hi = grid_range
         grids = [random_grid(grid_size, rng, lo, hi, tol) for _ in range(n_grids)]
-    coords = np.array([[np.asarray(g.coords, dtype=float) for g in grids]])
+    coords = np.array([grids], dtype=float)
     discarded, logs = _volume_logs(np.asarray(M, dtype=float)[None], coords, metric_kinds, tol)
     if discarded[0]:
         raise SampleDiscarded("a kernel eigenvalue fell to the relative spectrum floor")
     return {kind: VolumeEstimate.from_log_volumes(logs[kind][0], kind) for kind in metric_kinds}
 
-
-def robust_volume(
-    M: np.ndarray,
-    rng: np.random.Generator | None = None,
-    *,
-    metric_kind: str = "bures",
-    n_grids: int = 5,
-    grid_size: int = 5,
-    grid_range: tuple[float, float] = (-2.0, 2.0),
-    grid: GridSpec | None = None,
-    tol: Tolerances = DEFAULT,
-) -> VolumeEstimate:
-    """Single-metric convenience wrapper around robust_volume_multi."""
-    return robust_volume_multi(
-        M,
-        rng,
-        metric_kinds=(metric_kind,),
-        n_grids=n_grids,
-        grid_size=grid_size,
-        grid_range=grid_range,
-        grid=grid,
-        tol=tol,
-    )[metric_kind]

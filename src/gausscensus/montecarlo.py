@@ -8,7 +8,6 @@ streaming log-sum-exp accumulators.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 import time
@@ -37,16 +36,11 @@ __all__ = [
     "CensusResult",
     "OneModePoint",
     "EntropyReport",
-    "sample_matrix",
-    "iter_accepted",
     "run_classical_census",
     "run_bures_census",
     "run_one_mode_classicality",
     "run_entropy_probe",
 ]
-
-# Row-major order of the six distinct off-diagonal positions.
-_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 _PROGRESS_EVERY = 4
 
@@ -96,15 +90,6 @@ class LogSumExp:
 
     log_max: float = -math.inf
     sum_scaled: float = 0.0
-
-    def add(self, x: float) -> None:
-        if not math.isfinite(x):
-            raise ValueError(f"nonfinite log weight {x!r}")
-        if x <= self.log_max:
-            self.sum_scaled += math.exp(x - self.log_max)
-        else:
-            self.sum_scaled = self.sum_scaled * math.exp(self.log_max - x) + 1.0
-            self.log_max = x
 
     def add_array(self, xs) -> None:
         xs = np.asarray(xs, dtype=float)
@@ -251,33 +236,13 @@ class EntropyReport:
 class _BlockOut:
     acc: CensusAccumulator
     disagreement: tuple | None = None
-    extra: tuple = ()
-
-
-def sample_matrix(cfg: SamplerConfig, stream: np.random.Generator) -> np.ndarray:
-    """Draw one symmetric matrix from the configured box.
-
-    Diagonal entries are uniform on [0, k]; the distinct off-diagonals
-    (row-major) are uniform on [-l, l].  Matches the block sampler
-    bit for bit when the stream is the sample's own substream.
-    """
-    if cfg.mode_count == 1:
-        u = stream.random(3)
-        off = -cfg.l + 2.0 * cfg.l * u[2]
-        return np.array([[cfg.k * u[0], off], [off, cfg.k * u[1]]])
-    u = stream.random(10)
-    M = np.zeros((4, 4))
-    for j in range(4):
-        M[j, j] = cfg.k * u[j]
-    off = -cfg.l + 2.0 * cfg.l * u[4:]
-    for t, (i, j) in enumerate(_PAIRS):
-        M[i, j] = M[j, i] = off[t]
-    return M
+    extra: tuple | None = None
 
 
 # For each of the 16 matrix entries (row-major), which of a sample's ten
-# values it holds: 0-3 the diagonal, 4-9 the _PAIRS.  The leading 3x3
-# submatrix holds values from a sample's first eight only.
+# values it holds: 0-3 the diagonal, 4-9 the off-diagonal pairs (0, 1),
+# (0, 2), (0, 3), (1, 2), (1, 3) and (2, 3).  The leading 3x3 submatrix
+# holds values from a sample's first eight only.
 _ENTRY_COLUMNS = np.array([0, 4, 5, 6, 4, 1, 7, 8, 5, 7, 2, 9, 6, 8, 9, 3])
 
 
@@ -370,7 +335,9 @@ def _block_ranges(samples: int) -> list[tuple[int, int]]:
 def _map_blocks(fn: Callable, argses: list, workers: int) -> Iterator:
     if workers <= 1 or len(argses) <= 1:
         return map(fn, argses)
-    pool = ProcessPoolExecutor(max_workers=workers)
+    # A forked pool starts all its workers at the first submit, so it
+    # gets no more than there are blocks.
+    pool = ProcessPoolExecutor(max_workers=min(workers, len(argses)))
     gen = pool.map(fn, argses)
 
     def run():
@@ -415,15 +382,6 @@ def _candidates(seed: int, start: int, count: int, k: float, l: float) -> tuple:
     return idx[keep], M, np.linalg.det(M)
 
 
-def _front(seed: int, start: int, count: int, k: float, l: float, tol: Tolerances) -> tuple:
-    # The census chain: the candidates and one stacked classify.  Returns
-    # the candidates' block positions, matrices, determinants and verdict,
-    # and which are accepted (physical and solved by form I and form II).
-    idx, M, dets = _candidates(seed, start, count, k, l)
-    verdict = criteria.classify(M, tol)
-    return idx, M, dets, verdict, verdict.physical & (verdict.failure == 0)
-
-
 def _grids(seed: int, index: np.ndarray, grid_size: int, n_grids: int,
            lo: float, hi: float, tol: Tolerances) -> np.ndarray:
     # The (len(index), n_grids, grid_size) coordinates that n_grids calls
@@ -439,17 +397,21 @@ def _grids(seed: int, index: np.ndarray, grid_size: int, n_grids: int,
     for i in np.flatnonzero(~(gaps >= tol.grid_coincidence).all(axis=-1)):
         stream = grid_stream(seed, index[i])
         for g in range(n_grids):
-            coords[i, g] = measures.random_grid(grid_size, stream, lo, hi, tol).coords
+            coords[i, g] = measures.random_grid(grid_size, stream, lo, hi, tol)
     return coords
 
 
 def _census_block(args) -> _BlockOut:
-    # One two-mode census block: the chain, the Jeffreys weight and, when
-    # n_grids > 0, the volume-element stage.  With n_grids == 0 (the
-    # Jeffreys census) no grid is drawn and no sample is discarded.
+    # One two-mode census block: the candidates, one stacked classify,
+    # the Jeffreys weight and, when n_grids > 0, the volume-element stage.
+    # A candidate is accepted when it is physical and solved by form I
+    # and form II.  With n_grids == 0 (the Jeffreys census) no grid is
+    # drawn and no sample is discarded.
     (seed, start, count, k, l, grid_size, n_grids, lo, hi, kinds, estimators) = args
     tol = DEFAULT
-    index, M, det, verdict, ok = _front(seed, start, count, k, l, tol)
+    index, M, det = _candidates(seed, start, count, k, l)
+    verdict = criteria.classify(M, tol)
+    ok = verdict.physical & (verdict.failure == 0)
     acc = CensusAccumulator(
         generated=count,
         accepted=int(np.count_nonzero(ok)),
@@ -537,10 +499,11 @@ def _entropy_block(args) -> _BlockOut:
         generated=count,
         accepted=int(np.count_nonzero(physical)),
         separable=len(M),
-        classical=beats.size,
     )
+    # The violation count and the block's first three violations with
+    # their sample indices.
     where = (start + index[separable][beats[:3]]).tolist()
-    return _BlockOut(acc=acc, extra=tuple(zip(where, M[beats[:3]])))
+    return _BlockOut(acc=acc, extra=(beats.size, tuple(zip(where, M[beats[:3]]))))
 
 
 def _fold(
@@ -549,11 +512,12 @@ def _fold(
     workers: int,
     progress: Callable | None,
 ) -> tuple[CensusAccumulator, list]:
+    # The merged accumulator and the blocks' extras in block order.
     total = CensusAccumulator()
     extras: list = []
     for done, out in enumerate(_map_blocks(runner, argses, workers)):
         total.merge(out.acc)
-        extras.extend(out.extra)
+        extras.append(out.extra)
         if out.disagreement is not None:
             raise criteria.OracleDisagreementError(*out.disagreement)
         if progress is not None and (done % _PROGRESS_EVERY == 0 or done == len(argses) - 1):
@@ -725,32 +689,13 @@ def run_entropy_probe(
     _two_mode_only(cfg)
     argses = [(cfg.seed, s, c, cfg.k, cfg.l) for s, c in _block_ranges(cfg.samples)]
     total, extras = _fold(_entropy_block, argses, workers, progress)
-    extras = extras[:3]
+    examples = [example for _, found in extras for example in found][:3]
     return EntropyReport(
         generated=total.generated,
         physical=total.accepted,
         separable=total.separable,
-        violations=total.classical,
-        example_indices=tuple(i for i, _ in extras),
-        examples=tuple(m for _, m in extras),
+        violations=sum(count for count, _ in extras),
+        example_indices=tuple(i for i, _ in examples),
+        examples=tuple(m for _, m in examples),
     )
 
-
-def iter_accepted(
-    cfg: SamplerConfig, limit: int | None = None
-) -> Iterator[tuple[int, np.ndarray, "criteria.Verdict"]]:
-    """Yield (index, matrix, verdict) for chain-accepted samples in order.
-
-    With a limit, stops after that many samples; limit=0 yields none.
-    """
-    _two_mode_only(cfg)
-    if limit is not None and limit < 0:
-        raise ValueError("limit must be nonnegative")
-    return itertools.islice(_accepted_samples(cfg), limit)
-
-
-def _accepted_samples(cfg: SamplerConfig) -> Iterator:
-    for start, count in _block_ranges(cfg.samples):
-        index, M, _, verdict, accepted = _front(cfg.seed, start, count, cfg.k, cfg.l, DEFAULT)
-        ok = np.flatnonzero(accepted)
-        yield from zip((start + index[ok]).tolist(), M[ok], map(verdict.lane, ok))

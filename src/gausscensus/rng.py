@@ -6,8 +6,8 @@ depend on how samples are split across workers, which is what makes
 byte-identical parallel runs possible.  The vectorized generator here
 reproduces numpy's Generator(Philox(key=[seed, index])).random()
 bit for bit, from counter 0 (the sample streams) or from counter 2^64
-(the grid streams); the Generator constructors are kept for consumers
-that need a full stream object (grid redraws, tests).
+(the grid streams); `grid_stream` builds the full stream object that a
+grid redraw needs.
 
 The generator works _CHUNK samples at a time.  The counter blocks a
 row needs are stacked into one lane array, so each numpy operation of
@@ -38,7 +38,6 @@ __all__ = [
     "substream_uniforms",
     "third_block_uniforms",
     "grid_uniforms",
-    "sample_stream",
     "grid_stream",
 ]
 
@@ -119,8 +118,8 @@ def substream_uniforms(seed: int, start: int, count: int, width: int = 10) -> np
 def third_block_uniforms(seed: int, index) -> np.ndarray:
     """Uniforms 8 and 9 (counter block 2) of the samples in `index`.
 
-    Row i holds `sample_stream(seed, index[i]).random(10)[8:10]`.  The
-    indices may come in any order, repeat or skip.
+    Row i holds uniforms 8 and 9 of the substream keyed by
+    (seed, index[i]).  The indices may come in any order, repeat or skip.
     """
     return _philox(_check_seed(seed), _sample_indices(index), 2, 2)
 
@@ -204,21 +203,13 @@ def _philox(seed: int, index: np.ndarray, first_block: int, width: int,
     return out
 
 
-def _key(seed: int, index: int) -> np.ndarray:
-    # An explicit uint64 array: a plain list would go through numpy's
-    # default promotion, which loses exactness for values near 2^64.
-    return np.array([_check_seed(seed), int(index)], dtype=np.uint64)
-
-
-def sample_stream(seed: int, index: int) -> np.random.Generator:
-    """Full stream object for one sample's substream."""
-    return np.random.Generator(np.random.Philox(key=_key(seed, index)))
-
-
 def grid_stream(seed: int, index: int) -> np.random.Generator:
     """Auxiliary substream for per-sample grid drawing.
 
     Starts the same keyed Philox at counter 2^64, a region the matrix
     draws (which start at counter zero) can never reach.
     """
-    return np.random.Generator(np.random.Philox(key=_key(seed, index), counter=2**64))
+    # An explicit uint64 key: a plain list would go through numpy's
+    # default promotion, which loses exactness for values near 2^64.
+    key = np.array([_check_seed(seed), int(index)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=2**64))

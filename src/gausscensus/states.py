@@ -31,13 +31,11 @@ __all__ = [
     "StandardFormII",
     "SqueezedThermalParams",
     "mode_blocks",
-    "is_positive_definite",
     "is_physical",
     "to_standard_form_one",
     "to_standard_form_two",
     "symplectic_eigenvalues",
     "entropy",
-    "purity",
     "squeezed_thermal_covariance",
 ]
 
@@ -170,12 +168,6 @@ def _per_element(fn, x: np.ndarray) -> np.ndarray:
     # in the last bit on a few percent of inputs, and the single-sample
     # chain has always used libm's through math.exp and **.
     return np.fromiter(map(fn, x.tolist()), float, x.size)
-
-
-def is_positive_definite(M: np.ndarray) -> bool:
-    """True when every eigenvalue of the symmetric matrix is positive."""
-    w = np.linalg.eigvalsh(np.asarray(M, dtype=float))
-    return bool(w[0] > 0.0)
 
 
 def is_physical(M: np.ndarray, tol: Tolerances = DEFAULT) -> bool | np.ndarray:
@@ -465,12 +457,6 @@ def entropy(M: np.ndarray) -> float | np.ndarray:
         nus = symplectic_eigenvalues(M)
     total = sum(_entropy_term(_at_least(np.asarray(nu), 1.0)) for nu in nus)
     return float(total) if M.ndim == 2 else total
-
-
-def purity(M: np.ndarray) -> float:
-    """Tr(rho^2) of the Gaussian state, equal to det(M)^(-1/2)."""
-    det_m = float(np.linalg.det(np.asarray(M, dtype=float)))
-    return det_m**-0.5
 
 
 def squeezed_thermal_covariance(p: SqueezedThermalParams) -> np.ndarray:

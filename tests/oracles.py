@@ -22,8 +22,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 import numpy.polynomial.legendre as leg
 
-from gausscensus.montecarlo import _build_matrices
-from gausscensus.rng import substream_uniforms
+from gausscensus import criteria
+from gausscensus.montecarlo import _build_matrices, _candidates
+from gausscensus.rng import BLOCK, substream_uniforms
 from gausscensus.states import ComplexRootError, DegenerateError, NoConvergenceError
 from gausscensus.tolerances import DEFAULT, Tolerances
 
@@ -417,6 +418,51 @@ def materialised_candidates(seed: int, start: int, count: int, k: float, l: floa
     M = _build_matrices(u, k, l)
     idx, dets = pd_candidates(M)
     return idx, M[idx], dets
+
+
+def sample_stream(seed: int, index: int) -> np.random.Generator:
+    """numpy's own Philox stream of one sample, keyed (seed, index)."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+
+
+# Row-major order of the six distinct off-diagonal positions.
+PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def sample_matrix(cfg, stream: np.random.Generator) -> np.ndarray:
+    """Draw one symmetric matrix from the configured box.
+
+    Diagonal entries are uniform on [0, k]; the distinct off-diagonals
+    (row-major) are uniform on [-l, l].  The census's block sampler must
+    match it bit for bit when the stream is the sample's own substream.
+    """
+    if cfg.mode_count == 1:
+        u = stream.random(3)
+        off = -cfg.l + 2.0 * cfg.l * u[2]
+        return np.array([[cfg.k * u[0], off], [off, cfg.k * u[1]]])
+    u = stream.random(10)
+    M = np.zeros((4, 4))
+    for j in range(4):
+        M[j, j] = cfg.k * u[j]
+    off = -cfg.l + 2.0 * cfg.l * u[4:]
+    for t, (i, j) in enumerate(PAIRS):
+        M[i, j] = M[j, i] = off[t]
+    return M
+
+
+def accepted_samples(cfg):
+    """Yield (index, matrix, verdict) for each accepted sample in order.
+
+    A two-mode census's candidates and stacked classify, replayed one
+    block at a time: a candidate is accepted when it is physical and its
+    form-I and form-II solves succeed.
+    """
+    for start in range(0, cfg.samples, BLOCK):
+        count = min(BLOCK, cfg.samples - start)
+        index, M, _ = _candidates(cfg.seed, start, count, cfg.k, cfg.l)
+        verdict = criteria.classify(M)
+        ok = np.flatnonzero(verdict.physical & (verdict.failure == 0))
+        yield from zip((start + index[ok]).tolist(), M[ok], map(verdict.lane, ok))
 
 
 # ---------------------------------------------------------------------

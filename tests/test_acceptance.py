@@ -194,7 +194,7 @@ def test_08_unbounded_marginal_integrals(report) -> None:
     values = []
     worst = 0.0
     for R in (10.0, 20.0, 30.0):
-        got = fidelity.improperness_probe(fidelity.BURES_MARGINALS, "f", R)
+        got = fidelity.improperness_probe(fidelity.marginal_f, R)
         want = (math.cosh(2.0 * R) - 1.0) / 2.0
         worst = max(worst, abs(got - want) / want)
         values.append(got)

@@ -255,6 +255,19 @@ class TestUsageErrors:
         assert out == ""
         assert "determinant can overflow" in err
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--h", "0"], "h must be positive and finite"),
+        (["--h", "nan"], "h must be positive and finite"),
+        (["--beta-range", "2", "nan"], "--beta-range must be finite"),
+        (["--r-range", "0.1", "inf"], "--r-range must be finite"),
+        (["--beta-range", "1e300", "1e301"], "math range error"),
+    ])
+    def test_fidelity_check_bad_input(self, capsys, flags, message) -> None:
+        code, out, err = run_cli(capsys, ["fidelity-check", "--grid-points", "2"] + flags)
+        assert code == 64
+        assert out == ""
+        assert message in err
+
     def test_zero_workers(self, capsys) -> None:
         code, _, _ = run_cli(
             capsys, ["census", "--samples", "1000", "--workers", "0"]

@@ -13,7 +13,6 @@ from gausscensus.criteria import (
     disagrees,
     format_disagreement,
     is_classical,
-    is_separable_duan,
     is_separable_ppt,
     total_variance,
 )
@@ -29,8 +28,8 @@ from gausscensus.states import (
 )
 
 from gausscensus import criteria
-from gausscensus.montecarlo import SamplerConfig, sample_matrix
-from gausscensus.rng import BLOCK, sample_stream
+from gausscensus.montecarlo import SamplerConfig
+from gausscensus.rng import BLOCK
 from gausscensus.states import SolverFailure
 
 from oracles import (
@@ -43,6 +42,8 @@ from oracles import (
     form_one_matrix,
     materialised_candidates,
     random_local_symplectic,
+    sample_matrix,
+    sample_stream,
 )
 
 SOLVER_ERRORS = (NoConvergenceError, DegenerateError, ComplexRootError)
@@ -97,17 +98,25 @@ class TestTotalVariance:
 
 
 class TestSeparableDuan:
+    """The variance criterion as classify applies it: separable iff the
+    total variance reaches a0^2 + 1/a0^2."""
+
     def test_product_thermal_separable(self):
-        assert is_separable_duan(total_variance(form_two(2, 2, 2, 2, 0, 0, 1.0)))
+        v = classify(2.0 * np.eye(4))
+        assert v.separable
+        # total variance 4 against the bound 2, up to the form-II solve
+        assert v.margin_sep == pytest.approx(2.0, rel=1e-6)
 
     def test_squeezed_vacuum_entangled(self):
         r = 0.5
-        ch, sh = math.cosh(2 * r), math.sinh(2 * r)
-        rep = total_variance(form_two(ch, ch, ch, ch, sh, -sh, 1.0))
-        assert not is_separable_duan(rep)
+        v = classify(tmsv(r))
+        assert v.physical and not v.separable
+        assert v.margin_sep == pytest.approx(2 * math.exp(-2 * r) - 2.0, rel=1e-9)
 
     def test_vacuum_boundary_counts_separable(self):
-        assert is_separable_duan(total_variance(form_two(1, 1, 1, 1, 0, 0, 1.0)))
+        v = classify(np.eye(4))
+        assert v.separable
+        assert v.margin_sep == pytest.approx(0.0, abs=1e-12)
 
 
 class TestSeparablePpt:

@@ -1,5 +1,5 @@
-"""Prior measures: closed-form information weight, kernel discretization,
-and monotone-metric volume elements with their robust estimators."""
+"""Prior measures: kernel discretization and monotone-metric volume
+elements with their robust estimators."""
 
 import math
 
@@ -9,17 +9,14 @@ import pytest
 from gausscensus import measures
 from gausscensus.measures import (
     METRIC_KINDS,
-    GridSpec,
     KernelMatrix,
     NonPositiveSpectrumError,
     SampleDiscarded,
     SingularBlockError,
     discretize,
-    jeffreys_log_weight,
     log_volume_element,
     random_grid,
     regular_grid,
-    robust_volume,
     robust_volume_multi,
     schroedinger_kernel,
 )
@@ -47,9 +44,7 @@ class _QueuedRng:
 
 class TestGrids:
     def test_regular_grid_centered_unit_spacing(self):
-        g = regular_grid(5)
-        assert np.array_equal(g.coords, [-2.0, -1.0, 0.0, 1.0, 2.0])
-        assert g.kind == "regular"
+        assert np.array_equal(regular_grid(5), [-2.0, -1.0, 0.0, 1.0, 2.0])
 
     def test_regular_grid_rejects_even_count(self):
         with pytest.raises(ValueError):
@@ -58,35 +53,20 @@ class TestGrids:
     def test_random_grid_sorted_within_range(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            g = random_grid(5, rng)
-            c = np.asarray(g.coords)
+            c = random_grid(5, rng)
             assert np.all(np.diff(c) > 0)
             assert c.min() >= -2.0 and c.max() <= 2.0
-            assert g.kind == "random"
 
     def test_random_grid_redraws_coincident_points(self):
         bad = [0.0, 0.0, 0.5, 1.0, 1.5]
         good = [-1.5, -0.5, 0.0, 0.5, 1.5]
         g = random_grid(5, _QueuedRng([bad, good]))
-        assert np.array_equal(g.coords, sorted(good))
+        assert np.array_equal(g, sorted(good))
 
     def test_random_grid_gives_up_eventually(self):
         rng = _QueuedRng([[0.0, 0.0, 0.5, 1.0, 1.5]] * 1000)
         with pytest.raises(RuntimeError):
             random_grid(5, rng)
-
-
-class TestJeffreysWeight:
-    def test_identity_is_zero(self):
-        assert jeffreys_log_weight(np.eye(4)) == 0.0
-
-    def test_two_mode_power(self):
-        lw = jeffreys_log_weight(2.0 * np.eye(4))
-        assert lw == pytest.approx(-2.5 * 4 * math.log(2.0), rel=1e-14)
-
-    def test_one_mode_power(self):
-        lw = jeffreys_log_weight(3.0 * np.eye(2))
-        assert lw == pytest.approx(-1.5 * 2 * math.log(3.0), rel=1e-14)
 
 
 class TestKernel:
@@ -130,9 +110,8 @@ class TestDiscretize:
     def test_entries_match_scalar_kernel(self):
         M = 2.0 * np.eye(4)
         M[0, 2] = M[2, 0] = 0.4
-        grid = regular_grid(3)
-        kern = discretize(M, grid)
-        c = grid.coords
+        c = regular_grid(3)
+        kern = discretize(M, c)
         pts = [(a, b) for a in c for b in c]
         for row in (0, 4, 7):
             for col in (2, 5, 8):
@@ -170,7 +149,7 @@ def _stack_with_grids(seed: int, grids: int = 3):
     matrices = [random_physical_matrix(rng) for _ in range(4)]
     matrices.insert(2, np.eye(4))
     coords = np.array([
-        [random_grid(5, rng).coords for _ in range(grids)] for _ in matrices
+        [random_grid(5, rng) for _ in range(grids)] for _ in matrices
     ])
     return np.array(matrices), coords
 
@@ -190,17 +169,16 @@ class TestStackedKernels:
         gamma, lam, log_det = kernel_on_grid(M[s], coords[s])
         lower = np.tril_indices(len(gamma))
         assert np.array_equal(kern.gamma[s][lower], gamma[lower])
-        grid = GridSpec(coords=coords[s], kind="random")
         if lam is None:
             assert not kern.passed_floor[s]
             assert math.isnan(kern.log_det[s])
             with pytest.raises(NonPositiveSpectrumError):
-                discretize(M[s], grid)
+                discretize(M[s], coords[s])
             return False
         assert kern.passed_floor[s]
         assert np.array_equal(kern.eigenvalues[s], lam)
         assert kern.log_det[s] == log_det
-        one = discretize(M[s], grid)
+        one = discretize(M[s], coords[s])
         assert np.array_equal(one.gamma, gamma)
         assert np.array_equal(one.eigenvalues, lam)
         assert one.log_det == log_det
@@ -210,7 +188,7 @@ class TestStackedKernels:
         M, coords = _stack_with_grids(3)
         passed = []
         for g in range(3):
-            kern = discretize(M, GridSpec(coords=coords[:, g], kind="random"))
+            kern = discretize(M, coords[:, g])
             assert kern.eigenvalues.shape == (5, 25)
             assert kern.gamma.shape == (5, 25, 25)
             passed.append([
@@ -224,9 +202,9 @@ class TestStackedKernels:
         rng = np.random.default_rng(29 + m)
         two = np.array([random_physical_matrix(rng) for _ in range(3)])
         one = np.array([[[2.0, 0.2], [0.2, 1.7]], two[0, :2, :2], two[1, 2:, 2:]])
-        coords = np.broadcast_to(regular_grid(m).coords, (3, m))
+        coords = np.broadcast_to(regular_grid(m), (3, m))
         for M in (two, one):
-            kern = discretize(M, GridSpec(coords=coords, kind="regular"))
+            kern = discretize(M, coords)
             for s in range(3):
                 assert self._assert_matches_reference(M, coords, kern, s)
 
@@ -293,11 +271,11 @@ class TestStackedKernels:
         # The inverse's momentum block diag(1, 1e-15) falls below the
         # relative cutoff of 1e-14.
         M = np.diag([1.0, 1.0, 1.0, 1e15])
-        coords = regular_grid(3).coords
+        coords = regular_grid(3)
         with pytest.raises(SingularBlockError):
-            discretize(M, GridSpec(coords=coords, kind="regular"))
+            discretize(M, coords)
         with pytest.raises(SingularBlockError):
-            discretize(M[None], GridSpec(coords=coords[None], kind="regular"))
+            discretize(M[None], coords[None])
         with pytest.raises(SingularBlockError):
             schroedinger_kernel(M, np.zeros(2), np.zeros(2))
         assert schroedinger_kernel(np.diag([1.0, 1.0, 1.0, 1e13]), np.zeros(2), np.zeros(2)) == 1
@@ -355,8 +333,8 @@ class TestRobustVolume:
     def test_fixed_grid_is_deterministic(self):
         M = 2.0 * np.eye(4)
         grid = regular_grid(3)
-        a = robust_volume(M, grid=grid)
-        b = robust_volume(M, grid=grid)
+        a = robust_volume_multi(M, grid=grid)["bures"]
+        b = robust_volume_multi(M, grid=grid)["bures"]
         assert a.log_volumes.shape == (1,)
         assert a.median == b.median == a.log_volumes[0]
         assert a.trimmed_mean == a.median
@@ -365,7 +343,7 @@ class TestRobustVolume:
         rng = np.random.default_rng(41)
         M = np.diag([12.0, 9.0, 10.0, 8.0])
         M[0, 2] = M[2, 0] = 1.5
-        est = robust_volume(M, rng)
+        est = robust_volume_multi(M, rng)["bures"]
         v = np.sort(est.log_volumes)
         assert len(v) == 5
         assert est.median == pytest.approx(v[2], rel=1e-14)
@@ -387,8 +365,8 @@ class TestRobustVolume:
     def test_pure_state_discards_sample(self):
         rng = np.random.default_rng(31)
         with pytest.raises(SampleDiscarded):
-            robust_volume(np.eye(4), rng)
+            robust_volume_multi(np.eye(4), rng)
 
     def test_requires_stream_without_grid(self):
         with pytest.raises(ValueError):
-            robust_volume(2.0 * np.eye(4))
+            robust_volume_multi(2.0 * np.eye(4))

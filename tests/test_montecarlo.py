@@ -14,21 +14,23 @@ from gausscensus.montecarlo import (
     LogSumExp,
     OneModePoint,
     SamplerConfig,
-    iter_accepted,
     run_bures_census,
     run_classical_census,
     run_entropy_probe,
     run_one_mode_classicality,
-    sample_matrix,
 )
-from gausscensus.rng import BLOCK, grid_stream, sample_stream, substream_uniforms
+from gausscensus.rng import BLOCK, grid_stream, substream_uniforms
 
 from oracles import (
+    PAIRS,
     STACK_CONFIGS,
+    accepted_samples,
     chain_classify,
     grid_coords,
     kernel_on_grid,
     materialised_candidates,
+    sample_matrix,
+    sample_stream,
     volumes_on_grids,
 )
 
@@ -79,10 +81,8 @@ class TestLogSumExp:
         rng = np.random.default_rng(5)
         xs = rng.normal(size=300) * 30.0
         acc = LogSumExp()
-        acc.add_array(xs[:100])
-        for x in xs[100:200]:
-            acc.add(float(x))
-        acc.add_array(xs[200:])
+        for part in (xs[:100], xs[100:200], xs[200:]):
+            acc.add_array(part)
         direct = float(np.logaddexp.reduce(xs))
         assert acc.log_total() == pytest.approx(direct, rel=1e-13)
 
@@ -116,12 +116,9 @@ class TestLogSumExp:
 
     def test_rejects_nonfinite_weights(self) -> None:
         acc = LogSumExp()
-        with pytest.raises(ValueError):
-            acc.add(math.inf)
-        with pytest.raises(ValueError):
-            acc.add(math.nan)
-        with pytest.raises(ValueError):
-            acc.add_array(np.array([0.0, -math.inf]))
+        for bad in (math.inf, math.nan, -math.inf):
+            with pytest.raises(ValueError):
+                acc.add_array(np.array([0.0, bad]))
 
 
 class TestDeterminism:
@@ -148,6 +145,32 @@ class TestDeterminism:
             assert serial.prob_classical(name) == parallel.prob_classical(name)
 
 
+class TestWorkerPool:
+    def test_pool_is_capped_at_the_block_count(self, monkeypatch) -> None:
+        # An in-process stand-in for the pool records its size; a real
+        # pool would fork all of its workers at the first submit.
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def map(self, fn, argses):
+                return map(fn, argses)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+        cfg = SamplerConfig(k=10.0, l=5.0, samples=100_000, seed=3)
+        wide = run_classical_census(cfg, workers=64)
+        assert sizes == [2]
+        serial = run_classical_census(cfg)
+        assert (wide.accepted, wide.prob_sep()) == (serial.accepted, serial.prob_sep())
+        run_classical_census(dataclasses.replace(cfg, samples=3 * BLOCK), workers=2)
+        assert sizes == [2, 2]
+
+
 class TestStreamingAccuracy:
     def test_matches_two_pass_computation(self) -> None:
         cfg = SamplerConfig(k=10.0, l=5.0, samples=10_000, seed=42)
@@ -155,7 +178,7 @@ class TestStreamingAccuracy:
         log_acc: list[float] = []
         log_sep: list[float] = []
         log_cls: list[float] = []
-        for _, matrix, verdict in iter_accepted(cfg):
+        for _, matrix, verdict in accepted_samples(cfg):
             lw = -2.5 * math.log(np.linalg.det(matrix))
             log_acc.append(lw)
             if verdict.separable:
@@ -228,23 +251,6 @@ class TestSampleAccess:
         for i in range(200):
             single = sample_matrix(cfg, sample_stream(42, 1000 + i))
             assert M[i].tobytes() == single.tobytes()
-
-    def test_iter_accepted_verdicts_and_limit(self) -> None:
-        cfg = SamplerConfig(k=10.0, l=5.0, samples=5_000, seed=13)
-        seen = list(iter_accepted(cfg, limit=25))
-        assert len(seen) == 25
-        indices = [idx for idx, _, _ in seen]
-        assert indices == sorted(indices)
-        for idx, matrix, verdict in seen[:8]:
-            again = criteria.classify(matrix)
-            assert again.separable == verdict.separable
-            assert again.classical == verdict.classical
-
-    def test_iter_accepted_limit_zero_and_negative(self) -> None:
-        cfg = SamplerConfig(k=10.0, l=5.0, samples=5_000, seed=13)
-        assert list(iter_accepted(cfg, limit=0)) == []
-        with pytest.raises(ValueError, match="limit"):
-            list(iter_accepted(cfg, limit=-3))
 
 
 class TestBuresCensus:
@@ -353,7 +359,7 @@ def _per_sample_bures(cfg: SamplerConfig, coincidence: float = 1e-9):
          "numerical_faults", "ordering_faults"), 0)
     discarded_at = []
     kernels = 0
-    for index, matrix, verdict in iter_accepted(cfg):
+    for index, matrix, verdict in accepted_samples(cfg):
         counts["accepted"] += 1
         stream = grid_stream(cfg.seed, index)
         grids = [grid_coords(stream, coincidence=coincidence) for _ in range(5)]
@@ -568,7 +574,7 @@ def _as_values(G: np.ndarray) -> np.ndarray:
     M = np.zeros((len(G), 4, 4))
     n = G.shape[1]
     M[:, :n, :n] = G
-    rows, cols = zip(*([(j, j) for j in range(4)] + list(montecarlo._PAIRS)))
+    rows, cols = zip(*([(j, j) for j in range(4)] + list(PAIRS)))
     return M[:, rows, cols]
 
 
@@ -638,7 +644,7 @@ class TestOracleAbort:
         # The mirror oracle "disagrees" on one sample of the first block:
         # the patch flags the row of a stacked verdict that equals the
         # sample's verdict in every field.
-        _, matrix, target = next(iter_accepted(cfg))
+        _, matrix, target = next(accepted_samples(cfg))
         real = criteria.disagrees
 
         def disagrees(verdict, tol=criteria.DEFAULT):
@@ -766,7 +772,8 @@ def _classify_entropy_block(args):
     # form-II solve included; its report is the reference.
     seed, start, count, k, l = args
     tol = criteria.DEFAULT
-    index, M, _, v, _ = montecarlo._front(seed, start, count, k, l, tol)
+    index, M, _ = montecarlo._candidates(seed, start, count, k, l)
+    v = criteria.classify(M, tol)
     separable = v.physical & (v.margin_ppt >= tol.ppt_min_eig)
     M = M[separable]
     joint = states.entropy(M)
@@ -776,10 +783,9 @@ def _classify_entropy_block(args):
         generated=count,
         accepted=int(np.count_nonzero(v.physical)),
         separable=len(M),
-        classical=beats.size,
     )
     where = (start + index[separable][beats[:3]]).tolist()
-    return montecarlo._BlockOut(acc=acc, extra=tuple(zip(where, M[beats[:3]])))
+    return montecarlo._BlockOut(acc=acc, extra=(beats.size, tuple(zip(where, M[beats[:3]]))))
 
 
 class TestEntropyProbe:
@@ -830,6 +836,10 @@ class TestEntropyProbe:
         assert len(ours.examples) == len(reference.examples) == (3 if flip else 0)
         for a, b in zip(ours.examples, reference.examples):
             assert np.array_equal(a, b)
+        # Violations have their own count; the classical count stays 0.
+        out = montecarlo._entropy_block((cfg.seed, 0, BLOCK, cfg.k, cfg.l))
+        assert out.acc.classical == 0
+        assert (out.extra[0] > 0) == flip
 
     def test_skips_form_two_solve(self, monkeypatch) -> None:
         calls = []

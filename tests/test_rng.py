@@ -6,10 +6,11 @@ from gausscensus.rng import (
     BLOCK,
     grid_stream,
     grid_uniforms,
-    sample_stream,
     substream_uniforms,
     third_block_uniforms,
 )
+
+from oracles import sample_stream
 
 
 @pytest.mark.parametrize("seed,index", [(1, 0), (1, 1), (20250819, 12345),
