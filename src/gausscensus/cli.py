@@ -9,6 +9,7 @@ disagreement, 64 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -283,20 +284,23 @@ def _cmd_table1(args, config) -> tuple[list[str], list[dict]]:
     workers = _resolve_workers(args, config)
     if not (scale > 0.0 and math.isfinite(scale)):
         raise UsageError(f"--scale must be positive and finite, got {scale!r}")
+    cfgs = [SamplerConfig(k=k, l=l, samples=max(1, int(round(full * scale))), seed=seed + i)
+            for i, (k, l, full) in enumerate(TABLE1_ROWS)]
+    progress = [_progress_printer(f"row {i + 1} (k={cfg.k:g}, l={cfg.l:g})", cfg.samples)
+                for i, cfg in enumerate(cfgs)]
     rows = []
-    for i, (k, l, full) in enumerate(TABLE1_ROWS):
-        samples = max(1, int(round(full * scale)))
-        cfg = SamplerConfig(k=k, l=l, samples=samples, seed=seed + i)
-        progress = _progress_printer(f"row {i + 1} (k={k:g}, l={l:g})", samples)
-        result = montecarlo.run_classical_census(cfg, workers=workers,
-                                                 progress=progress)
-        print(
-            f"row {i + 1}: accepted {result.accepted}, "
-            f"solver failures {result.solver_failures}, "
-            f"{result.wall_time:.1f}s",
-            file=sys.stderr,
-        )
-        rows.append(_census_row(result))
+    # One pool runs the blocks of every row; an empty row closes the sweep
+    # and cancels the blocks still pending.
+    sweep = montecarlo.run_classical_sweep(cfgs, workers=workers, progress=progress)
+    with contextlib.closing(sweep):
+        for i, result in enumerate(sweep):
+            print(
+                f"row {i + 1}: accepted {result.accepted}, "
+                f"solver failures {result.solver_failures}, "
+                f"{result.wall_time:.1f}s",
+                file=sys.stderr,
+            )
+            rows.append(_census_row(result))
     return CENSUS_FIELDS, rows
 
 
@@ -462,11 +466,14 @@ def _cmd_fidelity_check(args, config) -> tuple[list[str], list[dict]]:
     for beta in betas:
         for r in rs:
             try:
+                # The marginals overflow at a far smaller beta than the
+                # steps do, so they go first and name the cause.
+                marginal = fidelity.marginal_f(r) * fidelity.marginal_g(beta)
                 g = fidelity.metric_by_finite_difference(
                     SqueezedThermalParams(beta=beta, r=r), h=h
                 )
                 sqrt_det = math.sqrt(max(float(np.linalg.det(g)), 0.0))
-                ratio = sqrt_det / (fidelity.marginal_f(r) * fidelity.marginal_g(beta))
+                ratio = sqrt_det / marginal
             except (OverflowError, fidelity.StepError) as exc:
                 raise UsageError(f"fidelity-check at beta={beta!r}, r={r!r}: {exc}")
             entries.append((beta, r, sqrt_det, ratio))

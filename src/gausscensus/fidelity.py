@@ -39,7 +39,8 @@ class ShapeError(ValueError):
 
 
 class StepError(RuntimeError):
-    """Finite-difference steps h and h/2 disagree beyond tolerance."""
+    """Finite-difference steps h and h/2 disagree beyond tolerance, or
+    their squares and products leave the float64 range."""
 
 
 def _cov(A) -> np.ndarray:
@@ -87,15 +88,20 @@ def _metric_at_step(p: np.ndarray, steps: np.ndarray) -> np.ndarray:
     def q(d: np.ndarray) -> float:
         return 0.5 * (_distance_sq(p, p + d) + _distance_sq(p, p - d))
 
+    with np.errstate(over="ignore", under="ignore"):
+        products = np.multiply.outer(steps, steps)
+    if not ((products > 0.0) & np.isfinite(products)).all():
+        raise StepError(f"finite-difference step products overflow or underflow at "
+                        f"steps {steps.tolist()}")
     n = len(p)
     g = np.zeros((n, n))
     axis = [q(steps[a] * np.eye(n)[a]) for a in range(n)]
     for a in range(n):
-        g[a, a] = axis[a] / steps[a] ** 2
+        g[a, a] = axis[a] / products[a, a]
     for a in range(n):
         for b in range(a + 1, n):
             d = steps[a] * np.eye(n)[a] + steps[b] * np.eye(n)[b]
-            g[a, b] = g[b, a] = (q(d) - axis[a] - axis[b]) / (2.0 * steps[a] * steps[b])
+            g[a, b] = g[b, a] = (q(d) - axis[a] - axis[b]) / (2.0 * products[a, b])
     return g
 
 
@@ -115,7 +121,8 @@ def metric_by_finite_difference(
 
     h must be positive and finite.  Estimates at steps h and h/2 must
     agree; otherwise StepError, which is also raised when an estimate is
-    not finite.
+    not finite or when a step square or step product overflows or
+    underflows to zero.
     """
     if h is None:
         h = tol.fd_step_rel

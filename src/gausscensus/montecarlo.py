@@ -8,12 +8,14 @@ streaming log-sum-exp accumulators.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import time
+from contextlib import closing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +39,7 @@ __all__ = [
     "OneModePoint",
     "EntropyReport",
     "run_classical_census",
+    "run_classical_sweep",
     "run_bures_census",
     "run_one_mode_classicality",
     "run_entropy_probe",
@@ -332,23 +335,6 @@ def _block_ranges(samples: int) -> list[tuple[int, int]]:
     return [(s, min(BLOCK, samples - s)) for s in range(0, samples, BLOCK)]
 
 
-def _map_blocks(fn: Callable, argses: list, workers: int) -> Iterator:
-    if workers <= 1 or len(argses) <= 1:
-        return map(fn, argses)
-    # A forked pool starts all its workers at the first submit, so it
-    # gets no more than there are blocks.
-    pool = ProcessPoolExecutor(max_workers=min(workers, len(argses)))
-    gen = pool.map(fn, argses)
-
-    def run():
-        try:
-            yield from gen
-        finally:
-            pool.shutdown()
-
-    return run()
-
-
 def _candidates(seed: int, start: int, count: int, k: float, l: float) -> tuple:
     # The front of every two-mode block: Sylvester's screen (leading
     # minors 1..4 positive) taken as soon as a minor's uniforms exist.
@@ -508,21 +494,40 @@ def _entropy_block(args) -> _BlockOut:
 
 def _fold(
     runner: Callable,
-    argses: list,
+    censuses: list[list],
     workers: int,
-    progress: Callable | None,
-) -> tuple[CensusAccumulator, list]:
-    # The merged accumulator and the blocks' extras in block order.
-    total = CensusAccumulator()
-    extras: list = []
-    for done, out in enumerate(_map_blocks(runner, argses, workers)):
-        total.merge(out.acc)
-        extras.append(out.extra)
-        if out.disagreement is not None:
-            raise criteria.OracleDisagreementError(*out.disagreement)
-        if progress is not None and (done % _PROGRESS_EVERY == 0 or done == len(argses) - 1):
-            progress(total.generated, total.accepted)
-    return total, extras
+    progress: Sequence[Callable | None],
+) -> Iterator[tuple[CensusAccumulator, list]]:
+    # Each census's merged accumulator and its blocks' extras in block
+    # order, one census after another.  The blocks of every census go
+    # through one map, so with a pool the blocks of later censuses run
+    # while earlier ones are folded.  Closing the generator early shuts
+    # the pool down with its pending blocks cancelled.
+    argses = [args for blocks in censuses for args in blocks]
+    pool = None
+    try:
+        if workers > 1 and len(argses) > 1:
+            # A forked pool starts all its workers at the first submit, so
+            # it gets no more than there are blocks.
+            pool = ProcessPoolExecutor(max_workers=min(workers, len(argses)))
+            outs = pool.map(runner, argses)
+        else:
+            outs = map(runner, argses)
+        for blocks, report in zip(censuses, progress):
+            total = CensusAccumulator()
+            extras: list = []
+            for done, out in enumerate(itertools.islice(outs, len(blocks))):
+                total.merge(out.acc)
+                extras.append(out.extra)
+                if out.disagreement is not None:
+                    raise criteria.OracleDisagreementError(*out.disagreement)
+                if report is not None and (done % _PROGRESS_EVERY == 0
+                                           or done == len(blocks) - 1):
+                    report(total.generated, total.accepted)
+            yield total, extras
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def _two_mode_only(cfg: SamplerConfig) -> None:
@@ -530,32 +535,63 @@ def _two_mode_only(cfg: SamplerConfig) -> None:
         raise ValueError("this census is defined for two-mode sampling")
 
 
-def _two_mode_census(cfg: SamplerConfig, workers: int, progress: Callable | None,
-                     grids: tuple = (0, 0, 0.0, 0.0, (), ())) -> CensusResult:
-    # Both two-mode censuses.  grids holds the grid size and count, the
-    # grid range, and the metric kinds and estimators of _census_block;
-    # a grid count of 0 is the Jeffreys census.
+def _two_mode_censuses(cfgs: list, workers: int, progress: Sequence[Callable | None],
+                       grids: tuple = (0, 0, 0.0, 0.0, (), ())) -> Iterator[CensusResult]:
+    # Both two-mode censuses, one result per config as its last block is
+    # folded.  grids holds the grid size and count, the grid range, and
+    # the metric kinds and estimators of _census_block; a grid count of 0
+    # is the Jeffreys census.  Wall times count from the first block.
     t0 = time.perf_counter()
-    argses = [(cfg.seed, s, c, cfg.k, cfg.l, *grids) for s, c in _block_ranges(cfg.samples)]
-    total, _ = _fold(_census_block, argses, workers, progress)
-    total.tally("fisher")  # present even when nothing was accepted
+    censuses = [[(cfg.seed, s, c, cfg.k, cfg.l, *grids) for s, c in _block_ranges(cfg.samples)]
+                for cfg in cfgs]
     kinds, estimators = grids[-2:]
-    for kind in kinds:
-        for name in estimators:
-            total.tally(f"{kind}:{name}")
-    return CensusResult(
-        config=cfg,
-        generated=total.generated,
-        accepted=total.accepted,
-        separable=total.separable,
-        classical=total.classical,
-        discarded_grids=total.discarded_grids,
-        solver_failures=total.solver_failures,
-        measures=total.measures,
-        wall_time=time.perf_counter() - t0,
-        numerical_faults=total.numerical_faults,
-        ordering_faults=total.ordering_faults,
-    )
+    with closing(_fold(_census_block, censuses, workers, progress)) as folds:
+        for cfg, (total, _) in zip(cfgs, folds):
+            total.tally("fisher")  # present even when nothing was accepted
+            for kind in kinds:
+                for name in estimators:
+                    total.tally(f"{kind}:{name}")
+            yield CensusResult(
+                config=cfg,
+                generated=total.generated,
+                accepted=total.accepted,
+                separable=total.separable,
+                classical=total.classical,
+                discarded_grids=total.discarded_grids,
+                solver_failures=total.solver_failures,
+                measures=total.measures,
+                wall_time=time.perf_counter() - t0,
+                numerical_faults=total.numerical_faults,
+                ordering_faults=total.ordering_faults,
+            )
+
+
+def run_classical_sweep(
+    cfgs: Iterable[SamplerConfig],
+    workers: int = 1,
+    progress: Sequence[Callable | None] | None = None,
+) -> Iterator[CensusResult]:
+    """The census of run_classical_census for each config of a sweep.
+
+    Yields one result per config, in order, as its last block is
+    folded; each is the result run_classical_census gives for that
+    config alone, wall_time aside.  With workers > 1 the blocks of
+    every config go through one pool of min(workers, total blocks)
+    processes, so later configs run while earlier ones are folded.  A
+    result's wall_time counts from the start of the sweep.  progress,
+    when given, holds one callback (or None) per config.  An oracle
+    disagreement is raised at the first flagged block in (config, block)
+    order; closing the iterator early shuts the pool down with its
+    pending blocks cancelled.
+    """
+    cfgs = list(cfgs)
+    for cfg in cfgs:
+        _two_mode_only(cfg)
+    if progress is None:
+        progress = [None] * len(cfgs)
+    if len(progress) != len(cfgs):
+        raise ValueError(f"{len(progress)} progress callbacks for {len(cfgs)} configs")
+    return _two_mode_censuses(cfgs, workers, progress)
 
 
 def run_classical_census(
@@ -571,10 +607,11 @@ def run_classical_census(
     the survivors get separability and classicality verdicts under the
     det(M)^(-5/2) weight.  A verdict conflict with the mirror oracle
     outside the boundary band aborts the run.  This is the volume-element
-    census below with no grids.
+    census below with no grids, and the one-config case of
+    run_classical_sweep.
     """
-    _two_mode_only(cfg)
-    return _two_mode_census(cfg, workers, progress)
+    (result,) = run_classical_sweep([cfg], workers, [progress])
+    return result
 
 
 def run_bures_census(
@@ -616,7 +653,8 @@ def run_bures_census(
         raise ValueError(f"grid range ({lo!r}, {hi!r}) is too narrow for {grid_size} "
                          f"coordinates {DEFAULT.grid_coincidence!r} apart")
     grids = (grid_size, n_grids, lo, hi, tuple(metric_kinds), tuple(estimators))
-    return _two_mode_census(cfg, workers, progress, grids)
+    (result,) = _two_mode_censuses([cfg], workers, [progress], grids)
+    return result
 
 
 def run_one_mode_classicality(
@@ -639,14 +677,18 @@ def run_one_mode_classicality(
         raise ValueError("one-mode classicality needs mode_count=1")
     schedule = tuple(ks) if ks is not None else (cfg.k,)
     ratio = cfg.l / cfg.k
-    points = []
+    boxes = []
     for k in schedule:
         if not (k > 0.0 and math.isfinite(k)):
             raise ValueError(f"k schedule entries must be positive and finite, got {k!r}")
-        l = ratio * k
-        _check_bound(max(k, l), 1)
-        argses = [(cfg.seed, s, c, k, l) for s, c in _block_ranges(cfg.samples)]
-        total, _ = _fold(_one_mode_block, argses, workers, progress)
+        boxes.append((k, ratio * k))
+        _check_bound(max(boxes[-1]), 1)
+    censuses = [[(cfg.seed, s, c, k, l) for s, c in _block_ranges(cfg.samples)]
+                for k, l in boxes]
+    folds = _fold(_one_mode_block, censuses, workers, [progress] * len(boxes))
+    totals = [total for total, _ in folds]
+    points = []
+    for (k, l), total in zip(boxes, totals):
         tally = total.tally("fisher")  # present even when nothing was drawn
         squared = total.tally("fisher:squared")
         la = tally.acc.log_total()
@@ -688,7 +730,7 @@ def run_entropy_probe(
     """
     _two_mode_only(cfg)
     argses = [(cfg.seed, s, c, cfg.k, cfg.l) for s, c in _block_ranges(cfg.samples)]
-    total, extras = _fold(_entropy_block, argses, workers, progress)
+    ((total, extras),) = _fold(_entropy_block, [argses], workers, [progress])
     examples = [example for _, found in extras for example in found][:3]
     return EntropyReport(
         generated=total.generated,

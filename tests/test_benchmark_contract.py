@@ -1,26 +1,47 @@
-"""The benchmark's traced calls name attributes the program still has.
+"""The benchmark still reads what the program writes.
 
 perfbench/spans.py wraps module attributes by name when the benchmark
 runs with `--trace 1`, so a rename or deletion in src/ that drops one
-of them breaks the traced run.  This test fails first.
+of them breaks the traced run.  perfbench/run.py reads each table1
+row's solver failures from the CLI's per-row stderr line, so a change
+to that line's format loses them.  These tests fail first.
 """
 
+import csv
 import importlib.util
+import io
 import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+from gausscensus import cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(monkeypatch, name: str):
+    # Loaded from its file without writing bytecode next to it.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_traced_attribute_resolves(monkeypatch) -> None:
-    # Loaded from its file without writing bytecode next to it.
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, spans)
-    spec.loader.exec_module(spans)
+    spans = _load(monkeypatch, "spans")
     targets = spans.targets()
     assert targets
     missing = [f"{module.__name__}.{attr}" for module, attr, _, _ in targets
                if not callable(getattr(module, attr, None))]
     assert missing == []
+
+
+def test_table1_row_lines_match_the_csv(monkeypatch, capsys) -> None:
+    row_line = _load(monkeypatch, "run")._ROW_LINE
+    assert cli.main(["table1", "--scale", "0.002"]) == 0
+    captured = capsys.readouterr()
+    records = list(csv.DictReader(io.StringIO(captured.out)))
+    matches = row_line.findall(captured.err)
+    assert [int(row) for row, _, _ in matches] == list(range(1, len(cli.TABLE1_ROWS) + 1))
+    assert [int(accepted) for _, accepted, _ in matches] == [int(r["accepted"]) for r in records]

@@ -1,7 +1,10 @@
 """Command line behavior: formats, precedence, exit codes."""
 
+import dataclasses
 import json
+import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +14,8 @@ import pytest
 
 import gausscensus
 from gausscensus import cli, criteria, montecarlo
+
+from oracles import accepted_samples
 
 HEADER = "k,l,samples,accepted,separable,classical,prob_sep,prob_classical,seed"
 
@@ -313,6 +318,47 @@ class TestOracleExit:
         assert dump.exists()
         assert not (tmp_path / "oracle-disagreement.txt").exists()
         assert str(dump) in err
+
+    @pytest.mark.parametrize("workers", [
+        "1",
+        pytest.param("2", marks=pytest.mark.skipif(
+            multiprocessing.get_start_method() != "fork",
+            reason="pool workers see the patched oracle only when forked")),
+    ])
+    def test_table1_disagreement_dumps_the_first_flagged_row(
+        self, capsys, tmp_path, monkeypatch, workers
+    ) -> None:
+        # The mirror oracle "disagrees" on the first accepted sample of
+        # rows 3 and 5; the sweep stops at row 3's, in (row, block) order,
+        # though at two workers later rows run beside it.
+        targets = []
+        for row in (3, 5):
+            k, l, full = cli.TABLE1_ROWS[row - 1]
+            cfg = montecarlo.SamplerConfig(k=k, l=l, samples=round(full * 0.002), seed=row)
+            _, matrix, verdict = next(accepted_samples(cfg))
+            targets.append((matrix, verdict))
+        real = criteria.disagrees
+
+        def disagrees(verdict, tol=criteria.DEFAULT):
+            flagged = real(verdict, tol)
+            for _, target in targets:
+                row = np.ones(np.shape(verdict.physical), dtype=bool)
+                for f in dataclasses.fields(verdict):
+                    row &= getattr(verdict, f.name) == getattr(target, f.name)
+                flagged |= row
+            return flagged
+
+        monkeypatch.setattr(criteria, "disagrees", disagrees)
+        out_file = tmp_path / "table1.csv"
+        code, out, err = run_cli(capsys, ["table1", "--scale", "0.002", "--seed", "1",
+                                          "--workers", workers, "--out", str(out_file)])
+        assert code == 2
+        assert out == ""
+        assert not out_file.exists()
+        assert re.findall(r"^row (\d+): accepted", err, re.M) == ["1", "2"]
+        dump = (tmp_path / "oracle-disagreement.txt").read_text(encoding="utf-8")
+        assert dump == criteria.format_disagreement(
+            targets[0][0], targets[0][1].margin_sep, targets[0][1].margin_ppt)
 
 
 class TestOtherSubcommands:

@@ -2,6 +2,7 @@
 and the closed-form marginal densities with their quadrature probes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,14 @@ class TestMetric:
         # can be claimed for it.
         with pytest.raises(StepError), np.errstate(invalid="ignore"):
             metric_by_finite_difference(SqueezedThermalParams(beta=math.nan, r=0.5))
+
+    def test_step_error_where_step_squares_overflow(self):
+        # At beta = 1e300 the beta step is 1e296 and its square overflows;
+        # the beta row and column would come out 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepError, match="overflow or underflow"):
+                metric_by_finite_difference(SqueezedThermalParams(1e300, 0.3))
 
     def test_volume_element_factorizes(self):
         vals = []

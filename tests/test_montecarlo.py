@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from gausscensus import criteria, measures, montecarlo, states
+from gausscensus import cli, criteria, measures, montecarlo, states
 from gausscensus.montecarlo import (
     EntropyReport,
     LogSumExp,
@@ -146,29 +146,57 @@ class TestDeterminism:
 
 
 class TestWorkerPool:
-    def test_pool_is_capped_at_the_block_count(self, monkeypatch) -> None:
-        # An in-process stand-in for the pool records its size; a real
-        # pool would fork all of its workers at the first submit.
-        sizes = []
+    @pytest.fixture
+    def pools(self, monkeypatch) -> list:
+        # An in-process stand-in for the pool records its size and the
+        # blocks mapped through it; a real pool would fork all of its
+        # workers at the first submit.
+        pools = []
 
         class InProcessPool:
             def __init__(self, max_workers):
-                sizes.append(max_workers)
+                self.size = max_workers
+                self.blocks = 0
+                pools.append(self)
 
             def map(self, fn, argses):
+                self.blocks += len(argses)
                 return map(fn, argses)
 
-            def shutdown(self):
+            def shutdown(self, cancel_futures=False):
                 pass
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+        return pools
+
+    def test_pool_is_capped_at_the_block_count(self, pools) -> None:
         cfg = SamplerConfig(k=10.0, l=5.0, samples=100_000, seed=3)
         wide = run_classical_census(cfg, workers=64)
-        assert sizes == [2]
+        assert [p.size for p in pools] == [2]
         serial = run_classical_census(cfg)
         assert (wide.accepted, wide.prob_sep()) == (serial.accepted, serial.prob_sep())
         run_classical_census(dataclasses.replace(cfg, samples=3 * BLOCK), workers=2)
-        assert sizes == [2, 2]
+        assert [p.size for p in pools] == [2, 2]
+
+    def test_table1_sweep_runs_on_one_pool(self, pools, capsys) -> None:
+        # Rows of 1, 1, 2, 3 and 4 blocks: eleven blocks on one pool of
+        # two, and every row as its own census gives it.
+        assert cli.main(["table1", "--scale", "0.02", "--workers", "2"]) == 0
+        assert [(p.size, p.blocks) for p in pools] == [(min(2, 11), 11)]
+        rows = [
+            cli._census_row(run_classical_census(
+                SamplerConfig(k=k, l=l, samples=round(full * 0.02), seed=1 + i)))
+            for i, (k, l, full) in enumerate(cli.TABLE1_ROWS)
+        ]
+        assert capsys.readouterr().out == cli._render(cli.CENSUS_FIELDS, rows, "csv")
+
+    def test_one_mode_schedule_runs_on_one_pool(self, pools) -> None:
+        cfg = SamplerConfig(k=10.0, l=5.0, samples=2 * BLOCK + 7, seed=8, mode_count=1)
+        ks = (5.0, 10.0, 20.0)
+        points = run_one_mode_classicality(cfg, ks=ks, workers=2)
+        assert [(p.size, p.blocks) for p in pools] == [(2, 9)]
+        alone = [run_one_mode_classicality(cfg, ks=(k,))[0] for k in ks]
+        assert [dataclasses.astuple(p) for p in points] == [dataclasses.astuple(p) for p in alone]
 
 
 class TestStreamingAccuracy:
