@@ -24,12 +24,13 @@ def main() -> None:
     M[0, 2] = M[2, 0] = 1.5
     print("state: diagonal (12, 9, 10, 8) with x1-x2 coupling 1.5")
 
-    grid = regular_grid(5)
-    kernel = discretize(M, grid)
+    # discretize takes a stack of matrices, one grid each: M is lane 0
+    # of a stack of one.
+    kernel = discretize(M[None], regular_grid(5)[None])
     print(f"\nregular 5x5 grid, spectrum (normalized): "
-          f"{np.array_str(kernel.eigenvalues, precision=4)}")
+          f"{np.array_str(kernel.eigenvalues[0], precision=4)}")
     for kind in ("bures", "kubo_mori", "maximal"):
-        print(f"  log volume [{kind:9s}] = {log_volume_element(kernel, kind):.6f}")
+        print(f"  log volume [{kind:9s}] = {log_volume_element(kernel, kind)[0]:.6f}")
 
     stream = grid_stream(99, 0)
     estimates = robust_volume_multi(

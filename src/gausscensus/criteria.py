@@ -4,6 +4,12 @@ Two independent separability tests are provided: the variance test on
 the reduced sum/difference quadrature pair, and the phase-space mirror
 reflection (partial transpose) test, which serves as the exact oracle
 for two-mode Gaussian states.  A positive-P test decides classicality.
+
+Every test takes a stack of matrices along a leading axis, shape
+(S, 4, 4), and gives one array entry per matrix (a lane).  A lane whose
+form-I or form-II solve failed carries its states.SolverFailure code in
+Verdict.failure; nothing raises for it.  An input that is not such a
+stack raises ValueError.
 """
 
 from __future__ import annotations
@@ -15,8 +21,8 @@ import numpy as np
 
 from .states import (
     OMEGA,
-    SolverFailure,
     StandardFormII,
+    _stack,
     is_physical,
     to_standard_form_one,
     to_standard_form_two,
@@ -39,7 +45,7 @@ __all__ = [
 #: Momentum reversal of the second mode, the phase-space mirror.
 MIRROR = np.diag([1.0, 1.0, 1.0, -1.0])
 MIRROR.setflags(write=False)
-# M * _MIRROR_SIGNS is MIRROR @ M @ MIRROR, one matrix or a stack.
+# M * _MIRROR_SIGNS is MIRROR @ M @ MIRROR for each matrix of a stack.
 _MIRROR_SIGNS = np.outer(np.diag(MIRROR), np.diag(MIRROR))
 
 # Matrices per stacked classify pass.  Results do not depend on it; it
@@ -62,34 +68,21 @@ class VarianceReport:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of the full filter chain for one sampled matrix.
+    """Outcome of the full filter chain, one array entry per matrix.
 
     physical is the exact uncertainty-relation verdict M + i*Omega >= 0;
-    separable and classical are False for unphysical matrices.  A
-    stacked verdict holds one array per field, and failure holds each
-    lane's states.SolverFailure code: a physical lane whose form-I or
-    form-II solve failed is neither separable nor classical and has a
-    NaN margin_sep.  A single verdict's failure is always 0, since the
-    single-sample classify raises instead.
+    separable and classical are False for unphysical matrices.  failure
+    holds each lane's states.SolverFailure code: a physical lane whose
+    form-I or form-II solve failed is neither separable nor classical
+    and has a NaN margin_sep.
     """
 
-    physical: bool
-    separable: bool
-    classical: bool
-    margin_sep: float
-    margin_ppt: float
-    failure: int = 0
-
-    def lane(self, i: int) -> "Verdict":
-        """The single verdict of lane i of a stacked verdict."""
-        return Verdict(
-            bool(self.physical[i]),
-            bool(self.separable[i]),
-            bool(self.classical[i]),
-            float(self.margin_sep[i]),
-            float(self.margin_ppt[i]),
-            int(self.failure[i]),
-        )
+    physical: np.ndarray
+    separable: np.ndarray
+    classical: np.ndarray
+    margin_sep: np.ndarray
+    margin_ppt: np.ndarray
+    failure: np.ndarray
 
 
 class OracleDisagreementError(RuntimeError):
@@ -111,7 +104,7 @@ def total_variance(f2: StandardFormII) -> VarianceReport:
     total_variance = (1/2) [a0^2 (n1 + n2) + (m1 + m2) / a0^2]
                      - |c1| - |c2|,
     normalized so the separability threshold is exactly
-    a0^2 + 1/a0^2.  A stacked form gives a report of arrays.
+    a0^2 + 1/a0^2, lane by lane.
     """
     a0sq = f2.a0 * f2.a0
     tv = (
@@ -122,32 +115,28 @@ def total_variance(f2: StandardFormII) -> VarianceReport:
     return VarianceReport(tv, a0sq + 1.0 / a0sq, f2.a0)
 
 
-def is_separable_ppt(M: np.ndarray, tol: Tolerances = DEFAULT) -> tuple:
+def is_separable_ppt(M: np.ndarray, tol: Tolerances = DEFAULT) -> tuple[np.ndarray, np.ndarray]:
     """Mirror-reflection oracle.
 
     Reflects the momentum of mode 2 and checks that the reflected matrix
-    still satisfies the uncertainty relation.  Returns the verdict and
-    the minimum eigenvalue of reflected-M + i*Omega as a signed margin
-    (two arrays for a stack).  This test is necessary and sufficient
-    for two-mode Gaussian states.
+    still satisfies the uncertainty relation.  Returns the verdicts and
+    the minimum eigenvalues of reflected-M + i*Omega as signed margins,
+    two (S,) arrays.  This test is necessary and sufficient for two-mode
+    Gaussian states.
     """
-    M = np.asarray(M, dtype=float)
-    margin = np.linalg.eigvalsh(M * _MIRROR_SIGNS + 1j * OMEGA)[..., 0]
-    ok = margin >= tol.ppt_min_eig
-    if M.ndim == 2:
-        return bool(ok), float(margin)
-    return ok, margin
+    M = _stack(M, (4, 4))
+    margin = np.linalg.eigvalsh(M * _MIRROR_SIGNS + 1j * OMEGA)[:, 0]
+    return margin >= tol.ppt_min_eig, margin
 
 
-def is_classical(M: np.ndarray, tol: Tolerances = DEFAULT) -> bool | np.ndarray:
+def is_classical(M: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
     """Positive-P test: M - I strictly positive definite."""
-    M = np.asarray(M, dtype=float)
-    ok = np.linalg.eigvalsh(M - _EYE4)[..., 0] > tol.classical_min_eig
-    return bool(ok) if M.ndim == 2 else ok
+    M = _stack(M, (4, 4))
+    return np.linalg.eigvalsh(M - _EYE4)[:, 0] > tol.classical_min_eig
 
 
 def classify(M: np.ndarray, tol: Tolerances = DEFAULT) -> Verdict:
-    """Run the full filter chain on one positive definite matrix or a stack.
+    """Run the full filter chain on a stack of positive definite matrices.
 
     Chain: the mirror margin and the physicality gate M + i*Omega >= 0
     (states.is_physical), then on the physical lanes the form-I
@@ -155,17 +144,10 @@ def classify(M: np.ndarray, tol: Tolerances = DEFAULT) -> Verdict:
     the classicality test on the separable lanes.  Unphysical matrices
     leave at the gate without a form-II solve; the mirror margin is
     always computed so the caller can compare the two separability
-    tests.  A stack of matrices is classified CLASSIFY_CHUNK at a time
-    and gives a stacked verdict that marks solver failures in its
-    failure field; one matrix gives a single verdict and raises the
-    form-I or form-II solver's error.
+    tests.  The stack is classified CLASSIFY_CHUNK matrices at a time,
+    and solver failures are marked in the verdict's failure field.
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim == 2:
-        verdict = _classify_stack(M[None], tol).lane(0)
-        if verdict.failure:
-            raise SolverFailure(verdict.failure).error()
-        return verdict
+    M = _stack(M, (4, 4))
     parts = [
         _classify_stack(M[i:i + CLASSIFY_CHUNK], tol)
         for i in range(0, max(len(M), 1), CLASSIFY_CHUNK)
@@ -200,13 +182,14 @@ def _classify_stack(M: np.ndarray, tol: Tolerances) -> Verdict:
     return Verdict(physical, separable, classical, margin_sep, margin_ppt, failure)
 
 
-def disagrees(verdict: Verdict, tol: Tolerances = DEFAULT) -> bool | np.ndarray:
-    """True when the two separability tests conflict outside the band.
+def disagrees(verdict: Verdict, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """The mask of lanes whose two separability tests conflict outside
+    the band.
 
     Disagreements with either margin inside the boundary band are
     tolerated as tie-breaking noise; anything else indicates a defect
-    and should abort a census.  A stacked verdict gives a mask; lanes
-    that are unphysical or failed a solve never disagree.
+    and should abort a census.  Lanes that are unphysical or failed a
+    solve never disagree.
     """
     ppt_ok = verdict.margin_ppt >= tol.ppt_min_eig
     return (

@@ -6,6 +6,13 @@ working with its normalized spectrum.  All volume arithmetic stays in
 the log domain.  The closed-form information-metric weight, det(M) to a
 negative half-integer power, is taken by the census blocks in
 `montecarlo` from the determinants they already hold.
+
+`discretize` takes a stack of matrices along a leading axis, shape
+(S, 4, 4) or (S, 2, 2), with one grid per matrix, and marks a kernel
+that falls to the spectrum floor in `passed_floor` rather than raising;
+any other shape raises ValueError.  Only `robust_volume_multi`, which
+takes one matrix and a caller's stream, raises for a rejected kernel
+(SampleDiscarded).
 """
 
 from __future__ import annotations
@@ -15,13 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .states import _stack
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
     "METRIC_KINDS",
     "ESTIMATORS",
     "SingularBlockError",
-    "NonPositiveSpectrumError",
     "SampleDiscarded",
     "GridDrawError",
     "KernelMatrix",
@@ -50,10 +57,6 @@ class SingularBlockError(Exception):
     """The momentum block of the inverse covariance is singular."""
 
 
-class NonPositiveSpectrumError(Exception):
-    """The discretized kernel has a nonpositive eigenvalue."""
-
-
 class SampleDiscarded(Exception):
     """A grid rejection discarded the whole sample."""
 
@@ -64,17 +67,17 @@ class GridDrawError(RuntimeError):
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Discretized kernel with its normalized positive spectrum.
+    """A stack of S discretized kernels with their normalized spectra.
 
-    A stack of S kernels carries a leading axis S on every field, sets
-    only the lower triangle of gamma and marks in passed_floor the
-    kernels that passed the spectrum floor.
+    Every field carries the leading axis S.  Only the lower triangle of
+    gamma is set, and passed_floor marks the kernels that passed the
+    spectrum floor.
     """
 
     gamma: np.ndarray
     eigenvalues: np.ndarray
-    log_det: float
-    passed_floor: np.ndarray | bool = True
+    log_det: np.ndarray
+    passed_floor: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -82,8 +85,8 @@ class VolumeEstimate:
     """Per-grid log volumes with their robust location estimates."""
 
     log_volumes: np.ndarray
-    median: float
-    trimmed_mean: float
+    median: np.ndarray
+    trimmed_mean: np.ndarray
     metric_kind: str
 
     @classmethod
@@ -91,8 +94,8 @@ class VolumeEstimate:
         """Median and trimmed mean over the last (grid) axis.
 
         The trimmed mean drops the lowest and highest value when there
-        are at least three.  A stack of rows gives arrays of estimates,
-        one row a pair of floats.
+        are at least three.  Log volumes of shape (..., G) give
+        estimates of shape (...).
         """
         ordered = np.sort(log_volumes, axis=-1)
         if ordered.shape[-1] >= 3:
@@ -100,8 +103,6 @@ class VolumeEstimate:
         median = np.median(log_volumes, axis=-1)
         # Contiguous rows are summed in the order a lone row is.
         trimmed = np.ascontiguousarray(ordered).mean(axis=-1)
-        if np.ndim(log_volumes) == 1:
-            median, trimmed = float(median), float(trimmed)
         return cls(log_volumes, median, trimmed, metric_kind)
 
 
@@ -212,29 +213,26 @@ def discretize(
     *,
     pieces: tuple | None = None,
 ) -> KernelMatrix:
-    """Evaluate the kernel on a grid's point lattice and diagonalize.
+    """Evaluate the kernels on their grids' point lattices and diagonalize.
 
-    The grid's strictly increasing coordinates serve on every axis:
-    points are the row-major Cartesian product of the coordinates with
-    themselves (for one-mode input, the coordinates directly).  Entries
-    are evaluated on and above the diagonal; those below are their
-    mirror images' conjugates.  A spectrum with any eigenvalue at or
-    below the relative floor rejects the kernel.
-
-    One matrix with one grid returns one kernel with the full Hermitian
-    gamma and raises NonPositiveSpectrumError on rejection.  A stack of
-    S matrices with one grid each, coordinates of shape (S, m), returns
-    S kernels from one stacked eigensolve and reports rejection per
-    kernel in `passed_floor` (log_det is NaN there).  A stack sets only
-    the lower triangle of gamma, all that the eigensolve reads; the
-    entries above the diagonal are not set.  A caller that already
-    holds the `_kernel_pieces` of M passes them as `pieces`.
+    M is a stack of S matrices, (S, 4, 4) or (S, 2, 2), and coords holds
+    one grid per matrix, shape (S, m).  A grid's strictly increasing
+    coordinates serve on every axis: points are the row-major Cartesian
+    product of the coordinates with themselves (for one-mode input, the
+    coordinates directly).  Entries are evaluated on and above the
+    diagonal and stored below it as their conjugates; the entries above
+    the diagonal are not set, since the eigensolve reads only the lower
+    triangle.  Returns S kernels from one stacked eigensolve.  A
+    spectrum with any eigenvalue at or below the relative floor rejects
+    its kernel: `passed_floor` is False and log_det NaN there.  A caller
+    that already holds the `_kernel_pieces` of M passes them as
+    `pieces`.
     """
-    M = np.asarray(M, dtype=float)
+    M = _stack(M, (4, 4), (2, 2))
     coords = np.asarray(coords, dtype=float)
-    single = M.ndim == 2
-    if single:
-        M, coords = M[None], coords[None]
+    if coords.shape[:1] != M.shape[:1] or coords.ndim != 2:
+        raise ValueError(f"expected one grid per matrix, shape ({len(M)}, m), "
+                         f"got shape {coords.shape}")
     Aq, Kpp_inv, Cqv = _kernel_pieces(M, tol) if pieces is None else pieces
     axes = _grid_axes(coords, M.shape[-1] // 2)
     n = axes[0].shape[-1]
@@ -249,20 +247,12 @@ def discretize(
     upper = np.exp(re + 1j * im)
     gamma = np.empty((len(M), n, n), dtype=complex)
     gamma[:, b, a] = np.conj(upper)
-    if single:
-        gamma[:, a, b] = upper
     w = np.linalg.eigvalsh(gamma)
     passed = ~(w[:, 0] <= tol.spectrum_floor_rel * w[:, -1])
     lam = w / w.sum(axis=-1, keepdims=True)
     log_det = np.full(len(M), np.nan)
     log_det[passed] = np.log(lam[passed]).sum(axis=-1)
-    if not single:
-        return KernelMatrix(gamma=gamma, eigenvalues=lam, log_det=log_det, passed_floor=passed)
-    if not passed[0]:
-        raise NonPositiveSpectrumError(
-            f"minimum eigenvalue {w[0, 0]:.3e} of {n}x{n} kernel matrix"
-        )
-    return KernelMatrix(gamma=gamma[0], eigenvalues=lam[0], log_det=float(log_det[0]))
+    return KernelMatrix(gamma=gamma, eigenvalues=lam, log_det=log_det, passed_floor=passed)
 
 
 def _log_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -277,8 +267,8 @@ def _log_volumes(lam: np.ndarray, log_det: np.ndarray, metric_kinds) -> dict:
     # ln V per metric kind for contiguous spectra (..., n) with their
     # log_det = sum_i ln lambda_i; the eigenvalue pairs are gathered once
     # for all kinds.  Contiguous rows keep every row's sums in the same
-    # order as a lone spectrum's, so stacked and single calls agree bit
-    # for bit.
+    # order as a lone spectrum's, so a row's result does not depend on
+    # the rest of the stack.
     i, j = _triu(lam.shape[-1], 1)
     a, b = np.take(lam, i, axis=-1), np.take(lam, j, axis=-1)
     out = {}
@@ -304,13 +294,12 @@ def log_volume_element(kernel, metric_kind: str):
     logarithmic mean for Kubo-Mori, and the harmonic-type quotient
     lambda_i lambda_j / (lambda_i + lambda_j) for the maximal metric.
     Constant factors common to all states are dropped.  Accepts a
-    KernelMatrix or a bare spectrum; a stack of spectra (..., n) gives
-    an array of log volumes (...), a single spectrum a float.
+    KernelMatrix or bare spectra: spectra of shape (..., n) give log
+    volumes of shape (...).
     """
     lam = kernel.eigenvalues if isinstance(kernel, KernelMatrix) else kernel
     lam = np.ascontiguousarray(lam, dtype=float)
-    out = _log_volumes(lam, np.log(lam).sum(axis=-1), (metric_kind,))[metric_kind]
-    return float(out) if out.ndim == 0 else out
+    return _log_volumes(lam, np.log(lam).sum(axis=-1), (metric_kind,))[metric_kind]
 
 
 def _volume_logs(

@@ -75,6 +75,9 @@ class SamplerConfig:
             raise ValueError("bounds k and l must be positive")
         if self.samples < 0:
             raise ValueError("sample count must be nonnegative")
+        if self.samples > 2**64:
+            raise ValueError(f"sample count must be at most 2**64, the range of sample "
+                             f"indices, got {self.samples}")
         if self.mode_count not in (1, 2):
             raise ValueError("mode_count must be 1 or 2")
         _check_bound(max(self.k, self.l), self.mode_count)

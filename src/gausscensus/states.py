@@ -5,10 +5,11 @@ Conventions used throughout the package: quadrature ordering is
 matrix is the identity, and a 4x4 real symmetric matrix M represents
 a state through its symmetrized second moments.
 
-The tests and reductions take one matrix or a stack of them along a
-leading axis.  A stack gives arrays where one matrix gives scalars, and
-a stacked solver reports each lane's failure as a SolverFailure code
-where the single-sample form raises the matching exception.
+The tests and reductions take a stack of matrices along a leading
+axis, shape (S, 4, 4), and give one result per matrix (a lane); entropy
+also takes a stack of (S, 2, 2) one-mode blocks.  A solver reports a
+lane it could not solve by that lane's SolverFailure code and never
+raises for it; an input that is not such a stack raises ValueError.
 """
 
 from __future__ import annotations
@@ -23,9 +24,6 @@ from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
     "OMEGA",
-    "ComplexRootError",
-    "NoConvergenceError",
-    "DegenerateError",
     "SolverFailure",
     "StandardFormI",
     "StandardFormII",
@@ -48,23 +46,11 @@ OMEGA[2:, 2:] = _J
 OMEGA.setflags(write=False)
 
 
-class ComplexRootError(ValueError):
-    """The cross-term quadratic of the form-I split has no real roots."""
-
-
-class NoConvergenceError(RuntimeError):
-    """The form-II solver failed to reach an admissible root."""
-
-
-class DegenerateError(ValueError):
-    """Both local invariants are unity while a cross term is nonzero."""
-
-
 class SolverFailure(IntEnum):
     """Why a form-I or form-II solve left a lane without a result.
 
-    Stacked forms carry one code per lane in their `failure` field; the
-    single-sample forms raise `error()` instead.  NONE means solved.
+    The forms carry one code per lane in their `failure` field.  NONE
+    means solved.
     """
 
     NONE = 0
@@ -77,43 +63,22 @@ class SolverFailure(IntEnum):
     BUDGET_EXHAUSTED = 7
     INADMISSIBLE_ROOT = 8
 
-    def error(self) -> Exception:
-        """The exception the single-sample form raises for this cause."""
-        kind, message = _FAILURE_ERRORS[self]
-        return kind(message)
-
-
-_FAILURE_ERRORS = {
-    SolverFailure.COMPLEX_ROOT: (
-        ComplexRootError, "cross-term quadratic discriminant below zero"),
-    SolverFailure.BELOW_VACUUM: (ValueError, "form II requires n >= 1 and m >= 1"),
-    SolverFailure.DEGENERATE: (
-        DegenerateError, "unit local invariants with nonzero cross term"),
-    SolverFailure.START_OUTSIDE: (
-        NoConvergenceError, "start point outside the solver domain"),
-    SolverFailure.SINGULAR_JACOBIAN: (NoConvergenceError, "singular Jacobian"),
-    SolverFailure.LINE_SEARCH_STALLED: (NoConvergenceError, "line search stalled"),
-    SolverFailure.BUDGET_EXHAUSTED: (NoConvergenceError, "iteration budget exhausted"),
-    SolverFailure.INADMISSIBLE_ROOT: (
-        NoConvergenceError, "root outside the admissible branch"),
-}
-
 
 @dataclass(frozen=True)
 class StandardFormI:
     """Local-symplectic invariants (n, m, c, cp) of a two-mode matrix.
 
     n and m are the per-mode variances after reduction, c and cp the
-    x-x and p-p cross terms, with c >= 0 and |c| >= |cp|.  On a stack,
-    failure holds each lane's SolverFailure code and a failed lane's
-    numbers are NaN.
+    x-x and p-p cross terms, with c >= 0 and |c| >= |cp|, one array
+    entry per lane.  failure holds each lane's SolverFailure code (0,
+    the default, for every lane) and a failed lane's numbers are NaN.
     """
 
-    n: float
-    m: float
-    c: float
-    cp: float
-    failure: int = 0
+    n: np.ndarray
+    m: np.ndarray
+    c: np.ndarray
+    cp: np.ndarray
+    failure: np.ndarray | int = 0
 
 
 @dataclass(frozen=True)
@@ -121,21 +86,21 @@ class StandardFormII:
     """Squeeze-balanced reduction feeding the variance criterion.
 
     r1 and r2 are the local squeeze factors that produced the form,
-    a0 the scale entering the sum/difference quadrature pair.  On a
-    stack, failure holds each lane's SolverFailure code and a failed
-    lane's numbers are NaN.
+    a0 the scale entering the sum/difference quadrature pair, one array
+    entry per lane.  failure holds each lane's SolverFailure code and a
+    failed lane's numbers are NaN.
     """
 
-    n1: float
-    n2: float
-    m1: float
-    m2: float
-    c1: float
-    c2: float
-    a0: float
-    r1: float
-    r2: float
-    failure: int = 0
+    n1: np.ndarray
+    n2: np.ndarray
+    m1: np.ndarray
+    m2: np.ndarray
+    c1: np.ndarray
+    c2: np.ndarray
+    a0: np.ndarray
+    r1: np.ndarray
+    r2: np.ndarray
+    failure: np.ndarray | int = 0
 
 
 @dataclass(frozen=True)
@@ -153,6 +118,17 @@ def mode_blocks(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return M[..., :2, :2], M[..., 2:, 2:], M[..., :2, 2:]
 
 
+def _stack(x, *shapes: tuple) -> np.ndarray:
+    # x as a float array of entries stacked along a leading axis, each
+    # entry of one of the given shapes; anything else is refused here
+    # rather than broadcast into results of the wrong shape.
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[1:] not in shapes:
+        want = " or ".join("(S" + "".join(f", {d}" for d in shape) + ")" for shape in shapes)
+        raise ValueError(f"expected a stack of shape {want}, got shape {x.shape}")
+    return x
+
+
 def _det2(X: np.ndarray) -> np.ndarray:
     return X[..., 0, 0] * X[..., 1, 1] - X[..., 0, 1] * X[..., 1, 0]
 
@@ -165,16 +141,16 @@ def _at_least(x: np.ndarray, lo: float) -> np.ndarray:
 
 def _per_element(fn, x: np.ndarray) -> np.ndarray:
     # fn on each float of x.  numpy's exp and power differ from libm's
-    # in the last bit on a few percent of inputs, and the single-sample
-    # chain has always used libm's through math.exp and **.
+    # in the last bit on a few percent of inputs, and the one-matrix
+    # chain the census reproduces bit for bit used libm's through
+    # math.exp and **.
     return np.fromiter(map(fn, x.tolist()), float, x.size)
 
 
-def is_physical(M: np.ndarray, tol: Tolerances = DEFAULT) -> bool | np.ndarray:
+def is_physical(M: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
     """Uncertainty-principle test: M + i*Omega positive semidefinite."""
-    M = np.asarray(M, dtype=float)
-    ok = np.linalg.eigvalsh(M + 1j * OMEGA)[..., 0] >= tol.physical_min_eig
-    return bool(ok) if M.ndim == 2 else ok
+    M = _stack(M, (4, 4))
+    return np.linalg.eigvalsh(M + 1j * OMEGA)[:, 0] >= tol.physical_min_eig
 
 
 def to_standard_form_one(M: np.ndarray, tol: Tolerances = DEFAULT) -> StandardFormI:
@@ -186,14 +162,12 @@ def to_standard_form_one(M: np.ndarray, tol: Tolerances = DEFAULT) -> StandardFo
     S = (n^2 m^2 + (det C)^2 - det M) / (n m).  Signs follow the
     convention c >= 0, |c| >= |cp|, sign(c * cp) = sign(det C).
 
-    Raises ComplexRootError when the quadratic has no real roots beyond
-    numerical tolerance, which signals an inconsistent input; a stack
-    marks such lanes SolverFailure.COMPLEX_ROOT instead.
+    A lane whose quadratic has no real roots beyond numerical tolerance,
+    which signals an inconsistent input, is marked
+    SolverFailure.COMPLEX_ROOT.
     """
-    M = np.asarray(M, dtype=float)
+    M = _stack(M, (4, 4))
     A, B, C = mode_blocks(M)
-    if M.ndim == 2 and not (_det2(A) > 0.0 and _det2(B) > 0.0):
-        raise ValueError("form I requires positive definite mode blocks")
     det_c = _det2(C)
     det_m = np.linalg.det(M)
     n = np.sqrt(_det2(A))
@@ -202,16 +176,10 @@ def to_standard_form_one(M: np.ndarray, tol: Tolerances = DEFAULT) -> StandardFo
     disc = S * S - 4.0 * det_c * det_c
     scale = np.maximum(np.maximum(S * S, 4.0 * det_c * det_c), 1.0)
     complex_root = disc < -tol.complex_root_rel * scale
-    if M.ndim == 2 and complex_root:
-        raise ComplexRootError(
-            f"cross-term quadratic discriminant {disc:.3e} below zero"
-        )
     root = np.sqrt(_at_least(disc, 0.0))
     c = np.sqrt(_at_least(0.5 * (S + root), 0.0))
     cp = np.sqrt(_at_least(0.5 * (S - root), 0.0))
     cp = np.where(det_c < 0.0, -cp, cp)
-    if M.ndim == 2:
-        return StandardFormI(float(n), float(m), float(c), float(cp))
     n, m, c, cp = (np.where(complex_root, math.nan, x) for x in (n, m, c, cp))
     failure = np.where(complex_root, SolverFailure.COMPLEX_ROOT, SolverFailure.NONE)
     return StandardFormI(n, m, c, cp, failure.astype(np.int8))
@@ -360,13 +328,13 @@ def to_standard_form_two(f1: StandardFormI, tol: Tolerances = DEFAULT) -> Standa
     c1 = c sqrt(r1 r2), c2 = cp / sqrt(r1 r2) and
     a0^2 = sqrt((m1 - 1) / (n1 - 1)), with a0 = 1 in the degenerate case.
 
-    Raises NoConvergenceError when no admissible root is reached within
-    the iteration budget and DegenerateError when n = m = 1 with a
-    nonzero cross term.  A stacked form solves every lane it does not
-    find failed already, and marks each failure with its cause instead.
+    Every lane that f1 does not mark failed already is solved.  A lane
+    is marked SolverFailure.DEGENERATE when n = m = 1 with a nonzero
+    cross term, BELOW_VACUUM when n or m is below 1, and with the
+    solver's cause when no admissible root is reached within the
+    iteration budget.  f1's numbers must be (S,) arrays.
     """
-    single = np.ndim(f1.n) == 0
-    n, m, c, cp = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (f1.n, f1.m, f1.c, f1.cp))
+    n, m, c, cp = (_stack(x, ()) for x in (f1.n, f1.m, f1.c, f1.cp))
     failure = np.broadcast_to(np.asarray(f1.failure, dtype=np.int8), n.shape).copy()
     todo = failure == SolverFailure.NONE
     below = todo & ((n < 1.0) | (m < 1.0))
@@ -387,10 +355,6 @@ def to_standard_form_two(f1: StandardFormI, tol: Tolerances = DEFAULT) -> Standa
     failure[solved], form[:, solved] = _assemble_form_two(
         root[:, code == SolverFailure.NONE], c[solved], cp[solved], tol)
     form[:, failure != SolverFailure.NONE] = math.nan
-    if single:
-        if failure[0]:
-            raise SolverFailure(int(failure[0])).error()
-        return StandardFormII(*(float(x) for x in form[:, 0]))
     return StandardFormII(*form, failure=failure)
 
 
@@ -415,22 +379,19 @@ def _assemble_form_two(root, c, cp, tol):
     return failure, np.stack((n1, n2, m1, m2, c * s, cp / s, a0, r1, r2))
 
 
-def symplectic_eigenvalues(M: np.ndarray) -> tuple[float, float]:
+def symplectic_eigenvalues(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Return nu1 >= nu2 > 0 with spec(i Omega M) = {+-nu1, +-nu2}.
 
     Uses the invariant form: nu^2 are the roots of
-    x^2 - (det A + det B + 2 det C) x + det M.  A stack of matrices
-    gives two arrays.
+    x^2 - (det A + det B + 2 det C) x + det M.  Gives two (S,) arrays.
     """
-    M = np.asarray(M, dtype=float)
+    M = _stack(M, (4, 4))
     A, B, C = mode_blocks(M)
     delta = _det2(A) + _det2(B) + 2.0 * _det2(C)
     det_m = np.linalg.det(M)
     root = np.sqrt(_at_least(delta * delta - 4.0 * det_m, 0.0))
     nu1 = np.sqrt(_at_least(0.5 * (delta + root), 0.0))
     nu2 = np.sqrt(_at_least(0.5 * (delta - root), 0.0))
-    if M.ndim == 2:
-        return float(nu1), float(nu2)
     return nu1, nu2
 
 
@@ -444,19 +405,19 @@ def _entropy_term(nu: np.ndarray) -> np.ndarray:
     return xlogy(up, up) - xlogy(dn, dn)
 
 
-def entropy(M: np.ndarray) -> float | np.ndarray:
+def entropy(M: np.ndarray) -> np.ndarray:
     """Von Neumann entropy in nats from the symplectic spectrum.
 
-    Accepts a 4x4 two-mode matrix or a 2x2 one-mode block, whose single
-    symplectic eigenvalue is sqrt(det), or a stack of either.
+    Accepts a stack of 4x4 two-mode matrices or of 2x2 one-mode blocks,
+    whose single symplectic eigenvalue is sqrt(det), and gives an (S,)
+    array.
     """
-    M = np.asarray(M, dtype=float)
-    if M.shape[-2:] == (2, 2):
+    M = _stack(M, (4, 4), (2, 2))
+    if M.shape[1:] == (2, 2):
         nus: tuple = (np.sqrt(_at_least(_det2(M), 0.0)),)
     else:
         nus = symplectic_eigenvalues(M)
-    total = sum(_entropy_term(_at_least(np.asarray(nu), 1.0)) for nu in nus)
-    return float(total) if M.ndim == 2 else total
+    return sum(_entropy_term(_at_least(nu, 1.0)) for nu in nus)
 
 
 def squeezed_thermal_covariance(p: SqueezedThermalParams) -> np.ndarray:

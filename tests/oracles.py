@@ -17,7 +17,7 @@ stacked classify must reproduce bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import numpy.polynomial.legendre as leg
@@ -25,7 +25,7 @@ import numpy.polynomial.legendre as leg
 from gausscensus import criteria
 from gausscensus.montecarlo import _build_matrices, _candidates
 from gausscensus.rng import BLOCK, substream_uniforms
-from gausscensus.states import ComplexRootError, DegenerateError, NoConvergenceError
+from gausscensus.states import SolverFailure
 from gausscensus.tolerances import DEFAULT, Tolerances
 
 
@@ -450,19 +450,33 @@ def sample_matrix(cfg, stream: np.random.Generator) -> np.ndarray:
     return M
 
 
+@dataclass(frozen=True)
+class LaneVerdict:
+    """One lane of a stacked criteria.Verdict, field by field."""
+
+    physical: bool
+    separable: bool
+    classical: bool
+    margin_sep: float
+    margin_ppt: float
+    failure: int
+
+
 def accepted_samples(cfg):
     """Yield (index, matrix, verdict) for each accepted sample in order.
 
     A two-mode census's candidates and stacked classify, replayed one
     block at a time: a candidate is accepted when it is physical and its
-    form-I and form-II solves succeed.
+    form-I and form-II solves succeed.  Its verdict is its lane of the
+    block's stacked verdict.
     """
     for start in range(0, cfg.samples, BLOCK):
         count = min(BLOCK, cfg.samples - start)
         index, M, _ = _candidates(cfg.seed, start, count, cfg.k, cfg.l)
         verdict = criteria.classify(M)
-        ok = np.flatnonzero(verdict.physical & (verdict.failure == 0))
-        yield from zip((start + index[ok]).tolist(), M[ok], map(verdict.lane, ok))
+        for i in np.flatnonzero(verdict.physical & (verdict.failure == 0)):
+            lane = LaneVerdict(*(getattr(verdict, f.name)[i].item() for f in fields(LaneVerdict)))
+            yield start + int(index[i]), M[i], lane
 
 
 # ---------------------------------------------------------------------
@@ -471,12 +485,51 @@ def accepted_samples(cfg):
 # package ran them one matrix at a time, in Python floats and math,
 # before its stages took stacks.  The function bodies are kept verbatim
 # (only the names carry a chain_ prefix); the stacked classify must
-# reproduce them bit for bit, its failure causes included.
+# reproduce them bit for bit, its failure causes included.  The chain's
+# exceptions, which the package no longer has, are defined here with it,
+# and CHAIN_ERRORS ties each one to the SolverFailure code a stack marks.
 
 _CHAIN_OMEGA = np.zeros((4, 4))
 _CHAIN_OMEGA[:2, :2] = _CHAIN_OMEGA[2:, 2:] = [[0.0, 1.0], [-1.0, 0.0]]
 _CHAIN_MIRROR = np.diag([1.0, 1.0, 1.0, -1.0])
 _CHAIN_EYE4 = np.eye(4)
+
+
+class ComplexRootError(ValueError):
+    """The cross-term quadratic of the form-I split has no real roots."""
+
+
+class NoConvergenceError(RuntimeError):
+    """The form-II solver failed to reach an admissible root."""
+
+
+class DegenerateError(ValueError):
+    """Both local invariants are unity while a cross term is nonzero."""
+
+
+#: The errors a chain solve raises where the stacked forms mark a lane.
+CHAIN_SOLVER_ERRORS = (NoConvergenceError, DegenerateError, ComplexRootError)
+
+#: The chain's (exception type, message) for each SolverFailure code.
+#: A complex-root message also carries the discriminant, so that error
+#: is known by its type alone (message None).
+CHAIN_ERRORS = {
+    SolverFailure.COMPLEX_ROOT: (ComplexRootError, None),
+    SolverFailure.BELOW_VACUUM: (ValueError, "form II requires n >= 1 and m >= 1"),
+    SolverFailure.DEGENERATE: (DegenerateError, "unit local invariants with nonzero cross term"),
+    SolverFailure.START_OUTSIDE: (NoConvergenceError, "start point outside the solver domain"),
+    SolverFailure.SINGULAR_JACOBIAN: (NoConvergenceError, "singular Jacobian"),
+    SolverFailure.LINE_SEARCH_STALLED: (NoConvergenceError, "line search stalled"),
+    SolverFailure.BUDGET_EXHAUSTED: (NoConvergenceError, "iteration budget exhausted"),
+    SolverFailure.INADMISSIBLE_ROOT: (NoConvergenceError, "root outside the admissible branch"),
+}
+
+
+def chain_failure(exc: Exception) -> SolverFailure:
+    """The SolverFailure code of an error the chain raised."""
+    (code,) = [code for code, (kind, message) in CHAIN_ERRORS.items()
+               if type(exc) is kind and message in (None, str(exc))]
+    return code
 
 
 @dataclass(frozen=True)

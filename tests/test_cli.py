@@ -192,6 +192,14 @@ class TestUsageErrors:
         code, _, _ = run_cli(capsys, ["census", "--samples", "-5"])
         assert code == 64
 
+    @pytest.mark.parametrize("argv", [["census", "--samples", str(2**64 + 1)],
+                                      ["table1", "--scale", "1e300"]])
+    def test_samples_beyond_the_index_range(self, capsys, argv) -> None:
+        code, out, err = run_cli(capsys, argv)
+        assert code == 64
+        assert out == ""
+        assert "sample count must be at most 2**64" in err
+
     def test_zero_scale(self, capsys) -> None:
         for scale in ("0", "inf", "nan"):
             code, out, err = run_cli(capsys, ["table1", "--scale", scale])

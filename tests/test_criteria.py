@@ -9,6 +9,7 @@ import pytest
 
 from gausscensus.criteria import (
     MIRROR,
+    Verdict,
     classify,
     disagrees,
     format_disagreement,
@@ -17,9 +18,6 @@ from gausscensus.criteria import (
     total_variance,
 )
 from gausscensus.states import (
-    ComplexRootError,
-    DegenerateError,
-    NoConvergenceError,
     StandardFormI,
     StandardFormII,
     is_physical,
@@ -33,9 +31,13 @@ from gausscensus.rng import BLOCK
 from gausscensus.states import SolverFailure
 
 from oracles import (
+    CHAIN_ERRORS,
+    CHAIN_SOLVER_ERRORS,
     STACK_CONFIGS,
     ChainFormI,
+    ComplexRootError,
     chain_classify,
+    chain_failure,
     chain_form_one,
     chain_form_two,
     chain_is_separable_ppt,
@@ -45,9 +47,6 @@ from oracles import (
     sample_matrix,
     sample_stream,
 )
-
-SOLVER_ERRORS = (NoConvergenceError, DegenerateError, ComplexRootError)
-
 
 def tmsv(r: float) -> np.ndarray:
     ch, sh = math.cosh(2 * r), math.sinh(2 * r)
@@ -74,7 +73,7 @@ def sample_pd_matrices(rng, count, k=3.0, l=1.5, batch=20000):
             M[:, j, i] = off[:, t]
         w = np.linalg.eigvalsh(M)
         out.extend(M[w[:, 0] > 0.0])
-    return out[:count]
+    return np.array(out[:count])
 
 
 class TestTotalVariance:
@@ -102,51 +101,51 @@ class TestSeparableDuan:
     total variance reaches a0^2 + 1/a0^2."""
 
     def test_product_thermal_separable(self):
-        v = classify(2.0 * np.eye(4))
-        assert v.separable
+        v = classify(2.0 * np.eye(4)[None])
+        assert v.separable[0]
         # total variance 4 against the bound 2, up to the form-II solve
-        assert v.margin_sep == pytest.approx(2.0, rel=1e-6)
+        assert v.margin_sep[0] == pytest.approx(2.0, rel=1e-6)
 
     def test_squeezed_vacuum_entangled(self):
         r = 0.5
-        v = classify(tmsv(r))
-        assert v.physical and not v.separable
-        assert v.margin_sep == pytest.approx(2 * math.exp(-2 * r) - 2.0, rel=1e-9)
+        v = classify(tmsv(r)[None])
+        assert v.physical[0] and not v.separable[0]
+        assert v.margin_sep[0] == pytest.approx(2 * math.exp(-2 * r) - 2.0, rel=1e-9)
 
     def test_vacuum_boundary_counts_separable(self):
-        v = classify(np.eye(4))
-        assert v.separable
-        assert v.margin_sep == pytest.approx(0.0, abs=1e-12)
+        v = classify(np.eye(4)[None])
+        assert v.separable[0]
+        assert v.margin_sep[0] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestSeparablePpt:
     def test_twice_identity(self):
-        ok, margin = is_separable_ppt(2.0 * np.eye(4))
-        assert ok
-        assert margin == pytest.approx(1.0, abs=1e-12)
+        ok, margin = is_separable_ppt(2.0 * np.eye(4)[None])
+        assert ok[0]
+        assert margin[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_squeezed_vacuum(self):
-        ok, margin = is_separable_ppt(tmsv(0.5))
-        assert not ok
-        assert margin == pytest.approx(math.exp(-1.0) - 1.0, rel=1e-10)
+        ok, margin = is_separable_ppt(tmsv(0.5)[None])
+        assert not ok[0]
+        assert margin[0] == pytest.approx(math.exp(-1.0) - 1.0, rel=1e-10)
 
     def test_vacuum_boundary(self):
-        ok, margin = is_separable_ppt(np.eye(4))
-        assert ok
-        assert margin == pytest.approx(0.0, abs=1e-12)
+        ok, margin = is_separable_ppt(np.eye(4)[None])
+        assert ok[0]
+        assert margin[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_local_symplectic_invariance(self):
         rng = np.random.default_rng(11)
-        checked = 0
-        for M in sample_pd_matrices(rng, 4000):
-            ok, margin = is_separable_ppt(M)
-            if abs(margin) < 1e-4:
-                continue
+        M = sample_pd_matrices(rng, 4000)
+        ok, margin = is_separable_ppt(M)
+        clear = np.abs(margin) >= 1e-4
+        moved = []
+        for Mi in M[clear]:
             S = random_local_symplectic(rng)
-            ok2, _ = is_separable_ppt(S @ M @ S.T)
-            assert ok2 == ok
-            checked += 1
-        assert checked >= 1000
+            moved.append(S @ Mi @ S.T)
+        ok2, _ = is_separable_ppt(np.array(moved))
+        assert np.array_equal(ok2, ok[clear])
+        assert len(moved) >= 1000
 
     def test_mirror_is_an_involution(self):
         assert np.array_equal(MIRROR @ MIRROR, np.eye(4))
@@ -154,88 +153,63 @@ class TestSeparablePpt:
 
 class TestClassical:
     def test_twice_identity(self):
-        assert is_classical(2.0 * np.eye(4))
+        assert is_classical(2.0 * np.eye(4)[None])[0]
 
     def test_vacuum_strictly_excluded(self):
-        assert not is_classical(np.eye(4))
+        assert not is_classical(np.eye(4)[None])[0]
 
     def test_squeezed_vacuum_never_classical(self):
-        for r in (0.01, 0.5, 2.0):
-            assert not is_classical(tmsv(r))
+        assert not is_classical(np.array([tmsv(r) for r in (0.01, 0.5, 2.0)])).any()
 
 
 class TestClassify:
     def test_classical_implies_separable(self):
         rng = np.random.default_rng(23)
-        seen_classical = 0
-        for M in sample_pd_matrices(rng, 3000):
-            try:
-                v = classify(M)
-            except SOLVER_ERRORS:
-                continue
-            if v.classical:
-                assert v.separable
-                seen_classical += 1
-        assert seen_classical > 50
+        v = classify(sample_pd_matrices(rng, 3000))
+        solved = v.failure == 0
+        assert v.separable[v.classical].all()
+        assert np.count_nonzero(v.classical & solved) > 50
 
     def test_agreement_with_mirror_oracle(self):
         rng = np.random.default_rng(29)
-        accepted = 0
-        for M in sample_pd_matrices(rng, 6000):
-            try:
-                v = classify(M)
-            except SOLVER_ERRORS:
-                continue
-            assert not disagrees(v)
-            if v.physical:
-                accepted += 1
-        assert accepted > 500
+        v = classify(sample_pd_matrices(rng, 6000))
+        assert not disagrees(v).any()
+        assert np.count_nonzero(v.physical & (v.failure == 0)) > 500
 
     def test_mode_swap_leaves_verdicts(self):
         rng = np.random.default_rng(31)
         perm = [2, 3, 0, 1]
-        compared = 0
-        for M in sample_pd_matrices(rng, 400):
-            Ms = M[np.ix_(perm, perm)]
-            try:
-                v1 = classify(M)
-                v2 = classify(Ms)
-            except SOLVER_ERRORS:
-                continue
-            assert v1.physical == v2.physical
-            assert v1.separable == v2.separable
-            assert v1.classical == v2.classical
-            assert v1.margin_ppt == pytest.approx(v2.margin_ppt, abs=1e-8)
-            compared += 1
-        assert compared >= 100
+        M = sample_pd_matrices(rng, 400)
+        v1 = classify(M)
+        v2 = classify(M[:, perm][:, :, perm])
+        solved = (v1.failure == 0) & (v2.failure == 0)
+        for name in ("physical", "separable", "classical"):
+            assert np.array_equal(getattr(v1, name)[solved], getattr(v2, name)[solved]), name
+        assert v1.margin_ppt[solved] == pytest.approx(v2.margin_ppt[solved], abs=1e-8)
+        assert np.count_nonzero(solved) >= 100
 
     def test_unphysical_gate_gives_nan_margin(self):
-        M = 0.5 * np.eye(4)
-        v = classify(M)
-        assert not v.physical
-        assert math.isnan(v.margin_sep)
+        v = classify(0.5 * np.eye(4)[None])
+        assert not v.physical[0]
+        assert math.isnan(v.margin_sep[0])
 
     def test_physical_is_exact_uncertainty_test(self):
         rng = np.random.default_rng(43)
-        seen = {True: 0, False: 0}
-        for M in sample_pd_matrices(rng, 2000):
-            try:
-                v = classify(M)
-            except SOLVER_ERRORS:
-                continue
-            assert v.physical == is_physical(M)
-            seen[v.physical] += 1
-        assert min(seen.values()) > 100
+        M = sample_pd_matrices(rng, 2000)
+        v = classify(M)
+        assert np.array_equal(v.physical, is_physical(M))
+        solved = v.physical[v.failure == 0]
+        assert min(np.count_nonzero(solved), np.count_nonzero(~solved)) > 100
 
     def test_local_squeezed_vacua_on_the_boundary(self):
         # det A of a squeezed vacuum rounds to 1 - 1e-16 for r = 0.3.
         r = 0.3
-        M = np.diag([math.exp(2 * r), math.exp(-2 * r), math.exp(r), math.exp(-r)])
-        assert to_standard_form_one(M).n < 1.0
+        M = np.diag([math.exp(2 * r), math.exp(-2 * r), math.exp(r), math.exp(-r)])[None]
+        assert to_standard_form_one(M).n[0] < 1.0
         v = classify(M)
-        assert v.physical
-        assert v.separable
-        assert not v.classical
+        assert v.physical[0]
+        assert v.separable[0]
+        assert not v.classical[0]
 
     def test_unphysical_sample_passing_variance_floor_left_out(self):
         # Sample 68557 of seed 20250819 at k=10, l=5.  Its cross terms
@@ -251,27 +225,20 @@ class TestClassify:
         ])
         cfg = SamplerConfig(k=10.0, l=5.0, samples=1, seed=20250819)
         assert np.array_equal(sample_matrix(cfg, sample_stream(20250819, 68557)), M)
-        f1 = to_standard_form_one(M)
-        assert f1.c * f1.cp < 0.0
-        assert not is_physical(M)
-        v = classify(M)
-        assert not v.physical
-        assert not v.separable
-        assert not v.classical
+        f1 = to_standard_form_one(M[None])
+        assert f1.c[0] * f1.cp[0] < 0.0
+        assert not is_physical(M[None])[0]
+        v = classify(M[None])
+        assert not v.physical[0]
+        assert not v.separable[0]
+        assert not v.classical[0]
 
     def test_margin_sign_matches_verdict(self):
         rng = np.random.default_rng(37)
-        for M in sample_pd_matrices(rng, 500):
-            try:
-                v = classify(M)
-            except SOLVER_ERRORS:
-                continue
-            if not v.physical:
-                continue
-            if v.separable:
-                assert v.margin_sep >= -1e-12
-            else:
-                assert v.margin_sep < 0
+        v = classify(sample_pd_matrices(rng, 500))
+        solved = v.physical & (v.failure == 0)
+        assert (v.margin_sep[solved & v.separable] >= -1e-12).all()
+        assert (v.margin_sep[solved & ~v.separable] < 0).all()
 
 
 class TestDisagreementFormat:
@@ -289,25 +256,20 @@ class TestDisagreementFormat:
         assert float(lines[5].split()[1]) == 4.5e-7
 
     def test_disagrees_needs_both_margins_outside_band(self):
-        from gausscensus.criteria import Verdict
-
-        v = Verdict(True, True, False, margin_sep=5e-10, margin_ppt=-2.0e-4)
-        assert not disagrees(v)
-        v = Verdict(True, False, False, margin_sep=-5e-4, margin_ppt=-2.0e-4)
-        assert not disagrees(v)  # both tests say entangled
-        v = Verdict(True, True, False, margin_sep=5e-4, margin_ppt=-2.0e-4)
-        assert disagrees(v)
+        # Lane 1: both tests say entangled.
+        v = Verdict(
+            physical=np.array([True, True, True]),
+            separable=np.array([True, False, True]),
+            classical=np.zeros(3, dtype=bool),
+            margin_sep=np.array([5e-10, -5e-4, 5e-4]),
+            margin_ppt=np.full(3, -2.0e-4),
+            failure=np.zeros(3, dtype=np.int8),
+        )
+        assert list(disagrees(v)) == [False, False, True]
 
 
 def block_candidates(k, l, seed=11):
     return materialised_candidates(seed, 0, BLOCK, float(k), float(l))[1]
-
-
-# (exception type, message) -> SolverFailure code, from the errors the
-# single-sample forms raise; a complex-root message also carries the
-# discriminant, so that error is known by its type alone.
-CAUSES = {(type(e), str(e)): code
-          for code in SolverFailure if code for e in [code.error()]}
 
 
 def chain_lane(M):
@@ -317,12 +279,8 @@ def chain_lane(M):
     failed lane are those the stacked verdict gives it."""
     try:
         v = chain_classify(M)
-    except SOLVER_ERRORS as exc:
-        if isinstance(exc, ComplexRootError):
-            code = SolverFailure.COMPLEX_ROOT
-        else:
-            code = CAUSES[(type(exc), str(exc))]
-        return code, (True, False, False, math.nan, chain_is_separable_ppt(M)[1])
+    except CHAIN_SOLVER_ERRORS as exc:
+        return chain_failure(exc), (True, False, False, math.nan, chain_is_separable_ppt(M)[1])
     return 0, (v.physical, v.separable, v.classical, v.margin_sep, v.margin_ppt)
 
 
@@ -341,11 +299,10 @@ class TestStackedClassify:
         M = blocks[kl]
         v = classify(M)
         failures, rows = zip(*(chain_lane(Mi) for Mi in M))
-        assert same_bits(v.failure, failures)
-        for name, column in zip(("physical", "separable", "classical", "margin_sep",
-                                 "margin_ppt"), zip(*rows)):
-            assert same_bits(getattr(v, name), column), name
-        assert same_bits(disagrees(v), [disagrees(v.lane(i)) for i in range(len(M))])
+        chain = Verdict(*map(np.array, zip(*rows)), failure=np.array(failures))
+        for f in dataclasses.fields(Verdict):
+            assert same_bits(getattr(v, f.name), getattr(chain, f.name)), f.name
+        assert same_bits(disagrees(v), disagrees(chain))
         if kl == (500, 250):
             assert np.count_nonzero(v.failure == SolverFailure.LINE_SEARCH_STALLED) > 1000
 
@@ -378,20 +335,21 @@ class TestStackedClassify:
         return None
 
     def test_stalled_lane_raises_as_before(self, blocks):
+        # The chain raises where the stacked forms mark the lane.
         M = blocks[(500, 250)]
         v = classify(M)
         i = int(np.flatnonzero(v.failure == SolverFailure.LINE_SEARCH_STALLED)[0])
-        want = (NoConvergenceError, "line search stalled")
+        want = CHAIN_ERRORS[SolverFailure.LINE_SEARCH_STALLED]
         assert self._raised(chain_classify, M[i]) == want
-        assert self._raised(classify, M[i]) == want
-        f1 = to_standard_form_one(M[i])
-        assert self._raised(to_standard_form_two, f1) == want
-        assert self._raised(chain_form_two, ChainFormI(f1.n, f1.m, f1.c, f1.cp)) == want
+        assert list(classify(M[i:i + 1]).failure) == [SolverFailure.LINE_SEARCH_STALLED]
+        f1 = to_standard_form_one(M[i:i + 1])
+        assert list(to_standard_form_two(f1).failure) == [SolverFailure.LINE_SEARCH_STALLED]
+        chain_f1 = ChainFormI(*(float(x[0]) for x in (f1.n, f1.m, f1.c, f1.cp)))
+        assert self._raised(chain_form_two, chain_f1) == want
 
     def test_degenerate_input_raises_as_before(self):
-        want = (DegenerateError, "unit local invariants with nonzero cross term")
+        want = CHAIN_ERRORS[SolverFailure.DEGENERATE]
         assert self._raised(chain_form_two, ChainFormI(1.0, 1.0, 0.3, 0.1)) == want
-        assert self._raised(to_standard_form_two, StandardFormI(1.0, 1.0, 0.3, 0.1)) == want
         stacked = to_standard_form_two(StandardFormI(
             np.array([1.0, 2.0]), np.array([1.0, 2.0]), np.array([0.3, 0.3]),
             np.array([0.1, 0.1])))
@@ -402,7 +360,7 @@ class TestStackedClassify:
         # Diagonal 1e6 and cross terms +-0.1: det M loses the cross terms
         # to rounding and the discriminant comes out negative.
         M = form_one_matrix(1e6, 1e6, 0.1, -0.1)
-        for fn in (chain_form_one, to_standard_form_one, chain_classify, classify):
+        for fn in (chain_form_one, chain_classify):
             with pytest.raises(ComplexRootError):
                 fn(M)
         f1 = to_standard_form_one(np.stack([M, np.eye(4)]))

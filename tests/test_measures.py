@@ -9,8 +9,6 @@ import pytest
 from gausscensus import measures
 from gausscensus.measures import (
     METRIC_KINDS,
-    KernelMatrix,
-    NonPositiveSpectrumError,
     SampleDiscarded,
     SingularBlockError,
     discretize,
@@ -108,37 +106,35 @@ class TestKernel:
 
 class TestDiscretize:
     def test_entries_match_scalar_kernel(self):
+        # Every entry a stack sets, the lower triangle, against the
+        # kernel at its point pair.
         M = 2.0 * np.eye(4)
         M[0, 2] = M[2, 0] = 0.4
         c = regular_grid(3)
-        kern = discretize(M, c)
-        pts = [(a, b) for a in c for b in c]
-        for row in (0, 4, 7):
-            for col in (2, 5, 8):
-                want = schroedinger_kernel(M, np.array(pts[row]), np.array(pts[col]))
-                assert kern.gamma[row, col] == pytest.approx(want, rel=1e-13)
+        kern = discretize(M[None], c[None])
+        pts = [np.array((a, b)) for a in c for b in c]
+        for row, col in zip(*np.tril_indices(len(pts))):
+            want = schroedinger_kernel(M, pts[row], pts[col])
+            assert kern.gamma[0, row, col] == pytest.approx(want, rel=1e-13)
 
     def test_spectrum_normalized_and_positive(self):
-        kern = discretize(2.0 * np.eye(4), regular_grid(3))
-        lam = kern.eigenvalues
+        kern = discretize(2.0 * np.eye(4)[None], regular_grid(3)[None])
+        lam = kern.eigenvalues[0]
+        assert kern.passed_floor[0]
         assert lam.sum() == pytest.approx(1.0, abs=1e-14)
         assert lam.min() > 0
-        assert kern.log_det == pytest.approx(np.log(lam).sum(), rel=1e-12)
-
-    def test_gamma_is_hermitian(self):
-        M = np.diag([3.0, 2.0, 2.5, 1.8])
-        M[0, 3] = M[3, 0] = 0.7
-        kern = discretize(M, regular_grid(3))
-        assert np.allclose(kern.gamma, kern.gamma.conj().T, atol=1e-15)
+        assert kern.log_det[0] == pytest.approx(np.log(lam).sum(), rel=1e-12)
 
     def test_pure_state_rejected(self):
-        with pytest.raises(NonPositiveSpectrumError):
-            discretize(np.eye(4), regular_grid(5))
+        M = np.stack([np.eye(4), 2.0 * np.eye(4)])
+        kern = discretize(M, np.stack([regular_grid(5)] * 2))
+        assert list(kern.passed_floor) == [False, True]
+        assert math.isnan(kern.log_det[0]) and np.isfinite(kern.log_det[1])
 
     def test_one_mode_discretization(self):
-        kern = discretize(np.array([[2.0, 0.2], [0.2, 1.7]]), regular_grid(5))
-        assert kern.gamma.shape == (5, 5)
-        assert kern.eigenvalues.sum() == pytest.approx(1.0, abs=1e-14)
+        kern = discretize(np.array([[[2.0, 0.2], [0.2, 1.7]]]), regular_grid(5)[None])
+        assert kern.gamma.shape == (1, 5, 5)
+        assert kern.eigenvalues[0].sum() == pytest.approx(1.0, abs=1e-14)
 
 
 def _stack_with_grids(seed: int, grids: int = 3):
@@ -155,13 +151,14 @@ def _stack_with_grids(seed: int, grids: int = 3):
 
 
 class TestStackedKernels:
-    """Single and stacked kernels against the per-grid reference.
+    """Stacked kernels against the per-grid reference.
 
     The reference evaluates every lattice entry with np.einsum, mirrors
     the lower triangle by conjugation and diagonalizes one kernel at a
-    time; the package must agree with it bit for bit: a stack on the
-    lower triangle of gamma (all that it sets), a single kernel on the
-    whole matrix.
+    time; the package must agree with it bit for bit on the lower
+    triangle of gamma (all that it sets) and on each kernel's spectrum,
+    and a stack of one must give the same kernel as its lane in a
+    larger stack.
     """
 
     def _assert_matches_reference(self, M, coords, kern, s):
@@ -169,19 +166,18 @@ class TestStackedKernels:
         gamma, lam, log_det = kernel_on_grid(M[s], coords[s])
         lower = np.tril_indices(len(gamma))
         assert np.array_equal(kern.gamma[s][lower], gamma[lower])
+        one = discretize(M[s:s + 1], coords[s:s + 1])
+        assert np.array_equal(one.gamma[0][lower], gamma[lower])
+        assert one.passed_floor[0] == kern.passed_floor[s]
         if lam is None:
             assert not kern.passed_floor[s]
-            assert math.isnan(kern.log_det[s])
-            with pytest.raises(NonPositiveSpectrumError):
-                discretize(M[s], coords[s])
+            assert math.isnan(kern.log_det[s]) and math.isnan(one.log_det[0])
             return False
         assert kern.passed_floor[s]
         assert np.array_equal(kern.eigenvalues[s], lam)
         assert kern.log_det[s] == log_det
-        one = discretize(M[s], coords[s])
-        assert np.array_equal(one.gamma, gamma)
-        assert np.array_equal(one.eigenvalues, lam)
-        assert one.log_det == log_det
+        assert np.array_equal(one.eigenvalues[0], lam)
+        assert one.log_det[0] == log_det
         return True
 
     def test_two_mode_kernels_match_reference(self):
@@ -273,8 +269,6 @@ class TestStackedKernels:
         M = np.diag([1.0, 1.0, 1.0, 1e15])
         coords = regular_grid(3)
         with pytest.raises(SingularBlockError):
-            discretize(M, coords)
-        with pytest.raises(SingularBlockError):
             discretize(M[None], coords[None])
         with pytest.raises(SingularBlockError):
             schroedinger_kernel(M, np.zeros(2), np.zeros(2))
@@ -323,9 +317,10 @@ class TestVolumeElement:
             assert vk <= vm + 1e-9 * abs(vm)
 
     def test_accepts_kernel_matrix(self):
-        kern = discretize(2.0 * np.eye(4), regular_grid(3))
+        kern = discretize(2.0 * np.eye(4)[None], regular_grid(3)[None])
         a = log_volume_element(kern, "bures")
         b = log_volume_element(kern.eigenvalues, "bures")
+        assert a.shape == (1,)
         assert a == b
 
 

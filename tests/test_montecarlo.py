@@ -16,12 +16,14 @@ from gausscensus.montecarlo import (
     SamplerConfig,
     run_bures_census,
     run_classical_census,
+    run_classical_sweep,
     run_entropy_probe,
     run_one_mode_classicality,
 )
 from gausscensus.rng import BLOCK, grid_stream, substream_uniforms
 
 from oracles import (
+    CHAIN_SOLVER_ERRORS,
     PAIRS,
     STACK_CONFIGS,
     accepted_samples,
@@ -45,6 +47,12 @@ class TestSamplerConfig:
     def test_rejects_negative_samples(self) -> None:
         with pytest.raises(ValueError):
             SamplerConfig(k=10.0, l=5.0, samples=-1, seed=1)
+
+    def test_rejects_more_samples_than_indices(self) -> None:
+        # Sample indices are unsigned 64-bit integers.
+        SamplerConfig(k=10.0, l=5.0, samples=2**64, seed=1)
+        with pytest.raises(ValueError, match=r"at most 2\*\*64"):
+            SamplerConfig(k=10.0, l=5.0, samples=2**64 + 1, seed=1)
 
     def test_rejects_bad_mode_count(self) -> None:
         with pytest.raises(ValueError):
@@ -143,6 +151,38 @@ class TestDeterminism:
         for name in serial.measure_names():
             assert serial.prob_sep(name) == parallel.prob_sep(name)
             assert serial.prob_classical(name) == parallel.prob_classical(name)
+
+
+class TestClassicalSweepArguments:
+    """A sweep's arguments are checked before any of its blocks runs."""
+
+    CFG = SamplerConfig(k=10.0, l=5.0, samples=2 * BLOCK, seed=3)
+
+    @pytest.fixture
+    def blocks(self, monkeypatch) -> list:
+        blocks = []
+        real = montecarlo.substream_uniforms
+
+        def counted(seed, start, count, width):
+            blocks.append(start)
+            return real(seed, start, count, width)
+
+        monkeypatch.setattr(montecarlo, "substream_uniforms", counted)
+        return blocks
+
+    @pytest.mark.parametrize("callbacks", [0, 1, 3])
+    def test_progress_must_match_the_configs(self, blocks, callbacks) -> None:
+        with pytest.raises(ValueError, match=f"{callbacks} progress callbacks for 2 configs"):
+            run_classical_sweep([self.CFG, self.CFG], progress=[None] * callbacks)
+        assert blocks == []
+
+    def test_one_mode_config_refused_before_any_block(self, blocks) -> None:
+        one_mode = dataclasses.replace(self.CFG, mode_count=1)
+        with pytest.raises(ValueError, match="two-mode"):
+            run_classical_sweep([self.CFG, one_mode])
+        assert blocks == []
+        assert len(list(run_classical_sweep([self.CFG]))) == 1
+        assert blocks == [0, BLOCK]
 
 
 class TestWorkerPool:
@@ -516,7 +556,7 @@ def _per_sample_classical(cfg: SamplerConfig):
         for Mi, det in zip(M, dets):
             try:
                 verdict = chain_classify(Mi)
-            except (states.NoConvergenceError, states.DegenerateError, states.ComplexRootError):
+            except CHAIN_SOLVER_ERRORS:
                 counts["solver_failures"] += 1
                 continue
             if not verdict.physical:
