@@ -22,7 +22,11 @@ import numpy as np
 from .states import (
     OMEGA,
     StandardFormII,
+    _closed_scale,
+    _invariants,
+    _min_eig_bounds,
     _stack,
+    _uncertainty_bounds,
     is_physical,
     to_standard_form_one,
     to_standard_form_two,
@@ -74,7 +78,10 @@ class Verdict:
     separable and classical are False for unphysical matrices.  failure
     holds each lane's states.SolverFailure code: a physical lane whose
     form-I or form-II solve failed is neither separable nor classical
-    and has a NaN margin_sep.
+    and has a NaN margin_sep.  margin_ppt is the mirror margin of
+    is_separable_ppt only on the solved physical lanes where disagrees
+    could flag a conflict, that is where the closed-form mirror test
+    does not surely confirm the variance verdict; it is NaN elsewhere.
     """
 
     physical: np.ndarray
@@ -129,23 +136,54 @@ def is_separable_ppt(M: np.ndarray, tol: Tolerances = DEFAULT) -> tuple[np.ndarr
     return margin >= tol.ppt_min_eig, margin
 
 
+def _is_ppt(M: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
+    # The verdicts of is_separable_ppt, bit for bit, from the closed-form
+    # mirror test, with eigvalsh only on the lanes in its rounding band.
+    ppt, npt = _uncertainty_bounds(M, True, tol.ppt_min_eig)
+    unsure = np.flatnonzero(~(ppt | npt))
+    if unsure.size:
+        ppt[unsure] = is_separable_ppt(M[unsure], tol)[0]
+    return ppt
+
+
 def is_classical(M: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Positive-P test: M - I strictly positive definite."""
+    """Positive-P test: M - I strictly positive definite.
+
+    The verdict is min eig(M - I) > tol.classical_min_eig with the
+    eigenvalue that eigvalsh gives, bit for bit.  It is read from the
+    leading minors of M - I, whose min eigenvalue is at least
+    det(M - I) / max eig(M - I)^3 where they are all positive, and
+    eigvalsh runs only on the lanes inside their rounding band
+    (states._min_eig_bounds).
+    """
     M = _stack(M, (4, 4))
-    return np.linalg.eigvalsh(M - _EYE4)[:, 0] > tol.classical_min_eig
+    shifted = M - _EYE4
+    # Overflow and inf - inf happen only outside the scale window.
+    with np.errstate(over="ignore", invalid="ignore"):
+        det_a, _, _, det_m, d3 = _invariants(shifted)
+    classical, fails = _min_eig_bounds((shifted[:, 0, 0], det_a, d3, det_m),
+                                       _closed_scale(M), tol.classical_min_eig)
+    unsure = np.flatnonzero(~(classical | fails))
+    if unsure.size:
+        classical[unsure] = (np.linalg.eigvalsh(shifted[unsure])[:, 0]
+                             > tol.classical_min_eig)
+    return classical
 
 
 def classify(M: np.ndarray, tol: Tolerances = DEFAULT) -> Verdict:
     """Run the full filter chain on a stack of positive definite matrices.
 
-    Chain: the mirror margin and the physicality gate M + i*Omega >= 0
-    (states.is_physical), then on the physical lanes the form-I
-    reduction, the form-II solve and the separability verdict, then
-    the classicality test on the separable lanes.  Unphysical matrices
-    leave at the gate without a form-II solve; the mirror margin is
-    always computed so the caller can compare the two separability
-    tests.  The stack is classified CLASSIFY_CHUNK matrices at a time,
-    and solver failures are marked in the verdict's failure field.
+    Chain: the physicality gate M + i*Omega >= 0 (states.is_physical),
+    then on the physical lanes the form-I reduction, the form-II solve
+    and the separability verdict, the classicality test on the
+    separable lanes, and the mirror test on the solved physical lanes.
+    Unphysical matrices leave at the gate without a form-II solve.  The
+    mirror test is taken in closed form; is_separable_ppt gives the
+    margin on the lanes where it does not surely confirm the variance
+    verdict, the only lanes disagrees can flag, so the caller can still
+    compare the two separability tests there.  The stack is classified
+    CLASSIFY_CHUNK matrices at a time, and solver failures are marked
+    in the verdict's failure field.
     """
     M = _stack(M, (4, 4))
     parts = [
@@ -161,7 +199,6 @@ def classify(M: np.ndarray, tol: Tolerances = DEFAULT) -> Verdict:
 
 def _classify_stack(M: np.ndarray, tol: Tolerances) -> Verdict:
     count = len(M)
-    _, margin_ppt = is_separable_ppt(M, tol)
     physical = is_physical(M, tol)
     lanes = np.flatnonzero(physical)
     f1 = to_standard_form_one(M[lanes], tol)
@@ -179,6 +216,14 @@ def _classify_stack(M: np.ndarray, tol: Tolerances) -> Verdict:
     separable = margin_sep >= -tol.variance_slack
     classical = np.zeros(count, dtype=bool)
     classical[separable] = is_classical(M[separable], tol)
+    # Where the closed-form mirror verdict surely equals the variance
+    # verdict, disagrees cannot flag the lane and its margin stays NaN.
+    solved = lanes[f2.failure == 0]
+    ppt, npt = _uncertainty_bounds(M[solved], True, tol.ppt_min_eig)
+    check = solved[~np.where(separable[solved], ppt, npt)]
+    margin_ppt = np.full(count, math.nan)
+    if check.size:
+        margin_ppt[check] = is_separable_ppt(M[check], tol)[1]
     return Verdict(physical, separable, classical, margin_sep, margin_ppt, failure)
 
 
@@ -189,7 +234,7 @@ def disagrees(verdict: Verdict, tol: Tolerances = DEFAULT) -> np.ndarray:
     Disagreements with either margin inside the boundary band are
     tolerated as tie-breaking noise; anything else indicates a defect
     and should abort a census.  Lanes that are unphysical or failed a
-    solve never disagree.
+    solve never disagree, nor do lanes with a NaN margin_ppt.
     """
     ppt_ok = verdict.margin_ppt >= tol.ppt_min_eig
     return (

@@ -475,11 +475,12 @@ def _one_mode_block(args) -> _BlockOut:
 def _entropy_block(args) -> _BlockOut:
     seed, start, count, k, l = args
     tol = DEFAULT
-    # Only the physicality gate and the mirror oracle: no form-I or
-    # form-II solve.
+    # Only the physicality gate and the mirror oracle's verdict, both in
+    # closed form: no form-I or form-II solve.
     index, M, _ = _candidates(seed, start, count, k, l)
     physical = states.is_physical(M, tol)
-    separable = physical & criteria.is_separable_ppt(M, tol)[0]
+    separable = physical.copy()
+    separable[physical] = criteria._is_ppt(M[physical], tol)
     M = M[separable]
     joint = states.entropy(M)
     largest = np.maximum(states.entropy(M[:, :2, :2]), states.entropy(M[:, 2:, 2:]))

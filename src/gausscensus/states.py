@@ -28,7 +28,6 @@ __all__ = [
     "StandardFormI",
     "StandardFormII",
     "SqueezedThermalParams",
-    "mode_blocks",
     "is_physical",
     "to_standard_form_one",
     "to_standard_form_two",
@@ -112,12 +111,6 @@ class SqueezedThermalParams:
     theta: float = 0.0
 
 
-def mode_blocks(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split a 4x4 covariance matrix into mode blocks A, B and cross block C."""
-    M = np.asarray(M, dtype=float)
-    return M[..., :2, :2], M[..., 2:, 2:], M[..., :2, 2:]
-
-
 def _stack(x, *shapes: tuple) -> np.ndarray:
     # x as a float array of entries stacked along a leading axis, each
     # entry of one of the given shapes; anything else is refused here
@@ -147,10 +140,130 @@ def _per_element(fn, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.tolist()), float, x.size)
 
 
+def _invariants(M: np.ndarray, closed: bool = True) -> tuple:
+    # det A, det B and det C of each lane's blocks, det M and the leading
+    # 3x3 minor D3, all read from the lower triangle, the one eigvalsh
+    # reads.  With closed, det M and D3 come from the Laplace expansion
+    # over the 2x2 minors of rows 0-1 (s, columns named) and rows 2-3
+    # (t); without, det M is LAPACK's and D3 is None.
+    m00, m10, m11 = M[:, 0, 0], M[:, 1, 0], M[:, 1, 1]
+    m20, m21, m22 = M[:, 2, 0], M[:, 2, 1], M[:, 2, 2]
+    m30, m31, m32, m33 = M[:, 3, 0], M[:, 3, 1], M[:, 3, 2], M[:, 3, 3]
+    det_a = m00 * m11 - m10 * m10
+    det_b = m22 * m33 - m32 * m32
+    det_c = m20 * m31 - m30 * m21
+    if not closed:
+        return det_a, det_b, det_c, np.linalg.det(M), None
+    s02 = m00 * m21 - m20 * m10
+    s03 = m00 * m31 - m30 * m10
+    s12 = m10 * m21 - m20 * m11
+    s13 = m10 * m31 - m30 * m11
+    t02 = m20 * m32 - m22 * m30
+    t03 = m20 * m33 - m32 * m30
+    t12 = m21 * m32 - m22 * m31
+    t13 = m21 * m33 - m32 * m31
+    # The minor of rows 2-3 and columns 0-1 is det C as well.
+    det_m = (det_a * det_b - s02 * t13 + s03 * t12 + s12 * t03 - s13 * t02
+             + det_c * det_c)
+    d3 = m20 * s12 - m21 * s02 + m22 * det_a
+    return det_a, det_b, det_c, det_m, d3
+
+
+# Closed-form eigenvalue tests.  A test "min eig H >= t" (or "> t") on a
+# Hermitian 4x4 H, here M + i*Omega, its mirror image or M - I, is
+# decided from H's leading principal minors H1..H4 where they settle it,
+# and by eigvalsh on the other lanes.  Let u = 2**-53, g_j = j*u/(1 - j*u),
+# s = 1 + max|M_ij| over a lane's lower triangle (the one eigvalsh reads)
+# and N = 5s.  The closed forms below multiply entries of M or M - I
+# and the constant 1, all at most s in size, and ||H||_2 <= ||M||_2 + 1
+# <= 4 max|M_ij| + 1 <= N.
+# - eigvalsh returns the eigenvalues of H + E with ||E||_2 <= p(n) u ||H||_2
+#   (LAPACK Users' Guide, 3rd ed., sec. 4.7), so by Weyl its min
+#   eigenvalue is within d = 256 u N of the exact one: p(4) = 256 is
+#   well above the n**2 growth of Householder tridiagonalization and QR.
+# - H1 is an entry.  H2 sums 3 monomials of size at most s**2 through 3
+#   roundings, H3 7 of size s**3 through 6 and H4 33 of size s**4 through
+#   10, so Hj errs by at most e_j = tau_j s**j, tau = (0, 1e-14, 1e-13,
+#   1e-12): 10, 21 and 27 times g_3 3, g_6 7 and g_10 33.
+# - Where H1..H4 > 0, H is positive definite and its min eigenvalue is
+#   H4 / (l2 l3 l4) >= H4 / N**3.  Where Hj < 0, the leading j x j block
+#   has an eigenvalue at most -|Hj| / N**(j - 1), and by Cauchy
+#   interlacing H's min eigenvalue is at most that.
+# So eigvalsh's min eigenvalue surely passes t where Hj > e_j for j < 4
+# and H4 > e_4 + max(t + d, 0) N**3, and surely fails t where some
+# Hj < -e_j - max(d - t, 0) N**(j - 1).  For s above _CLOSED_SCALE a
+# product could overflow, so the lane takes eigvalsh; no lower bound is
+# needed, as s >= 1 makes e_j far larger than any underflow.  Every
+# bound is a lane's own, so a verdict does not depend on its stack.
+_MINOR_BAND = (0.0, 1e-14, 1e-13, 1e-12)
+_EIG_BACKWARD = 2.0**-45
+_CLOSED_SCALE = 1e60
+
+# Flat positions of the lower triangle of a 4x4 matrix.
+_LOWER = (0, 4, 5, 8, 9, 10, 12, 13, 14, 15)
+
+
+def _closed_scale(M: np.ndarray) -> np.ndarray:
+    # s of the comment above for each lane; NaN for a lane with a NaN.
+    flat = M.reshape(len(M), 16)
+    big = np.abs(flat[:, 0])
+    for j in _LOWER[1:]:
+        np.maximum(big, np.abs(flat[:, j]), out=big)
+    return 1.0 + big
+
+
+def _min_eig_bounds(minors: tuple, s: np.ndarray, t: float) -> tuple:
+    # The lanes whose eigvalsh min eigenvalue surely passes and surely
+    # fails the threshold t, from the leading minors H1..H4.  A lane
+    # outside the scale window is in neither mask: its minors are junk.
+    inside = s <= _CLOSED_SCALE
+    s = np.where(inside, s, 1.0)
+    n = 5.0 * s
+    d = _EIG_BACKWARD * n
+    up, down = np.maximum(t + d, 0.0), np.maximum(d - t, 0.0)
+    passes, fails = inside.copy(), np.zeros_like(inside)
+    s_j, n_j = np.ones_like(s), np.ones_like(s)  # s**j and N**(j - 1)
+    for j, (h, tau) in enumerate(zip(minors, _MINOR_BAND), 1):
+        s_j *= s
+        e = tau * s_j
+        passes &= h > (e + up * n_j if j == 4 else e)
+        fails |= h < -(e + down * n_j)
+        n_j *= n
+    return passes, fails & inside
+
+
+def _uncertainty_bounds(M: np.ndarray, mirror: bool, t: float) -> tuple:
+    # _min_eig_bounds for M + i*Omega, or for the mirror image of M plus
+    # i*Omega, which differs only in the sign of det C:
+    # det(M + i*Omega) = det M - (det A + det B + 2 det C) + 1
+    #                  = (nu1**2 - 1)(nu2**2 - 1),
+    # the leading 2x2 minor is det A - 1 and the leading 3x3 minor
+    # D3 - M_22, the mirror touching neither.
+    # Overflow and inf - inf happen only outside the scale window.
+    with np.errstate(over="ignore", invalid="ignore"):
+        det_a, det_b, det_c, det_m, d3 = _invariants(M)
+        cross = -2.0 * det_c if mirror else 2.0 * det_c
+        minors = (M[:, 0, 0], det_a - 1.0, d3 - M[:, 2, 2],
+                  det_m - (det_a + det_b + cross) + 1.0)
+    return _min_eig_bounds(minors, _closed_scale(M), t)
+
+
 def is_physical(M: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Uncertainty-principle test: M + i*Omega positive semidefinite."""
+    """Uncertainty-principle test: M + i*Omega positive semidefinite.
+
+    The verdict is min eig(M + i*Omega) >= tol.physical_min_eig with the
+    eigenvalue that eigvalsh gives, bit for bit.  It is read from the
+    leading minors of M + i*Omega, whose determinant is
+    det M - (det A + det B + 2 det C) + 1 = (nu1^2 - 1)(nu2^2 - 1), and
+    eigvalsh runs only on the lanes inside their rounding band.
+    """
     M = _stack(M, (4, 4))
-    return np.linalg.eigvalsh(M + 1j * OMEGA)[:, 0] >= tol.physical_min_eig
+    physical, fails = _uncertainty_bounds(M, False, tol.physical_min_eig)
+    unsure = np.flatnonzero(~(physical | fails))
+    if unsure.size:
+        physical[unsure] = (np.linalg.eigvalsh(M[unsure] + 1j * OMEGA)[:, 0]
+                            >= tol.physical_min_eig)
+    return physical
 
 
 def to_standard_form_one(M: np.ndarray, tol: Tolerances = DEFAULT) -> StandardFormI:
@@ -162,26 +275,30 @@ def to_standard_form_one(M: np.ndarray, tol: Tolerances = DEFAULT) -> StandardFo
     S = (n^2 m^2 + (det C)^2 - det M) / (n m).  Signs follow the
     convention c >= 0, |c| >= |cp|, sign(c * cp) = sign(det C).
 
-    A lane whose quadratic has no real roots beyond numerical tolerance,
-    which signals an inconsistent input, is marked
-    SolverFailure.COMPLEX_ROOT.
+    A lane whose det A or det B is not positive has no such form and is
+    marked SolverFailure.BELOW_VACUUM.  A lane whose quadratic has no
+    real roots beyond numerical tolerance, which signals an inconsistent
+    input, is marked SolverFailure.COMPLEX_ROOT.  det M is LAPACK's, as
+    in every census so far.
     """
     M = _stack(M, (4, 4))
-    A, B, C = mode_blocks(M)
-    det_c = _det2(C)
-    det_m = np.linalg.det(M)
-    n = np.sqrt(_det2(A))
-    m = np.sqrt(_det2(B))
+    det_a, det_b, det_c, det_m, _ = _invariants(M, closed=False)
+    below = (det_a <= 0.0) | (det_b <= 0.0)
+    n = np.sqrt(np.where(below, 1.0, det_a))
+    m = np.sqrt(np.where(below, 1.0, det_b))
     S = (n * n * m * m + det_c * det_c - det_m) / (n * m)
     disc = S * S - 4.0 * det_c * det_c
     scale = np.maximum(np.maximum(S * S, 4.0 * det_c * det_c), 1.0)
-    complex_root = disc < -tol.complex_root_rel * scale
+    complex_root = ~below & (disc < -tol.complex_root_rel * scale)
     root = np.sqrt(_at_least(disc, 0.0))
     c = np.sqrt(_at_least(0.5 * (S + root), 0.0))
     cp = np.sqrt(_at_least(0.5 * (S - root), 0.0))
     cp = np.where(det_c < 0.0, -cp, cp)
-    n, m, c, cp = (np.where(complex_root, math.nan, x) for x in (n, m, c, cp))
-    failure = np.where(complex_root, SolverFailure.COMPLEX_ROOT, SolverFailure.NONE)
+    failed = below | complex_root
+    n, m, c, cp = (np.where(failed, math.nan, x) for x in (n, m, c, cp))
+    failure = np.select([below, complex_root],
+                        [SolverFailure.BELOW_VACUUM, SolverFailure.COMPLEX_ROOT],
+                        SolverFailure.NONE)
     return StandardFormI(n, m, c, cp, failure.astype(np.int8))
 
 
@@ -383,12 +500,12 @@ def symplectic_eigenvalues(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Return nu1 >= nu2 > 0 with spec(i Omega M) = {+-nu1, +-nu2}.
 
     Uses the invariant form: nu^2 are the roots of
-    x^2 - (det A + det B + 2 det C) x + det M.  Gives two (S,) arrays.
+    x^2 - (det A + det B + 2 det C) x + det M, with LAPACK's det M.
+    Gives two (S,) arrays.
     """
     M = _stack(M, (4, 4))
-    A, B, C = mode_blocks(M)
-    delta = _det2(A) + _det2(B) + 2.0 * _det2(C)
-    det_m = np.linalg.det(M)
+    det_a, det_b, det_c, det_m, _ = _invariants(M, closed=False)
+    delta = det_a + det_b + 2.0 * det_c
     root = np.sqrt(_at_least(delta * delta - 4.0 * det_m, 0.0))
     nu1 = np.sqrt(_at_least(0.5 * (delta + root), 0.0))
     nu2 = np.sqrt(_at_least(0.5 * (delta - root), 0.0))

@@ -11,6 +11,12 @@ class Tolerances:
     but the census drivers do not: every block runner uses DEFAULT (and
     the one-mode block hard-codes its physicality slack), so a census
     cannot yet be run under other cutoffs.
+
+    The three *_min_eig cutoffs are thresholds on the min eigenvalue
+    that eigvalsh gives.  The tests read their verdicts from closed-form
+    leading minors and call eigvalsh only where rounding could make the
+    two differ (states._min_eig_bounds), so the cutoffs keep their
+    values, units and meaning.
     """
 
     physical_min_eig: float = -1e-10     # min eig of M + i*Omega for physicality
@@ -20,8 +26,8 @@ class Tolerances:
     degenerate_abs: float = 1e-12        # |n-1|, |m-1| window for the degenerate form
     variance_slack: float = 1e-12        # ">=" slack in the variance comparisons
     ppt_min_eig: float = -1e-10          # min eig of the reflected matrix + i*Omega
-    classical_min_eig: float = 1e-12     # strict positivity of M - I
-    margin_band: float = 1e-9            # verdict-disagreement boundary band
+    classical_min_eig: float = 1e-12     # strict positivity of M - I: min eig above this
+    margin_band: float = 1e-9            # verdict-disagreement band on margin_sep and margin_ppt
     spectrum_floor_rel: float = 1e-13    # kernel eigenvalue acceptance, relative to max
     grid_coincidence: float = 1e-9       # minimum distance between grid coordinates
     fd_step_rel: float = 1e-4            # finite-difference step, relative

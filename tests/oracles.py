@@ -450,6 +450,41 @@ def sample_matrix(cfg, stream: np.random.Generator) -> np.ndarray:
     return M
 
 
+def same_value(a, b) -> np.ndarray:
+    """Elementwise a == b, with NaN equal to NaN: a verdict field such as
+    margin_ppt is NaN on the lanes where it is not kept."""
+    a, b = np.asarray(a), np.asarray(b)
+    eq = a == b
+    if a.dtype.kind == "f" or b.dtype.kind == "f":
+        eq |= np.isnan(a) & np.isnan(b)
+    return eq
+
+
+# ---------------------------------------------------------------------
+# The three eigenvalue tests as the package ran them on whole stacks
+# before it read their verdicts from closed-form leading minors: one
+# stacked eigvalsh each, its min eigenvalue against the threshold.  The
+# package's verdicts must equal these bit for bit.
+
+_EIG_OMEGA = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+_EIG_MIRROR_SIGNS = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
+
+
+def eigvalsh_is_physical(M: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """min eig(M + i*Omega) >= tol.physical_min_eig, lane by lane."""
+    return np.linalg.eigvalsh(M + 1j * _EIG_OMEGA)[:, 0] >= tol.physical_min_eig
+
+
+def eigvalsh_is_ppt(M: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """min eig(mirrored M + i*Omega) >= tol.ppt_min_eig, lane by lane."""
+    return np.linalg.eigvalsh(M * _EIG_MIRROR_SIGNS + 1j * _EIG_OMEGA)[:, 0] >= tol.ppt_min_eig
+
+
+def eigvalsh_is_classical(M: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """min eig(M - I) > tol.classical_min_eig, lane by lane."""
+    return np.linalg.eigvalsh(M - np.eye(4))[:, 0] > tol.classical_min_eig
+
+
 @dataclass(frozen=True)
 class LaneVerdict:
     """One lane of a stacked criteria.Verdict, field by field."""

@@ -15,7 +15,7 @@ import pytest
 import gausscensus
 from gausscensus import cli, criteria, montecarlo
 
-from oracles import accepted_samples
+from oracles import accepted_samples, same_value
 
 HEADER = "k,l,samples,accepted,separable,classical,prob_sep,prob_classical,seed"
 
@@ -352,7 +352,7 @@ class TestOracleExit:
             for _, target in targets:
                 row = np.ones(np.shape(verdict.physical), dtype=bool)
                 for f in dataclasses.fields(verdict):
-                    row &= getattr(verdict, f.name) == getattr(target, f.name)
+                    row &= same_value(getattr(verdict, f.name), getattr(target, f.name))
                 flagged |= row
             return flagged
 
@@ -479,3 +479,35 @@ class TestStartup:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli"
+
+# Each golden's command line, less --workers.  The table1 run holds the
+# k=500 row, whose form-II solves fail on many physical samples.
+CLI_GOLDENS = {
+    "table1.csv": ["table1", "--scale", "0.002", "--seed", "100"],
+    "entropy.csv": ["entropy", "--samples", "50000", "--seed", "3"],
+}
+
+
+def test_every_cli_golden_has_a_command() -> None:
+    assert sorted(CLI_GOLDENS) == sorted(p.name for p in GOLDEN.iterdir())
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("name", sorted(CLI_GOLDENS))
+def test_cli_output_matches_golden(name: str, workers: str) -> None:
+    # A fresh process, as a user runs it; its stdout is the golden byte
+    # for byte at any worker count.  A change that means to alter a
+    # census result replaces the golden and says why.
+    src = str(Path(gausscensus.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env.pop(cli.ENV_WORKERS, None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gausscensus.cli", *CLI_GOLDENS[name], "--workers", workers],
+        capture_output=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert proc.stdout == (GOLDEN / name).read_bytes()

@@ -25,10 +25,11 @@ from gausscensus.states import (
     to_standard_form_two,
 )
 
-from gausscensus import criteria
+from gausscensus import criteria, montecarlo, states
 from gausscensus.montecarlo import SamplerConfig
 from gausscensus.rng import BLOCK
 from gausscensus.states import SolverFailure
+from gausscensus.tolerances import DEFAULT, Tolerances
 
 from oracles import (
     CHAIN_ERRORS,
@@ -41,6 +42,9 @@ from oracles import (
     chain_form_one,
     chain_form_two,
     chain_is_separable_ppt,
+    eigvalsh_is_classical,
+    eigvalsh_is_physical,
+    eigvalsh_is_ppt,
     form_one_matrix,
     materialised_candidates,
     random_local_symplectic,
@@ -180,12 +184,24 @@ class TestClassify:
         rng = np.random.default_rng(31)
         perm = [2, 3, 0, 1]
         M = sample_pd_matrices(rng, 400)
+        swapped = M[:, perm][:, :, perm]
         v1 = classify(M)
-        v2 = classify(M[:, perm][:, :, perm])
+        v2 = classify(swapped)
         solved = (v1.failure == 0) & (v2.failure == 0)
         for name in ("physical", "separable", "classical"):
             assert np.array_equal(getattr(v1, name)[solved], getattr(v2, name)[solved]), name
-        assert v1.margin_ppt[solved] == pytest.approx(v2.margin_ppt[solved], abs=1e-8)
+        # classify keeps a mirror margin only where the closed-form mirror
+        # test leaves the variance verdict unconfirmed, and the leading
+        # minors it reads change under the swap; the margins themselves
+        # do not.
+        kept = solved & ~np.isnan(v1.margin_ppt) & ~np.isnan(v2.margin_ppt)
+        assert v1.margin_ppt[kept] == pytest.approx(v2.margin_ppt[kept], abs=1e-8)
+        ppt1, margin1 = is_separable_ppt(M)
+        ppt2, margin2 = is_separable_ppt(swapped)
+        assert margin1[solved] == pytest.approx(margin2[solved], abs=1e-8)
+        for v, ppt in ((v1, ppt1), (v2, ppt2)):
+            confirmed = v.physical & (v.failure == 0) & np.isnan(v.margin_ppt)
+            assert np.array_equal(v.separable[confirmed], ppt[confirmed])
         assert np.count_nonzero(solved) >= 100
 
     def test_unphysical_gate_gives_nan_margin(self):
@@ -301,7 +317,12 @@ class TestStackedClassify:
         failures, rows = zip(*(chain_lane(Mi) for Mi in M))
         chain = Verdict(*map(np.array, zip(*rows)), failure=np.array(failures))
         for f in dataclasses.fields(Verdict):
-            assert same_bits(getattr(v, f.name), getattr(chain, f.name)), f.name
+            if f.name != "margin_ppt":
+                assert same_bits(getattr(v, f.name), getattr(chain, f.name)), f.name
+        # classify keeps the mirror margin only where disagrees could flag
+        # the lane, and NaN there never flags.
+        kept = ~np.isnan(v.margin_ppt)
+        assert same_bits(v.margin_ppt[kept], chain.margin_ppt[kept])
         assert same_bits(disagrees(v), disagrees(chain))
         if kl == (500, 250):
             assert np.count_nonzero(v.failure == SolverFailure.LINE_SEARCH_STALLED) > 1000
@@ -369,3 +390,130 @@ class TestStackedClassify:
         assert list(v.failure) == [SolverFailure.COMPLEX_ROOT, SolverFailure.NONE]
         assert list(v.physical) == [True, True]
         assert not v.separable[0] and v.separable[1]
+
+
+# The three eigenvalue verdicts, each with its eigvalsh reference.
+VERDICTS = {
+    "physical": (is_physical, eigvalsh_is_physical),
+    "ppt": (criteria._is_ppt, eigvalsh_is_ppt),
+    "classical": (is_classical, eigvalsh_is_classical),
+}
+
+# Box bounds from (1, 1) to (5000, 2500).
+VERDICT_BOXES = [(1, 1), (3, 2), (10, 5), (15, 15), (30, 20), (500, 250), (1000, 1000),
+                 (5000, 2500)]
+
+
+@pytest.fixture
+def eigvalsh_lanes(monkeypatch):
+    """The number of matrices each np.linalg.eigvalsh call gets."""
+    lanes = []
+    real = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        lanes.append(len(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return lanes
+
+
+def two_mode_thermal(nu1, nu2, r, rng):
+    """Local symplectics and a two-mode squeeze r of the thermal state
+    diag(nu1, nu1, nu2, nu2): symplectic eigenvalues nu1 and nu2."""
+    ch, sh = math.cosh(r), math.sinh(r)
+    S = np.array([[ch, 0, sh, 0], [0, ch, 0, -sh], [sh, 0, ch, 0], [0, -sh, 0, ch]])
+    L = np.zeros((4, 4))
+    L[:2, :2] = random_local_symplectic(rng)[:2, :2]
+    L[2:, 2:] = random_local_symplectic(rng)[2:, 2:]
+    T = L @ S
+    M = T @ np.diag([nu1, nu1, nu2, nu2]) @ T.T
+    return 0.5 * (M + M.T)
+
+
+@pytest.mark.filterwarnings("error")
+class TestClosedFormVerdicts:
+    """The closed-form verdicts equal the eigvalsh tests bit for bit, and
+    call eigvalsh only for lanes in their rounding band."""
+
+    @pytest.mark.parametrize("kl", VERDICT_BOXES)
+    def test_census_candidates(self, kl):
+        _, M, _ = montecarlo._candidates(17, 0, 20000, float(kl[0]), float(kl[1]))
+        assert len(M) > 100
+        for name, (verdict, reference) in VERDICTS.items():
+            assert np.array_equal(verdict(M), reference(M)), name
+
+    def test_indefinite_and_negative_matrices(self):
+        # Uniform symmetric stacks, most of them not positive definite,
+        # and some negative definite: the minors of M + i*Omega decide
+        # without assuming M > 0.
+        rng = np.random.default_rng(5)
+        X = rng.uniform(-3.0, 3.0, size=(20000, 4, 4))
+        M = np.concatenate([X + X.swapaxes(1, 2), -4.0 * np.eye(4)[None],
+                            np.diag([2.0, 2.0, 2.0, 2.0])[None] + 4.0 * np.eye(4)[[2, 3, 0, 1]]])
+        for name, (verdict, reference) in VERDICTS.items():
+            assert np.array_equal(verdict(M), reference(M)), name
+
+    def test_other_thresholds(self):
+        # Positive and negative thresholds exercise both signs of t +- d.
+        tol = Tolerances(physical_min_eig=0.05, ppt_min_eig=-0.05, classical_min_eig=0.2)
+        _, M, _ = montecarlo._candidates(19, 0, 40000, 10.0, 5.0)
+        for name, (verdict, reference) in VERDICTS.items():
+            assert np.array_equal(verdict(M, tol), reference(M, tol)), name
+            assert np.array_equal(verdict(-M, tol), reference(-M, tol)), name
+
+    def test_boundary_lanes_take_eigvalsh(self, eigvalsh_lanes):
+        rng = np.random.default_rng(9)
+        # Two-mode squeezed vacua sit on the physical boundary (nu2 = 1).
+        vacua = [tmsv(r) for r in (0.1, 0.7, 1.5)]
+        # nu2 = 1 +- 1e-11, on either side of it, and 1 - 1e-9, just past
+        # the -1e-10 slack; mirror images put the same states on the
+        # mirror test's boundary.
+        gaps = (1e-11, -1e-11, -1e-9)
+        near = [two_mode_thermal(2.0, 1.0 + gap, 0.0, rng) for gap in gaps for _ in range(3)]
+        near += [two_mode_thermal(1.5, 1.0 + gap, 0.4, rng) for gap in gaps for _ in range(3)]
+        mirrored = [m * criteria._MIRROR_SIGNS for m in near]
+        # min eig(M - I) near 1e-12, the positive-P threshold.
+        Q = np.linalg.qr(rng.normal(size=(6, 4, 4)))[0]
+        shifts = np.array([1e-12, 1.5e-12, 5e-13, 1e-12, 2e-12, 0.0])
+        classical = Q @ (np.eye(4) + shifts[:, None, None] * np.diag([1.0, 0, 0, 0])
+                         + np.diag([0.0, 1.0, 2.0, 3.0])) @ Q.swapaxes(1, 2)
+        classical = 0.5 * (classical + classical.swapaxes(1, 2))
+        cases = {
+            "physical": np.array(vacua + near),
+            "ppt": np.array(mirrored),
+            "classical": classical,
+        }
+        for name, M in cases.items():
+            verdict, reference = VERDICTS[name]
+            want = reference(M)
+            eigvalsh_lanes.clear()
+            assert np.array_equal(verdict(M), want), name
+            assert sum(eigvalsh_lanes) == len(M), name
+        # Both outcomes occur on the boundary lanes.
+        for name in ("physical", "classical"):
+            M = cases[name] if name == "classical" else np.array(near)
+            assert len(set(VERDICTS[name][1](M).tolist())) == 2, name
+
+    def test_entry_scales_outside_the_window(self, eigvalsh_lanes):
+        # Entries above 1e60 could overflow the closed forms: those lanes
+        # take eigvalsh, and the others stay in closed form.
+        _, M, _ = montecarlo._candidates(23, 0, 5000, 10.0, 5.0)
+        huge = M[:7] * 1e61
+        mixed = np.concatenate([M, huge, M[:3] * 1e-200, np.full((1, 4, 4), np.nan)])
+        for name, (verdict, reference) in VERDICTS.items():
+            with np.errstate(invalid="ignore"):
+                want = reference(mixed[:-1])
+            eigvalsh_lanes.clear()
+            assert np.array_equal(verdict(mixed[:-1]), want), name
+            assert sum(eigvalsh_lanes) == len(huge), name
+        # A NaN lane goes to eigvalsh too, which refuses it as before.
+        with pytest.raises(np.linalg.LinAlgError):
+            is_physical(mixed[-2:])
+
+    def test_census_block_never_calls_eigvalsh(self, eigvalsh_lanes):
+        # A k = l = 15 census block (seed 7): every verdict in closed form.
+        args = (7, 0, BLOCK, 15.0, 15.0, 0, 0, 0.0, 0.0, (), ())
+        out = montecarlo._census_block(args)
+        assert out.acc.separable > 0 and out.acc.accepted > out.acc.separable
+        assert eigvalsh_lanes == []

@@ -31,6 +31,7 @@ from oracles import (
     grid_coords,
     kernel_on_grid,
     materialised_candidates,
+    same_value,
     sample_matrix,
     sample_stream,
     volumes_on_grids,
@@ -718,7 +719,7 @@ class TestOracleAbort:
         def disagrees(verdict, tol=criteria.DEFAULT):
             row = np.ones(np.shape(verdict.physical), dtype=bool)
             for f in dataclasses.fields(verdict):
-                row &= getattr(verdict, f.name) == getattr(target, f.name)
+                row &= same_value(getattr(verdict, f.name), getattr(target, f.name))
             return real(verdict, tol) | row
 
         monkeypatch.setattr(criteria, "disagrees", disagrees)
@@ -842,7 +843,7 @@ def _classify_entropy_block(args):
     tol = criteria.DEFAULT
     index, M, _ = montecarlo._candidates(seed, start, count, k, l)
     v = criteria.classify(M, tol)
-    separable = v.physical & (v.margin_ppt >= tol.ppt_min_eig)
+    separable = v.physical & criteria.is_separable_ppt(M, tol)[0]
     M = M[separable]
     joint = states.entropy(M)
     largest = np.maximum(states.entropy(M[:, :2, :2]), states.entropy(M[:, 2:, 2:]))

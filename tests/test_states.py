@@ -132,6 +132,20 @@ class TestStandardFormOne:
         assert np.linalg.det(sf) == pytest.approx(np.linalg.det(M), rel=1e-8)
         assert f.c * f.cp == pytest.approx(np.linalg.det(M[:, :2, 2:]), rel=1e-8, abs=1e-10)
 
+    @pytest.mark.filterwarnings("error")
+    def test_nonpositive_block_determinant_is_below_vacuum(self):
+        # det A = -1 (and, in the second lane, det B = 0): no form I
+        # exists.  The lane used to come out NaN with failure NONE, a
+        # sqrt warning, and SINGULAR_JACOBIAN from form II.
+        M = np.stack([np.diag([-1.0, 1.0, 2.0, 2.0]), np.diag([2.0, 2.0, 0.0, 3.0]),
+                      2.0 * np.eye(4)])
+        f1 = to_standard_form_one(M)
+        below = SolverFailure.BELOW_VACUUM
+        assert list(f1.failure) == [below, below, SolverFailure.NONE]
+        assert np.isnan([f1.n[:2], f1.m[:2], f1.c[:2], f1.cp[:2]]).all()
+        assert (f1.n[2], f1.m[2]) == (2.0, 2.0)
+        assert list(to_standard_form_two(f1).failure) == [below, below, SolverFailure.NONE]
+
 
 class TestStandardFormTwo:
     def test_two_mode_squeezed_vacuum(self):
