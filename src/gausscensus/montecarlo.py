@@ -8,6 +8,7 @@ streaming log-sum-exp accumulators.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import sys
@@ -261,114 +262,52 @@ def _values(u: np.ndarray, k: float, l: float) -> np.ndarray:
     return values
 
 
-def _leading(values: np.ndarray, n: int) -> np.ndarray:
-    # Each row's leading n x n submatrix, by one gather from its values:
-    # each array is read once, in row order.
-    columns = _ENTRY_COLUMNS.reshape(4, 4)[:n, :n].ravel()
-    return np.take(values, columns, axis=1).reshape(len(values), n, n)
-
-
 def _build_matrices(u: np.ndarray, k: float, l: float) -> np.ndarray:
-    return _leading(_values(u, k, l), 4)
+    # Each row's 4x4 matrix, by one gather from its values: each array is
+    # read once, in row order.
+    return np.take(_values(u, k, l), _ENTRY_COLUMNS, axis=1).reshape(len(u), 4, 4)
 
 
-# Leading minors decided in closed form.  Let u = 2**-53, g_j = j*u/(1 - j*u)
-# and m bound the |entries|; n is 3 or 4.
-# - np.linalg.det takes its sign from LAPACK's LU with partial pivoting:
-#   the pivot signs give the sign of det(A + E) exactly, where |E| <= g_n
-#   |L||U| with |l_ij| <= 1 and |u_ij| <= 2**(n-1) m (the growth bound),
-#   so |E_ij| <= g_n n 2**(n-1) m (Higham, Accuracy and Stability of
-#   Numerical Algorithms, Thm 9.3).  Over the n! terms of the Leibniz
-#   sum, |det(A + E) - det A| <= n! n max|E_ij| m**(n-1) to first order:
-#   7.2e-14 m**3 and 1.36e-12 m**4.
-# - The closed form sums 6 (n = 3) or 24 (n = 4) monomials of size at
-#   most m**n, each through at most 5 or 10 roundings, so it errs by at
-#   most g_5 6 m**3 = 3.3e-15 m**3 or g_10 24 m**4 = 2.7e-14 m**4.
-# Where |closed form| > tau_n m**n, with tau_3 = 1e-11 and tau_4 = 1e-10
-# (about 130 and 70 times the two errors together), both signs are the
-# sign of det A; rows inside the band take LAPACK's sign.  For m outside
-# _SIGN_SCALES a product could overflow, or underflow (here or in the
-# value np.linalg.det returns) by more than the band allows, so every
-# row takes LAPACK's sign.
-_SIGN_BAND = {3: 1e-11, 4: 1e-10}
-_SIGN_SCALES = (1e-60, 1e60)
+def _blocks(samples: int, seed: int, *rest) -> tuple[int, Iterator[tuple]]:
+    # A census's block count and the arguments (seed, start, count,
+    # *rest) of its blocks, made one at a time: a census may have 2**48.
+    starts = range(0, samples, BLOCK)
+    return len(starts), ((seed, s, min(BLOCK, samples - s), *rest) for s in starts)
 
 
-def _closed_minor(values: np.ndarray, n: int) -> np.ndarray:
-    # The leading n x n minor of each row's matrix from its values.
-    m00, m11, m22 = values[:, 0], values[:, 1], values[:, 2]
-    m01, m02, m12 = values[:, 4], values[:, 5], values[:, 7]
-    if n == 3:
-        return (m00 * (m11 * m22 - m12 * m12) - m01 * (m01 * m22 - m02 * m12)
-                + m02 * (m01 * m12 - m02 * m11))
-    m33, m03, m13, m23 = values[:, 3], values[:, 6], values[:, 8], values[:, 9]
-    # Laplace expansion over the 2x2 minors of rows 0-1 (s) and 2-3 (t).
-    s01 = m00 * m11 - m01 * m01
-    s02 = m00 * m12 - m02 * m01
-    s03 = m00 * m13 - m03 * m01
-    s12 = m01 * m12 - m02 * m11
-    s13 = m01 * m13 - m03 * m11
-    s23 = m02 * m13 - m03 * m12
-    t01 = m02 * m13 - m12 * m03
-    t02 = m02 * m23 - m22 * m03
-    t03 = m02 * m33 - m23 * m03
-    t12 = m12 * m23 - m22 * m13
-    t13 = m12 * m33 - m23 * m13
-    t23 = m22 * m33 - m23 * m23
-    return s01 * t23 - s02 * t13 + s03 * t12 + s12 * t03 - s13 * t02 + s23 * t01
-
-
-def _minor_positive(values: np.ndarray, n: int, scale: float) -> np.ndarray:
-    # Whether each row's leading n x n minor is positive, as
-    # np.linalg.det(...) > 0 decides it; scale bounds the |entries|.
-    if _SIGN_SCALES[0] <= scale <= _SIGN_SCALES[1]:
-        minor = _closed_minor(values, n)
-        band = _SIGN_BAND[n] * scale ** n
-        positive = minor > band
-        unsure = np.flatnonzero(~(np.abs(minor) > band))
-    else:
-        positive = np.zeros(len(values), dtype=bool)
-        unsure = np.arange(len(values))
-    if unsure.size:
-        positive[unsure] = np.linalg.det(_leading(values[unsure], n)) > 0.0
-    return positive
-
-
-def _block_ranges(samples: int) -> list[tuple[int, int]]:
-    return [(s, min(BLOCK, samples - s)) for s in range(0, samples, BLOCK)]
-
-
-def _candidates(seed: int, start: int, count: int, k: float, l: float) -> tuple:
-    # The front of every two-mode block: Sylvester's screen (leading
-    # minors 1..4 positive) taken as soon as a minor's uniforms exist.
+def _candidates(seed: int, start: int, count: int, k: float, l: float,
+                tol: Tolerances) -> tuple:
+    # The front of every two-mode block: the block positions and matrices
+    # of the samples that survive the leading minors H2 = det A - 1 and
+    # H3 = D3 - M22 of M + i*Omega (H1 = M00 >= 0 cannot fail).  A sample
+    # leaves where one surely fails tol.physical_min_eig, by the floors
+    # of states._minor_bands at s = 1 + max(k, l).  That s bounds every
+    # sample's own, so no sample that states.is_physical accepts leaves.
     # Uniforms 0-7 (counter blocks 0 and 1) hold the diagonal and the
-    # pairs (0,1), (0,2), (0,3), (1,2), so they decide the 2x2 and 3x3
-    # minors; uniforms 8-9 are drawn for the 3x3 survivors only.  The 3x3
-    # and 4x4 signs come from _minor_positive, which calls LAPACK only
-    # on rows in its rounding band; matrices are built, and their
-    # determinants taken by np.linalg.det one matrix at a time, for the
-    # candidates only.  Returns the candidates' block positions,
-    # matrices and determinants (reused for the Jeffreys weight).
+    # pairs (0,1), (0,2), (0,3), (1,2), which decide H2 and H3; uniforms
+    # 8-9 are drawn for the survivors only.  Above states._CLOSED_SCALE
+    # every sample survives.
+    # u shrinks as samples leave, and no index array is made for the
+    # whole block: with either kept to the end, glibc returned and
+    # faulted in again about 9 MB of heap per k = l = 15 block.
     u = substream_uniforms(seed, start, count, width=8)
-    m00 = k * u[:, 0]
-    m01 = -l + 2.0 * l * u[:, 4]
-    d2 = m00 * (k * u[:, 1]) - m01 ** 2
-    idx = np.flatnonzero((m00 > 0.0) & (d2 > 0.0))
-    # Every entry lies in [-max(k, l), max(k, l)].
-    scale = max(k, l)
-    if idx.size:
-        u = u[idx]
-        keep = _minor_positive(_values(u, k, l), 3, scale)
-        idx, u = idx[keep], u[keep]
-    if not idx.size:
-        return idx, np.empty((0, 4, 4)), np.empty(0)
-    full = np.empty((idx.size, 10))
+    s = 1.0 + max(k, l)
+    if s > states._CLOSED_SCALE:
+        index = np.arange(count)
+    else:
+        _, (_, floor2), (_, floor3), _ = states._minor_bands(s, tol.physical_min_eig)
+        m00, m10 = k * u[:, 0], -l + 2.0 * l * u[:, 4]
+        det_a = m00 * (k * u[:, 1]) - m10 * m10
+        index = np.flatnonzero(det_a - 1.0 >= -floor2)
+        u, det_a = u[index], det_a[index]
+        v = _values(u, k, l)
+        d3, _, _ = states._minor3(v[:, 0], v[:, 4], v[:, 1], v[:, 5], v[:, 7], v[:, 2], det_a)
+        keep = d3 - v[:, 2] >= -floor3
+        index, u = index[keep], u[keep]
+    full = np.empty((index.size, 10))
     full[:, :8] = u
-    full[:, 8:] = third_block_uniforms(seed, idx.astype(np.uint64) + np.uint64(start))
-    values = _values(full, k, l)
-    keep = _minor_positive(values, 4, scale)
-    M = _leading(values[keep], 4)
-    return idx[keep], M, np.linalg.det(M)
+    full[:, 8:] = third_block_uniforms(seed, index.astype(np.uint64) + np.uint64(start))
+    return index, _build_matrices(full, k, l)
 
 
 def _grids(seed: int, index: np.ndarray, grid_size: int, n_grids: int,
@@ -391,14 +330,15 @@ def _grids(seed: int, index: np.ndarray, grid_size: int, n_grids: int,
 
 
 def _census_block(args) -> _BlockOut:
-    # One two-mode census block: the candidates, one stacked classify,
-    # the Jeffreys weight and, when n_grids > 0, the volume-element stage.
-    # A candidate is accepted when it is physical and solved by form I
-    # and form II.  With n_grids == 0 (the Jeffreys census) no grid is
-    # drawn and no sample is discarded.
+    # One two-mode census block: the front end, one stacked classify of
+    # its survivors, the Jeffreys weight and, when n_grids > 0, the
+    # volume-element stage.  A survivor is accepted when classify finds
+    # it physical and solved by form I and form II; only the accepted
+    # get a determinant.  With n_grids == 0 (the Jeffreys census) no
+    # grid is drawn and no sample is discarded.
     (seed, start, count, k, l, grid_size, n_grids, lo, hi, kinds, estimators) = args
     tol = DEFAULT
-    index, M, det = _candidates(seed, start, count, k, l)
+    index, M = _candidates(seed, start, count, k, l, tol)
     verdict = criteria.classify(M, tol)
     ok = verdict.physical & (verdict.failure == 0)
     acc = CensusAccumulator(
@@ -406,10 +346,10 @@ def _census_block(args) -> _BlockOut:
         accepted=int(np.count_nonzero(ok)),
         solver_failures=int(np.count_nonzero(verdict.physical & (verdict.failure != 0))),
     )
-    # log det(M)^(-5/2) of the accepted candidates through math.log,
-    # which np.log does not match in the last bit on a few inputs in a
-    # thousand.
-    det = det[ok]
+    # log det(M)^(-5/2) of the accepted samples through math.log, which
+    # np.log does not match in the last bit on a few inputs in a
+    # thousand.  np.linalg.det factors each matrix of a stack on its own.
+    det = np.linalg.det(M[ok])
     weights = {"fisher": -2.5 * np.fromiter(map(math.log, det.tolist()), float, det.size)}
     sep, cls = verdict.separable[ok], verdict.classical[ok]
     if n_grids:
@@ -477,7 +417,7 @@ def _entropy_block(args) -> _BlockOut:
     tol = DEFAULT
     # Only the physicality gate and the mirror oracle's verdict, both in
     # closed form: no form-I or form-II solve.
-    index, M, _ = _candidates(seed, start, count, k, l)
+    index, M = _candidates(seed, start, count, k, l, tol)
     physical = states.is_physical(M, tol)
     separable = physical.copy()
     separable[physical] = criteria._is_ppt(M[physical], tol)
@@ -496,37 +436,53 @@ def _entropy_block(args) -> _BlockOut:
     return _BlockOut(acc=acc, extra=(beats.size, tuple(zip(where, M[beats[:3]]))))
 
 
+def _in_order(pool: ProcessPoolExecutor, runner: Callable, argses: Iterable,
+              depth: int) -> Iterator:
+    # pool.map(runner, argses), which submits every call up front, with
+    # at most depth calls submitted and not yet taken.
+    pending: collections.deque = collections.deque()
+    for args in argses:
+        pending.append(pool.submit(runner, args))
+        if len(pending) == depth:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
 def _fold(
     runner: Callable,
-    censuses: list[list],
+    censuses: list[tuple[int, Iterable]],
     workers: int,
     progress: Sequence[Callable | None],
 ) -> Iterator[tuple[CensusAccumulator, list]]:
     # Each census's merged accumulator and its blocks' extras in block
-    # order, one census after another.  The blocks of every census go
-    # through one map, so with a pool the blocks of later censuses run
-    # while earlier ones are folded.  Closing the generator early shuts
-    # the pool down with its pending blocks cancelled.
-    argses = [args for blocks in censuses for args in blocks]
+    # order, one census after another; a census is its block count and
+    # its block arguments (_blocks).  The blocks of every census go
+    # through one pool in order, at most two per process ahead of the
+    # fold, so with a pool the blocks of later censuses run while
+    # earlier ones are folded.  Closing the generator early shuts the
+    # pool down with its pending blocks cancelled.
+    blocks = sum(count for count, _ in censuses)
+    argses = itertools.chain.from_iterable(args for _, args in censuses)
     pool = None
     try:
-        if workers > 1 and len(argses) > 1:
+        if workers > 1 and blocks > 1:
             # A forked pool starts all its workers at the first submit, so
             # it gets no more than there are blocks.
-            pool = ProcessPoolExecutor(max_workers=min(workers, len(argses)))
-            outs = pool.map(runner, argses)
+            size = min(workers, blocks)
+            pool = ProcessPoolExecutor(max_workers=size)
+            outs = _in_order(pool, runner, argses, 2 * size)
         else:
             outs = map(runner, argses)
-        for blocks, report in zip(censuses, progress):
+        for (count, _), report in zip(censuses, progress):
             total = CensusAccumulator()
             extras: list = []
-            for done, out in enumerate(itertools.islice(outs, len(blocks))):
+            for done, out in enumerate(itertools.islice(outs, count)):
                 total.merge(out.acc)
                 extras.append(out.extra)
                 if out.disagreement is not None:
                     raise criteria.OracleDisagreementError(*out.disagreement)
-                if report is not None and (done % _PROGRESS_EVERY == 0
-                                           or done == len(blocks) - 1):
+                if report is not None and (done % _PROGRESS_EVERY == 0 or done == count - 1):
                     report(total.generated, total.accepted)
             yield total, extras
     finally:
@@ -546,8 +502,7 @@ def _two_mode_censuses(cfgs: list, workers: int, progress: Sequence[Callable | N
     # the metric kinds and estimators of _census_block; a grid count of 0
     # is the Jeffreys census.  Wall times count from the first block.
     t0 = time.perf_counter()
-    censuses = [[(cfg.seed, s, c, cfg.k, cfg.l, *grids) for s, c in _block_ranges(cfg.samples)]
-                for cfg in cfgs]
+    censuses = [_blocks(cfg.samples, cfg.seed, cfg.k, cfg.l, *grids) for cfg in cfgs]
     kinds, estimators = grids[-2:]
     with closing(_fold(_census_block, censuses, workers, progress)) as folds:
         for cfg, (total, _) in zip(cfgs, folds):
@@ -605,9 +560,9 @@ def run_classical_census(
 ) -> CensusResult:
     """Filter-chain census with Jeffreys weights and the mirror oracle.
 
-    Each sample runs positive definiteness and the physicality gate
-    M + i*Omega >= 0, so the population is exactly the physical states
-    (less any form-I or form-II solver failures, which are counted);
+    Each sample runs the physicality gate M + i*Omega >= 0, so the
+    population is exactly the physical states (less any form-I or
+    form-II solver failures, which are counted);
     the survivors get separability and classicality verdicts under the
     det(M)^(-5/2) weight.  A verdict conflict with the mirror oracle
     outside the boundary band aborts the run.  This is the volume-element
@@ -687,8 +642,7 @@ def run_one_mode_classicality(
             raise ValueError(f"k schedule entries must be positive and finite, got {k!r}")
         boxes.append((k, ratio * k))
         _check_bound(max(boxes[-1]), 1)
-    censuses = [[(cfg.seed, s, c, k, l) for s, c in _block_ranges(cfg.samples)]
-                for k, l in boxes]
+    censuses = [_blocks(cfg.samples, cfg.seed, k, l) for k, l in boxes]
     folds = _fold(_one_mode_block, censuses, workers, [progress] * len(boxes))
     totals = [total for total, _ in folds]
     points = []
@@ -733,8 +687,8 @@ def run_entropy_probe(
     violating matrices are kept with their sample indices.
     """
     _two_mode_only(cfg)
-    argses = [(cfg.seed, s, c, cfg.k, cfg.l) for s, c in _block_ranges(cfg.samples)]
-    ((total, extras),) = _fold(_entropy_block, [argses], workers, [progress])
+    census = _blocks(cfg.samples, cfg.seed, cfg.k, cfg.l)
+    ((total, extras),) = _fold(_entropy_block, [census], workers, [progress])
     examples = [example for _, found in extras for example in found][:3]
     return EntropyReport(
         generated=total.generated,

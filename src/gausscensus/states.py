@@ -140,23 +140,39 @@ def _per_element(fn, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.tolist()), float, x.size)
 
 
+# Flat positions of the lower triangle of a 4x4 matrix, row by row.
+_LOWER = np.array([0, 4, 5, 8, 9, 10, 12, 13, 14, 15])
+
+
+def _lower(M: np.ndarray) -> np.ndarray:
+    # The ten lower-triangle entries of each lane, the ones eigvalsh
+    # reads, by one gather: row j of the result holds flat position
+    # _LOWER[j] of every lane, contiguous.
+    return M.reshape(len(M), 16)[:, _LOWER].T.copy()
+
+
+def _minor3(m00, m10, m11, m20, m21, m22, det_a) -> tuple:
+    # The leading 3x3 minor D3, expanded along row 2 over the 2x2 minors
+    # s02 and s12 of rows 0-1 (columns named), which it returns too.
+    s02 = m00 * m21 - m20 * m10
+    s12 = m10 * m21 - m20 * m11
+    return m20 * s12 - m21 * s02 + m22 * det_a, s02, s12
+
+
 def _invariants(M: np.ndarray, closed: bool = True) -> tuple:
     # det A, det B and det C of each lane's blocks, det M and the leading
-    # 3x3 minor D3, all read from the lower triangle, the one eigvalsh
-    # reads.  With closed, det M and D3 come from the Laplace expansion
-    # over the 2x2 minors of rows 0-1 (s, columns named) and rows 2-3
-    # (t); without, det M is LAPACK's and D3 is None.
-    m00, m10, m11 = M[:, 0, 0], M[:, 1, 0], M[:, 1, 1]
-    m20, m21, m22 = M[:, 2, 0], M[:, 2, 1], M[:, 2, 2]
-    m30, m31, m32, m33 = M[:, 3, 0], M[:, 3, 1], M[:, 3, 2], M[:, 3, 3]
+    # 3x3 minor D3, all read from the lower triangle.  With closed, det M
+    # and D3 come from the Laplace expansion over the 2x2 minors of rows
+    # 0-1 (s, columns named) and rows 2-3 (t); without, det M is LAPACK's
+    # and D3 is None.
+    m00, m10, m11, m20, m21, m22, m30, m31, m32, m33 = _lower(M)
     det_a = m00 * m11 - m10 * m10
     det_b = m22 * m33 - m32 * m32
     det_c = m20 * m31 - m30 * m21
     if not closed:
         return det_a, det_b, det_c, np.linalg.det(M), None
-    s02 = m00 * m21 - m20 * m10
+    d3, s02, s12 = _minor3(m00, m10, m11, m20, m21, m22, det_a)
     s03 = m00 * m31 - m30 * m10
-    s12 = m10 * m21 - m20 * m11
     s13 = m10 * m31 - m30 * m11
     t02 = m20 * m32 - m22 * m30
     t03 = m20 * m33 - m32 * m30
@@ -165,7 +181,6 @@ def _invariants(M: np.ndarray, closed: bool = True) -> tuple:
     # The minor of rows 2-3 and columns 0-1 is det C as well.
     det_m = (det_a * det_b - s02 * t13 + s03 * t12 + s12 * t03 - s13 * t02
              + det_c * det_c)
-    d3 = m20 * s12 - m21 * s02 + m22 * det_a
     return det_a, det_b, det_c, det_m, d3
 
 
@@ -199,17 +214,29 @@ _MINOR_BAND = (0.0, 1e-14, 1e-13, 1e-12)
 _EIG_BACKWARD = 2.0**-45
 _CLOSED_SCALE = 1e60
 
-# Flat positions of the lower triangle of a 4x4 matrix.
-_LOWER = (0, 4, 5, 8, 9, 10, 12, 13, 14, 15)
-
 
 def _closed_scale(M: np.ndarray) -> np.ndarray:
     # s of the comment above for each lane; NaN for a lane with a NaN.
-    flat = M.reshape(len(M), 16)
-    big = np.abs(flat[:, 0])
-    for j in _LOWER[1:]:
-        np.maximum(big, np.abs(flat[:, j]), out=big)
-    return 1.0 + big
+    return 1.0 + np.abs(_lower(M)).max(axis=0)
+
+
+def _minor_bands(s, t: float) -> list:
+    # For j = 1..4, the pair (above_j, below_j) at scale s (one lane's s,
+    # or an array of them): eigvalsh's min eigenvalue surely passes t
+    # where every Hj > above_j, and surely fails it where some
+    # Hj < -below_j.  Both grow with s, so the bands at an s above a
+    # lane's own drop only lanes that surely fail.
+    n = 5.0 * s
+    d = _EIG_BACKWARD * n
+    up, down = np.maximum(t + d, 0.0), np.maximum(d - t, 0.0)
+    bands = []
+    s_j, n_j = 1.0, 1.0  # s**j and N**(j - 1)
+    for j, tau in enumerate(_MINOR_BAND, 1):
+        s_j = s_j * s
+        e = tau * s_j
+        bands.append((e + up * n_j if j == 4 else e, e + down * n_j))
+        n_j = n_j * n
+    return bands
 
 
 def _min_eig_bounds(minors: tuple, s: np.ndarray, t: float) -> tuple:
@@ -217,18 +244,10 @@ def _min_eig_bounds(minors: tuple, s: np.ndarray, t: float) -> tuple:
     # fails the threshold t, from the leading minors H1..H4.  A lane
     # outside the scale window is in neither mask: its minors are junk.
     inside = s <= _CLOSED_SCALE
-    s = np.where(inside, s, 1.0)
-    n = 5.0 * s
-    d = _EIG_BACKWARD * n
-    up, down = np.maximum(t + d, 0.0), np.maximum(d - t, 0.0)
     passes, fails = inside.copy(), np.zeros_like(inside)
-    s_j, n_j = np.ones_like(s), np.ones_like(s)  # s**j and N**(j - 1)
-    for j, (h, tau) in enumerate(zip(minors, _MINOR_BAND), 1):
-        s_j *= s
-        e = tau * s_j
-        passes &= h > (e + up * n_j if j == 4 else e)
-        fails |= h < -(e + down * n_j)
-        n_j *= n
+    for h, (above, below) in zip(minors, _minor_bands(np.where(inside, s, 1.0), t)):
+        passes &= h > above
+        fails |= h < -below
     return passes, fails & inside
 
 

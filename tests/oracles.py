@@ -386,11 +386,14 @@ def exact_census(cfg, tol) -> ExactCensus:
 
 # ---------------------------------------------------------------------
 # The full-materialising two-mode front end: every sample's ten uniforms
-# and its matrix, then Sylvester's screen on the whole stack, as each
-# block ran it before the screen moved ahead of the third Philox counter
-# block.  `pd_candidates` is kept verbatim (it was
-# montecarlo._pd_candidates); montecarlo._candidates must reproduce
-# `materialised_candidates` bit for bit.
+# and its matrix, then Sylvester's positive-definite screen on the whole
+# stack, as each block ran it before its front end screened on the
+# physicality minors.  `pd_candidates` is kept verbatim (it was
+# montecarlo._pd_candidates).  Every physical matrix is positive
+# definite, so these candidates hold the census population, and the
+# tests take positive-definite census stacks from here.
+# montecarlo._candidates keeps a superset of the physical samples of a
+# block, each with the matrix its ten uniforms give, bit for bit.
 
 # The seven box shapes of the stacked front-end and classify checks:
 # the Table 1 rows, the Bures box, and a narrow and a very wide box.
@@ -500,14 +503,14 @@ class LaneVerdict:
 def accepted_samples(cfg):
     """Yield (index, matrix, verdict) for each accepted sample in order.
 
-    A two-mode census's candidates and stacked classify, replayed one
-    block at a time: a candidate is accepted when it is physical and its
-    form-I and form-II solves succeed.  Its verdict is its lane of the
-    block's stacked verdict.
+    A two-mode census's front end and stacked classify, replayed one
+    block at a time: a survivor of the front end is accepted when it is
+    physical and its form-I and form-II solves succeed.  Its verdict is
+    its lane of the block's stacked verdict.
     """
     for start in range(0, cfg.samples, BLOCK):
         count = min(BLOCK, cfg.samples - start)
-        index, M, _ = _candidates(cfg.seed, start, count, cfg.k, cfg.l)
+        index, M = _candidates(cfg.seed, start, count, cfg.k, cfg.l, DEFAULT)
         verdict = criteria.classify(M)
         for i in np.flatnonzero(verdict.physical & (verdict.failure == 0)):
             lane = LaneVerdict(*(getattr(verdict, f.name)[i].item() for f in fields(LaneVerdict)))

@@ -484,10 +484,15 @@ class TestStartup:
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli"
 
 # Each golden's command line, less --workers.  The table1 run holds the
-# k=500 row, whose form-II solves fail on many physical samples.
+# k=500 row, whose form-II solves fail on many physical samples; the
+# census run is the widest box of the front-end checks, and the bures
+# run takes the volume-element path with all three metrics.
 CLI_GOLDENS = {
     "table1.csv": ["table1", "--scale", "0.002", "--seed", "100"],
     "entropy.csv": ["entropy", "--samples", "50000", "--seed", "3"],
+    "census.csv": ["census", "--k", "1000", "--l", "1000", "--samples", "100000", "--seed", "5"],
+    "bures.csv": ["bures", "--samples", "16384", "--seed", "2", "--metric", "bures",
+                  "--metric", "kubo-mori", "--metric", "maximal"],
 }
 
 

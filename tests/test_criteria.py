@@ -438,7 +438,7 @@ class TestClosedFormVerdicts:
 
     @pytest.mark.parametrize("kl", VERDICT_BOXES)
     def test_census_candidates(self, kl):
-        _, M, _ = montecarlo._candidates(17, 0, 20000, float(kl[0]), float(kl[1]))
+        _, M, _ = materialised_candidates(17, 0, 20000, float(kl[0]), float(kl[1]))
         assert len(M) > 100
         for name, (verdict, reference) in VERDICTS.items():
             assert np.array_equal(verdict(M), reference(M)), name
@@ -457,7 +457,7 @@ class TestClosedFormVerdicts:
     def test_other_thresholds(self):
         # Positive and negative thresholds exercise both signs of t +- d.
         tol = Tolerances(physical_min_eig=0.05, ppt_min_eig=-0.05, classical_min_eig=0.2)
-        _, M, _ = montecarlo._candidates(19, 0, 40000, 10.0, 5.0)
+        _, M, _ = materialised_candidates(19, 0, 40000, 10.0, 5.0)
         for name, (verdict, reference) in VERDICTS.items():
             assert np.array_equal(verdict(M, tol), reference(M, tol)), name
             assert np.array_equal(verdict(-M, tol), reference(-M, tol)), name
@@ -498,7 +498,7 @@ class TestClosedFormVerdicts:
     def test_entry_scales_outside_the_window(self, eigvalsh_lanes):
         # Entries above 1e60 could overflow the closed forms: those lanes
         # take eigvalsh, and the others stay in closed form.
-        _, M, _ = montecarlo._candidates(23, 0, 5000, 10.0, 5.0)
+        _, M, _ = materialised_candidates(23, 0, 5000, 10.0, 5.0)
         huge = M[:7] * 1e61
         mixed = np.concatenate([M, huge, M[:3] * 1e-200, np.full((1, 4, 4), np.nan)])
         for name, (verdict, reference) in VERDICTS.items():

@@ -24,10 +24,10 @@ from gausscensus.rng import BLOCK, grid_stream, substream_uniforms
 
 from oracles import (
     CHAIN_SOLVER_ERRORS,
-    PAIRS,
     STACK_CONFIGS,
     accepted_samples,
     chain_classify,
+    eigvalsh_is_physical,
     grid_coords,
     kernel_on_grid,
     materialised_candidates,
@@ -189,20 +189,30 @@ class TestClassicalSweepArguments:
 class TestWorkerPool:
     @pytest.fixture
     def pools(self, monkeypatch) -> list:
-        # An in-process stand-in for the pool records its size and the
-        # blocks mapped through it; a real pool would fork all of its
-        # workers at the first submit.
+        # An in-process stand-in for the pool records its size, the
+        # blocks submitted to it and the most blocks ever submitted and
+        # not yet taken; a real pool would fork all of its workers at
+        # the first submit.
         pools = []
 
         class InProcessPool:
             def __init__(self, max_workers):
                 self.size = max_workers
-                self.blocks = 0
+                self.blocks = self.pending = self.most_pending = 0
                 pools.append(self)
 
-            def map(self, fn, argses):
-                self.blocks += len(argses)
-                return map(fn, argses)
+            def submit(self, fn, args):
+                self.blocks += 1
+                self.pending += 1
+                self.most_pending = max(self.most_pending, self.pending)
+                pool = self
+
+                class Future:
+                    def result(self):
+                        pool.pending -= 1
+                        return fn(args)
+
+                return Future()
 
             def shutdown(self, cancel_futures=False):
                 pass
@@ -223,7 +233,7 @@ class TestWorkerPool:
         # Rows of 1, 1, 2, 3 and 4 blocks: eleven blocks on one pool of
         # two, and every row as its own census gives it.
         assert cli.main(["table1", "--scale", "0.02", "--workers", "2"]) == 0
-        assert [(p.size, p.blocks) for p in pools] == [(min(2, 11), 11)]
+        assert [(p.size, p.blocks, p.most_pending) for p in pools] == [(2, 11, 4)]
         rows = [
             cli._census_row(run_classical_census(
                 SamplerConfig(k=k, l=l, samples=round(full * 0.02), seed=1 + i)))
@@ -238,6 +248,30 @@ class TestWorkerPool:
         assert [(p.size, p.blocks) for p in pools] == [(2, 9)]
         alone = [run_one_mode_classicality(cfg, ks=(k,))[0] for k in ks]
         assert [dataclasses.astuple(p) for p in points] == [dataclasses.astuple(p) for p in alone]
+
+
+class _Stop(Exception):
+    pass
+
+
+class TestHugeCensus:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_progress_error_after_the_first_block_returns_promptly(self, workers) -> None:
+        # 2**48 blocks: the census makes their arguments as it submits
+        # them, at most two per worker ahead of the fold, so a callback
+        # that stops it after the first block stops it at once.
+        cfg = SamplerConfig(k=10.0, l=5.0, samples=2**64, seed=1)
+        reports = []
+
+        def stop(generated, accepted):
+            reports.append(generated)
+            raise _Stop
+
+        t0 = time.perf_counter()
+        with pytest.raises(_Stop):
+            run_classical_census(cfg, workers=workers, progress=stop)
+        assert reports == [BLOCK]
+        assert time.perf_counter() - t0 < 20.0
 
 
 class TestStreamingAccuracy:
@@ -576,123 +610,75 @@ def _per_sample_classical(cfg: SamplerConfig):
     return counts, tally
 
 
-def _same_candidates(seed, start, count, k, l):
-    ours = montecarlo._candidates(seed, start, count, float(k), float(l))
-    ref = materialised_candidates(seed, start, count, float(k), float(l))
-    for name, a, b in zip(("index", "matrices", "dets"), ours, ref):
-        assert a.dtype == b.dtype and a.shape == b.shape, name
-        assert np.array_equal(a, b), name
-    return ours
+def _survivors(seed, start, count, k, l):
+    # The front end against every ten-uniform matrix of the block: the
+    # survivors hold every physical sample, in order, and each with the
+    # matrix of its ten uniforms, bit for bit.
+    k, l = float(k), float(l)
+    index, M = montecarlo._candidates(seed, start, count, k, l, criteria.DEFAULT)
+    every = montecarlo._build_matrices(substream_uniforms(seed, start, count, 10), k, l)
+    assert index.dtype == np.intp and M.shape == (index.size, 4, 4)
+    assert (np.diff(index) > 0).all()
+    assert M.tobytes() == every[index].tobytes()
+    physical = np.flatnonzero(eigvalsh_is_physical(every))
+    assert np.isin(physical, index).all()
+    return index, physical
 
 
 @pytest.mark.filterwarnings("error")
 class TestCandidates:
-    """The screened front end against the full-materialising one."""
+    """The front end against the eigenvalue test on the whole block."""
 
     @pytest.mark.parametrize("kl", STACK_CONFIGS)
     def test_every_box(self, kl) -> None:
-        index, _, _ = _same_candidates(11, 0, BLOCK, *kl)
-        assert index.size > 0
+        index, physical = _survivors(11, 0, BLOCK, *kl)
+        assert 0 < physical.size <= index.size < BLOCK
 
     @pytest.mark.parametrize("count", [0, 1, 12_345])
     def test_short_blocks(self, count) -> None:
-        _same_candidates(7, 3 * BLOCK, count, 10, 5)
+        _survivors(7, 3 * BLOCK, count, 10, 5)
 
     def test_last_block_of_the_index_range(self) -> None:
         count = BLOCK - 1000
-        index, _, _ = _same_candidates(7, 2**64 - count, count, 10, 5)
+        index, _ = _survivors(7, 2**64 - count, count, 10, 5)
         assert index.size > 0
 
-    def test_box_with_no_3x3_survivor(self) -> None:
-        # About 300 samples of the block pass the 2x2 minor, none the 3x3.
-        index, M, dets = _same_candidates(11, 0, BLOCK, 0.01, 1.0)
-        assert index.size == 0 and M.shape == (0, 4, 4) and dets.shape == (0,)
-        u = substream_uniforms(11, 0, BLOCK, width=10)
-        M = montecarlo._build_matrices(u, 0.01, 1.0)
-        assert np.count_nonzero(M[:, 0, 0] * M[:, 1, 1] > M[:, 0, 1] ** 2) > 100
+    def test_box_with_no_survivor(self) -> None:
+        # det A is at most 1e-4, so every sample leaves at H2 = det A - 1.
+        index, physical = _survivors(11, 0, BLOCK, 0.01, 1.0)
+        assert index.size == physical.size == 0
 
+    def test_no_sample_leaves_above_the_closed_scale(self) -> None:
+        # Entries up to 1e70 could overflow the closed forms, so the
+        # front end keeps the whole block for the physicality gate.
+        index, _ = _survivors(11, 0, 5_000, 1e70, 1e70)
+        assert np.array_equal(index, np.arange(5_000))
 
-def _adversarial(n: int, scale: float, eps: float, count: int, seed: int) -> np.ndarray:
-    # Symmetric n x n matrices whose determinants sit at or near zero:
-    # PSD matrices of rank 1..n-1 plus a rank-one term of relative size
-    # eps and random sign, scaled to max|entry| == scale.  A quarter get
-    # entries spread over eight decades, and a quarter exact zeros off
-    # the diagonal.
-    rng = np.random.default_rng(seed)
-    per = count // (n - 1)
-    parts = []
-    for rank in range(1, n):
-        X = rng.normal(size=(per, n, rank))
-        parts.append(X @ X.transpose(0, 2, 1))
-    G = np.concatenate(parts)
-    y = rng.normal(size=(len(G), n, 1))
-    sign = rng.choice([-1.0, 1.0], size=(len(G), 1, 1))
-    peak = np.abs(G).max(axis=(1, 2), keepdims=True)
-    G = G + sign * eps * peak * (y @ y.transpose(0, 2, 1)) / np.abs(y).max(axis=1, keepdims=True) ** 2
-    quarter = len(G) // 4
-    d = 10.0 ** rng.uniform(-8.0, 0.0, size=(quarter, n, 1))
-    G[:quarter] *= d * d.transpose(0, 2, 1)
-    zero = rng.random((quarter, n, n)) < 0.3
-    zero = (zero | zero.transpose(0, 2, 1)) & ~np.eye(n, dtype=bool)
-    G[quarter:2 * quarter][zero] = 0.0
-    return G * (scale / np.abs(G).max(axis=(1, 2), keepdims=True))
-
-
-def _as_values(G: np.ndarray) -> np.ndarray:
-    # The ten _values columns of the 4x4 matrices whose leading block is G.
-    M = np.zeros((len(G), 4, 4))
-    n = G.shape[1]
-    M[:, :n, :n] = G
-    rows, cols = zip(*([(j, j) for j in range(4)] + list(PAIRS)))
-    return M[:, rows, cols]
-
-
-@pytest.mark.filterwarnings("error")
-class TestMinorSigns:
-    """The closed-form sign screen against LAPACK's sign."""
-
-    @pytest.mark.parametrize("eps", [0.0, 1e-18, 1e-15, 1e-12, 1e-9])
-    @pytest.mark.parametrize("scale", [1.0, 15.0, 500.0])
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_matches_lapack_near_singular(self, n, scale, eps) -> None:
-        G = _adversarial(n, scale, eps, 24_000, seed=n * 1000 + int(scale))
-        ours = montecarlo._minor_positive(_as_values(G), n, scale)
-        assert np.array_equal(ours, np.linalg.det(G) > 0.0)
-
-    @pytest.mark.parametrize("scale", [1e-80, 1e80])
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_extreme_scales_take_lapack_sign(self, n, scale) -> None:
-        # A 4x4 determinant near 1e320 overflows to +-inf in LAPACK's
-        # det, with its sign kept; the closed form is never evaluated.
-        G = _adversarial(n, scale, 1e-9, 3_000, seed=5)
-        with np.errstate(over="ignore"):
-            ours = montecarlo._minor_positive(_as_values(G), n, scale)
-            assert np.array_equal(ours, np.linalg.det(G) > 0.0)
-
-    def test_lapack_only_on_candidates(self, monkeypatch) -> None:
-        # On this block no row falls in a rounding band, so the only
-        # np.linalg.det call is on the returned candidates.
+    def test_lapack_only_on_accepted(self, monkeypatch) -> None:
+        # On a k = l = 15 block every verdict is taken in closed form and
+        # no form-II solve fails: np.linalg.det sees only the accepted
+        # samples, once for form I and once for the Jeffreys weight, and
+        # eigvalsh sees no sample.
         seed, k, l = 11, 15.0, 15.0
-        values = montecarlo._values(substream_uniforms(seed, 0, BLOCK, width=10), k, l)
-        m00, m11, m01 = values[:, 0], values[:, 1], values[:, 4]
-        two = (m00 > 0.0) & (m00 * m11 - m01 ** 2 > 0.0)
-        minor3 = montecarlo._closed_minor(values, 3)
-        minor4 = montecarlo._closed_minor(values, 4)
-        band3 = two & (np.abs(minor3) <= montecarlo._SIGN_BAND[3] * k ** 3)
-        band4 = two & (minor3 > 0.0) & (np.abs(minor4) <= montecarlo._SIGN_BAND[4] * k ** 4)
-        assert not band3.any() and not band4.any()
-        calls = []
-        det = np.linalg.det
+        _, M = montecarlo._candidates(seed, 0, BLOCK, k, l, criteria.DEFAULT)
+        verdict = criteria.classify(M)
+        accepted = M[verdict.physical & (verdict.failure == 0)]
+        calls = {"det": [], "eigvalsh": []}
+        for name, seen in calls.items():
+            real = getattr(np.linalg, name)
 
-        def recorded(a):
-            calls.append(np.array(a))
-            return det(a)
+            def spy(a, *args, _real=real, _seen=seen, **kwargs):
+                _seen.append(np.array(a))
+                return _real(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "det", recorded)
-        index, M, _ = montecarlo._candidates(seed, 0, BLOCK, k, l)
+            monkeypatch.setattr(np.linalg, name, spy)
+        out = montecarlo._census_block((seed, 0, BLOCK, k, l, 0, 0, 0.0, 0.0, (), ()))
         monkeypatch.undo()
-        assert index.size > 0
-        assert len(calls) == 1 and np.array_equal(calls[0], M)
+        assert out.acc.accepted == len(accepted) > 0 and out.acc.solver_failures == 0
+        assert len(M) > 10 * len(accepted)
+        assert calls["eigvalsh"] == []
+        assert len(calls["det"]) == 2
+        assert all(np.array_equal(a, accepted) for a in calls["det"])
 
 
 class TestClassicalBlock:
@@ -841,7 +827,7 @@ def _classify_entropy_block(args):
     # form-II solve included; its report is the reference.
     seed, start, count, k, l = args
     tol = criteria.DEFAULT
-    index, M, _ = montecarlo._candidates(seed, start, count, k, l)
+    index, M, _ = materialised_candidates(seed, start, count, k, l)
     v = criteria.classify(M, tol)
     separable = v.physical & criteria.is_separable_ppt(M, tol)[0]
     M = M[separable]
