@@ -254,18 +254,21 @@ _ENTRY_COLUMNS = np.array([0, 4, 5, 6, 4, 1, 7, 8, 5, 7, 2, 9, 6, 8, 9, 3])
 
 
 def _values(u: np.ndarray, k: float, l: float) -> np.ndarray:
-    # A sample's distinct entries: k*u on the diagonal columns 0-3,
-    # -l + 2l*u on the off-diagonal columns from 4 on.
+    # The distinct entries of the samples in the columns of u, one value
+    # per row: k*u on the diagonal rows 0-3, -l + 2l*u on the
+    # off-diagonal rows from 4 on.
     values = np.empty(u.shape)
-    values[:, :4] = k * u[:, :4]
-    values[:, 4:] = -l + 2.0 * l * u[:, 4:]
+    values[:4] = k * u[:4]
+    values[4:] = -l + 2.0 * l * u[4:]
     return values
 
 
 def _build_matrices(u: np.ndarray, k: float, l: float) -> np.ndarray:
-    # Each row's 4x4 matrix, by one gather from its values: each array is
-    # read once, in row order.
-    return np.take(_values(u, k, l), _ENTRY_COLUMNS, axis=1).reshape(len(u), 4, 4)
+    # The C-contiguous (S, 4, 4) stack of the samples in the S columns of
+    # the (10, S) uniforms u: one gather of whole rows of their values,
+    # then one transposing copy.
+    entries = np.take(_values(u, k, l), _ENTRY_COLUMNS, axis=0)
+    return np.ascontiguousarray(entries.T).reshape(-1, 4, 4)
 
 
 def _blocks(samples: int, seed: int, *rest) -> tuple[int, Iterator[tuple]]:
@@ -290,23 +293,23 @@ def _candidates(seed: int, start: int, count: int, k: float, l: float,
     # u shrinks as samples leave, and no index array is made for the
     # whole block: with either kept to the end, glibc returned and
     # faulted in again about 9 MB of heap per k = l = 15 block.
-    u = substream_uniforms(seed, start, count, width=8)
+    u = substream_uniforms(seed, start, count, width=8).T
     s = 1.0 + max(k, l)
     if s > states._CLOSED_SCALE:
         index = np.arange(count)
     else:
         _, (_, floor2), (_, floor3), _ = states._minor_bands(s, tol.physical_min_eig)
-        m00, m10 = k * u[:, 0], -l + 2.0 * l * u[:, 4]
-        det_a = m00 * (k * u[:, 1]) - m10 * m10
+        m00, m10 = k * u[0], -l + 2.0 * l * u[4]
+        det_a = m00 * (k * u[1]) - m10 * m10
         index = np.flatnonzero(det_a - 1.0 >= -floor2)
-        u, det_a = u[index], det_a[index]
+        u, det_a = np.take(u, index, axis=1), det_a[index]
         v = _values(u, k, l)
-        d3, _, _ = states._minor3(v[:, 0], v[:, 4], v[:, 1], v[:, 5], v[:, 7], v[:, 2], det_a)
-        keep = d3 - v[:, 2] >= -floor3
-        index, u = index[keep], u[keep]
-    full = np.empty((index.size, 10))
-    full[:, :8] = u
-    full[:, 8:] = third_block_uniforms(seed, index.astype(np.uint64) + np.uint64(start))
+        d3, _, _ = states._minor3(v[0], v[4], v[1], v[5], v[7], v[2], det_a)
+        keep = d3 - v[2] >= -floor3
+        index, u = index[keep], u[:, keep]
+    full = np.empty((10, index.size))
+    full[:8] = u
+    full[8:] = third_block_uniforms(seed, index.astype(np.uint64) + np.uint64(start)).T
     return index, _build_matrices(full, k, l)
 
 
@@ -319,8 +322,11 @@ def _grids(seed: int, index: np.ndarray, grid_size: int, n_grids: int,
     # below tol.grid_coincidence in any of its grids would have redrawn
     # that grid and shifted the later ones, so it is drawn again whole
     # from its stream.
-    u = grid_uniforms(seed, index, n_grids * grid_size)
-    coords = np.sort(lo + (hi - lo) * u.reshape(len(index), n_grids, grid_size), axis=-1)
+    # u holds one contiguous row per coordinate; the volume stage gets
+    # the coordinates C-contiguous, one sample's grids after another.
+    u = grid_uniforms(seed, index, n_grids * grid_size).T
+    coords = np.ascontiguousarray((lo + (hi - lo) * u).T).reshape(len(index), n_grids, grid_size)
+    coords.sort(axis=-1)
     gaps = np.diff(coords, axis=-1).min(axis=-1, initial=np.inf)
     for i in np.flatnonzero(~(gaps >= tol.grid_coincidence).all(axis=-1)):
         stream = grid_stream(seed, index[i])
@@ -389,10 +395,10 @@ def _census_block(args) -> _BlockOut:
 
 def _one_mode_block(args) -> _BlockOut:
     seed, start, count, k, l = args
-    u = substream_uniforms(seed, start, count, width=3)
-    d1 = k * u[:, 0]
-    d2 = k * u[:, 1]
-    off = -l + 2.0 * l * u[:, 2]
+    u = substream_uniforms(seed, start, count, width=3).T
+    d1 = k * u[0]
+    d2 = k * u[1]
+    off = -l + 2.0 * l * u[2]
     det = d1 * d2 - off * off
     phys = det >= 1.0 - 1e-10
     # closed-form min eig(A - I) for the symmetric 2x2 sample

@@ -9,13 +9,18 @@ bit for bit, from counter 0 (the sample streams) or from counter 2^64
 (the grid streams); `grid_stream` builds the full stream object that a
 grid redraw needs.
 
-The generator works _CHUNK samples at a time.  The counter blocks a
-row needs are stacked into one lane array, so each numpy operation of
-a round runs once per chunk, in buffers that stay in a core's cache,
-and the finished words are written straight into the output.  The first
-two rounds are worked partly in Python integers: there the counter, one
-counter word or the key word is the same in every lane.  Chunking
-changes no bit: every lane is exact 64-bit integer arithmetic.
+The generator works _CHUNK samples at a time.  Each of a round's words
+is one (blocks, chunk) lane array, a row per counter block a sample
+needs, and the key word is one (1, chunk) row, so each numpy operation
+of a round runs once per chunk as one contiguous loop of chunk length,
+in buffers that stay in a core's cache.  The finished words are written
+straight into a C-contiguous (width, count) output, one row per
+uniform, and the public functions return its transpose: row i is still
+sample i, and each column is contiguous, which is how the census front
+end reads it.  The first two rounds are worked partly in Python
+integers: there the counter, one counter word or the key word is the
+same in every lane.  Chunking changes no bit: every lane is exact
+64-bit integer arithmetic.
 
 There is one kernel, `_philox`: it takes an array of sample indices,
 the first counter block to draw, so a row can start at any uniform 4b,
@@ -47,9 +52,12 @@ __all__ = [
 BLOCK = 65536
 
 # Samples per pass of the Philox kernel.  Any value gives the same
-# uniforms.  At 4,096 the ten lane buffers take about 1 MB at width 10;
-# it ran fastest of 1,024 to 65,536 on a Xeon with 2 MB of L2 per core.
-_CHUNK = 4096
+# uniforms.  At 8,192 the ten (blocks, chunk) lane buffers take 1.3 MB
+# at width 8, the census front end's draw, and 2 MB at width 10.  Of
+# 2,048 to 16,384 it ran fastest on a Xeon with 2 MB of L2 per core:
+# the k = l = 15 Jeffreys census drew 14% more samples a second than at
+# 4,096.
+_CHUNK = 8192
 
 _MASK64 = 2**64 - 1
 _U64 = np.uint64
@@ -102,7 +110,9 @@ def substream_uniforms(seed: int, start: int, count: int, width: int = 10) -> np
 
     Row i holds the first `width` uniforms of the substream keyed by
     (seed, start + i), exactly as numpy's Philox generator would draw
-    them one sample at a time.
+    them one sample at a time.  The array is the transpose of a
+    C-contiguous (width, count) array, so each of its columns is
+    contiguous.
     """
     seed = _check_seed(seed)
     start, count = int(start), int(count)
@@ -112,7 +122,7 @@ def substream_uniforms(seed: int, start: int, count: int, width: int = 10) -> np
         raise ValueError("count must be nonnegative")
     if start + count > 2**64:
         raise ValueError("sample indices must fit in an unsigned 64-bit integer")
-    return _philox(seed, np.arange(start, start + count, dtype=np.uint64), 0, width)
+    return _philox(seed, np.arange(start, start + count, dtype=np.uint64), 0, width).T
 
 
 def third_block_uniforms(seed: int, index) -> np.ndarray:
@@ -120,17 +130,19 @@ def third_block_uniforms(seed: int, index) -> np.ndarray:
 
     Row i holds uniforms 8 and 9 of the substream keyed by
     (seed, index[i]).  The indices may come in any order, repeat or skip.
+    Each column is contiguous, as in substream_uniforms.
     """
-    return _philox(_check_seed(seed), _sample_indices(index), 2, 2)
+    return _philox(_check_seed(seed), _sample_indices(index), 2, 2).T
 
 
 def grid_uniforms(seed: int, index, width: int) -> np.ndarray:
     """The first `width` uniforms of the grid streams of `index`.
 
     Row i holds `grid_stream(seed, index[i]).random(width)`.  The
-    indices may come in any order, repeat or skip.
+    indices may come in any order, repeat or skip.  Each column is
+    contiguous, as in substream_uniforms.
     """
-    return _philox(_check_seed(seed), _sample_indices(index), 0, int(width), high=1)
+    return _philox(_check_seed(seed), _sample_indices(index), 0, int(width), high=1).T
 
 
 def _sample_indices(index) -> np.ndarray:
@@ -148,8 +160,9 @@ def _sample_indices(index) -> np.ndarray:
 
 def _philox(seed: int, index: np.ndarray, first_block: int, width: int,
             high: int = 0) -> np.ndarray:
-    # Row i: `width` uniforms of the substream keyed (seed, index[i]),
-    # from uniform 4*first_block on; index is a contiguous uint64 array.
+    # Column i: `width` uniforms of the substream keyed (seed, index[i]),
+    # from uniform 4*first_block on, in a C-contiguous (width, len(index))
+    # array; index is a contiguous uint64 array.
     # high is the counter's second word: 0 in the sample streams, 1 in
     # the grid streams (numpy's counter 2^64 is the words (0, 1, 0, 0)).
     count = len(index)
@@ -157,19 +170,19 @@ def _philox(seed: int, index: np.ndarray, first_block: int, width: int,
     blocks = -(-width // 4)
     counters = range(first_block + 1, first_block + blocks + 1)
     words = [_mul128(counter, _MULT0) for counter in counters]
-    first_hi = np.array([hi for hi, _ in words], dtype=np.uint64)
-    first_lo = np.array([lo for _, lo in words], dtype=np.uint64)
+    first_hi = np.array([[hi] for hi, _ in words], dtype=np.uint64)
+    first_lo = np.array([[lo] for _, lo in words], dtype=np.uint64)
     seed_hi, seed_lo = _mul128(seed ^ high, _MULT0)
     size = min(_CHUNK, count)
-    buffers = np.empty((10, size, blocks), dtype=np.uint64)
+    buffers = np.empty(10 * blocks * size, dtype=np.uint64)
     # The output is allocated after the lane buffers.  In the other order
     # a Bures block's grid draw left glibc's heap with 1.8 MB less free
     # space at its top, and bures-15-15 read 3% more peak RSS.
-    out = np.empty((count, width))
+    out = np.empty((width, count))
     for s in range(0, count, _CHUNK):
         n = min(_CHUNK, count - s)
-        c0, c1, c2, c3, h0, l0, h1, l1, t1, t2 = buffers[:, :n]
-        k1 = index[s:s + n, None]
+        c0, c1, c2, c3, h0, l0, h1, l1, t1, t2 = buffers[:10 * blocks * n].reshape(10, blocks, n)
+        k1 = index[None, s:s + n]
         # Round 1 on the counter (counter, high, 0, 0), key (seed, index):
         # c0 = seed ^ high, c1 = 0, c2 = hi(counter*M0) ^ index,
         # c3 = lo(counter*M0).
@@ -196,10 +209,10 @@ def _philox(seed: int, index: np.ndarray, first_block: int, width: int,
             c0, c1, c2, c3, h0, l0, h1, l1 = h1, l1, h0, l0, c0, c1, c2, c3
         # Word j of counter block b is uniform 4b + j: its top 53 bits
         # over 2^53, as numpy's random() takes them.
-        rows = out[s:s + n]
+        rows = out[:, s:s + n]
         for j, word in enumerate((c0, c1, c2, c3)):
             word >>= _U64(11)
-            np.multiply(word[:, :len(range(j, width, 4))], 2.0**-53, out=rows[:, j::4])
+            np.multiply(word[:len(range(j, width, 4))], 2.0**-53, out=rows[j::4])
     return out
 
 

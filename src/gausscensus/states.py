@@ -330,7 +330,7 @@ _STEPS = np.ldexp(1.0, -np.arange(40))
 #: merit, the step a one-at-a-time search takes, so the size changes
 #: nothing but the time: most lanes take the full step, and a lane that
 #: stalls has to try all forty.
-_TRIAL_POINTS = 2048
+_TRIAL_POINTS = 256
 
 # Rows al, be, ga, de, s of a stacked solver state.
 _FORM = slice(6, 11)

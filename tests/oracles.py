@@ -23,7 +23,7 @@ import numpy as np
 import numpy.polynomial.legendre as leg
 
 from gausscensus import criteria
-from gausscensus.montecarlo import _build_matrices, _candidates
+from gausscensus.montecarlo import _candidates
 from gausscensus.rng import BLOCK, substream_uniforms
 from gausscensus.states import SolverFailure
 from gausscensus.tolerances import DEFAULT, Tolerances
@@ -394,10 +394,41 @@ def exact_census(cfg, tol) -> ExactCensus:
 # tests take positive-definite census stacks from here.
 # montecarlo._candidates keeps a superset of the physical samples of a
 # block, each with the matrix its ten uniforms give, bit for bit.
+# `_ENTRY_COLUMNS`, `_values` and `_build_matrices` are kept verbatim
+# from the row-major front end (one sample per row of u), so the
+# column-major one in montecarlo is checked against them and not
+# against itself.
 
 # The seven box shapes of the stacked front-end and classify checks:
 # the Table 1 rows, the Bures box, and a narrow and a very wide box.
 STACK_CONFIGS = [(10, 5), (500, 250), (20, 10), (30, 20), (15, 15), (3, 2), (1000, 1000)]
+
+
+# For each of the 16 matrix entries (row-major), which of a sample's ten
+# values it holds: 0-3 the diagonal, 4-9 the off-diagonal pairs (0, 1),
+# (0, 2), (0, 3), (1, 2), (1, 3) and (2, 3).  The leading 3x3 submatrix
+# holds values from a sample's first eight only.
+_ENTRY_COLUMNS = np.array([0, 4, 5, 6, 4, 1, 7, 8, 5, 7, 2, 9, 6, 8, 9, 3])
+
+
+def _values(u: np.ndarray, k: float, l: float) -> np.ndarray:
+    # A sample's distinct entries: k*u on the diagonal columns 0-3,
+    # -l + 2l*u on the off-diagonal columns from 4 on.
+    values = np.empty(u.shape)
+    values[:, :4] = k * u[:, :4]
+    values[:, 4:] = -l + 2.0 * l * u[:, 4:]
+    return values
+
+
+def _build_matrices(u: np.ndarray, k: float, l: float) -> np.ndarray:
+    # Each row's 4x4 matrix, by one gather from its values: each array is
+    # read once, in row order.
+    return np.take(_values(u, k, l), _ENTRY_COLUMNS, axis=1).reshape(len(u), 4, 4)
+
+
+def block_matrices(seed: int, start: int, count: int, k: float, l: float) -> np.ndarray:
+    """Every sample's matrix of a block, from its ten uniforms, row-major."""
+    return _build_matrices(substream_uniforms(seed, start, count, width=10), k, l)
 
 
 def pd_candidates(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -417,8 +448,7 @@ def pd_candidates(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def materialised_candidates(seed: int, start: int, count: int, k: float, l: float) -> tuple:
     """A block's candidate positions, matrices and determinants."""
-    u = substream_uniforms(seed, start, count, width=10)
-    M = _build_matrices(u, k, l)
+    M = block_matrices(seed, start, count, k, l)
     idx, dets = pd_candidates(M)
     return idx, M[idx], dets
 

@@ -2,7 +2,8 @@
 
 perfbench/spans.py wraps module attributes by name when the benchmark
 runs with `--trace 1`, so a rename or deletion in src/ that drops one
-of them breaks the traced run.  perfbench/run.py reads each table1
+of them breaks the traced run, and a call that bypasses the attribute
+reads 0 seconds in its span.  perfbench/run.py reads each table1
 row's solver failures from the CLI's per-row stderr line, so a change
 to that line's format loses them.  These tests fail first.
 """
@@ -13,7 +14,7 @@ import io
 import sys
 from pathlib import Path
 
-from gausscensus import cli
+from gausscensus import cli, montecarlo
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -35,6 +36,21 @@ def test_every_traced_attribute_resolves(monkeypatch) -> None:
     missing = [f"{module.__name__}.{attr}" for module, attr, _, _ in targets
                if not callable(getattr(module, attr, None))]
     assert missing == []
+
+
+def test_census_block_draws_through_the_module_attribute(monkeypatch) -> None:
+    # The rng.substream span wraps montecarlo.substream_uniforms: a block
+    # that reached the Philox kernel some other way would time nothing.
+    calls = []
+    real = montecarlo.substream_uniforms
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "substream_uniforms", counted)
+    montecarlo._census_block((11, 0, 4096, 15.0, 15.0, 0, 0, 0.0, 0.0, (), ()))
+    assert len(calls) == 1
 
 
 def test_table1_row_lines_match_the_csv(monkeypatch, capsys) -> None:

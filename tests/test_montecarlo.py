@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from gausscensus import cli, criteria, measures, montecarlo, states
+from gausscensus import cli, criteria, measures, montecarlo, rng, states
 from gausscensus.montecarlo import (
     EntropyReport,
     LogSumExp,
@@ -26,6 +26,7 @@ from oracles import (
     CHAIN_SOLVER_ERRORS,
     STACK_CONFIGS,
     accepted_samples,
+    block_matrices,
     chain_classify,
     eigvalsh_is_physical,
     grid_coords,
@@ -349,7 +350,8 @@ class TestSampleAccess:
     @pytest.mark.parametrize("k,l", [(10.0, 5.0), (15.0, 15.0)])
     def test_block_matrices_match_sample_matrix(self, k, l) -> None:
         cfg = SamplerConfig(k=k, l=l, samples=1, seed=42)
-        M = montecarlo._build_matrices(substream_uniforms(42, 1000, 200, 10), k, l)
+        M = montecarlo._build_matrices(substream_uniforms(42, 1000, 200, 10).T, k, l)
+        assert M.flags.c_contiguous
         assert M.shape == (200, 4, 4)
         for i in range(200):
             single = sample_matrix(cfg, sample_stream(42, 1000 + i))
@@ -616,7 +618,7 @@ def _survivors(seed, start, count, k, l):
     # matrix of its ten uniforms, bit for bit.
     k, l = float(k), float(l)
     index, M = montecarlo._candidates(seed, start, count, k, l, criteria.DEFAULT)
-    every = montecarlo._build_matrices(substream_uniforms(seed, start, count, 10), k, l)
+    every = block_matrices(seed, start, count, k, l)
     assert index.dtype == np.intp and M.shape == (index.size, 4, 4)
     assert (np.diff(index) > 0).all()
     assert M.tobytes() == every[index].tobytes()
@@ -653,6 +655,19 @@ class TestCandidates:
         # front end keeps the whole block for the physicality gate.
         index, _ = _survivors(11, 0, 5_000, 1e70, 1e70)
         assert np.array_equal(index, np.arange(5_000))
+
+    @pytest.mark.parametrize("chunk, count", [(1, 2_000), (7, 9_000), (4096, BLOCK),
+                                              (65536, BLOCK)])
+    def test_independent_of_the_philox_chunk(self, monkeypatch, chunk, count) -> None:
+        # Each Philox lane is exact integer arithmetic, so the survivors
+        # and their matrices do not depend on how many samples a pass of
+        # the kernel takes.
+        args = (11, 3 * BLOCK, count, 15.0, 15.0, criteria.DEFAULT)
+        index, M = montecarlo._candidates(*args)
+        monkeypatch.setattr(rng, "_CHUNK", chunk)
+        chunked_index, chunked_M = montecarlo._candidates(*args)
+        assert chunked_index.tobytes() == index.tobytes()
+        assert chunked_M.tobytes() == M.tobytes()
 
     def test_lapack_only_on_accepted(self, monkeypatch) -> None:
         # On a k = l = 15 block every verdict is taken in closed form and

@@ -212,3 +212,16 @@ class TestGridUniforms:
     def test_index_range_checked(self, index):
         with pytest.raises(ValueError, match="sample indices"):
             grid_uniforms(1, index, 25)
+
+
+@pytest.mark.parametrize("width", [1, 2, 8, 10, 25])
+def test_columns_are_contiguous(width):
+    # Each public function returns the transpose of a C-contiguous
+    # (width, count) array: the census front end reads whole columns.
+    index = np.arange(300, 340)
+    draws = [substream_uniforms(7, 300, 40, width), grid_uniforms(7, index, width)]
+    if width == 2:
+        draws.append(third_block_uniforms(7, index))
+    for u in draws:
+        assert u.shape == (40, width)
+        assert u.T.flags.c_contiguous
