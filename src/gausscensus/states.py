@@ -132,14 +132,6 @@ def _at_least(x: np.ndarray, lo: float) -> np.ndarray:
     return np.where(x < lo, lo, x)
 
 
-def _per_element(fn, x: np.ndarray) -> np.ndarray:
-    # fn on each float of x.  numpy's exp and power differ from libm's
-    # in the last bit on a few percent of inputs, and the one-matrix
-    # chain the census reproduces bit for bit used libm's through
-    # math.exp and **.
-    return np.fromiter(map(fn, x.tolist()), float, x.size)
-
-
 # Flat positions of the lower triangle of a 4x4 matrix, row by row.
 _LOWER = np.array([0, 4, 5, 8, 9, 10, 12, 13, 14, 15])
 
@@ -324,128 +316,175 @@ def to_standard_form_one(M: np.ndarray, tol: Tolerances = DEFAULT) -> StandardFo
 #: Step lengths of the line search, 1, 1/2, ..., 2^-39.
 _STEPS = np.ldexp(1.0, -np.arange(40))
 
-#: Trial points a line-search pass evaluates at most: the steps still
-#: open are tried a group at a time, as many as fit for every lane that
-#: has not moved yet.  Each lane takes the first step that lowers its
-#: merit, the step a one-at-a-time search takes, so the size changes
-#: nothing but the time: most lanes take the full step, and a lane that
-#: stalls has to try all forty.
-_TRIAL_POINTS = 256
+#: Trial points a grouped line-search pass evaluates at most.  Every
+#: live lane first tries the full step; the lanes it does not serve try
+#: the halved steps still open a group at a time, as many as fit for
+#: every lane that has not moved yet.  Each lane takes the first step
+#: that lowers its merit, the step a one-at-a-time search takes, so the
+#: size changes nothing but the time.  Grouped passes serve mostly lanes
+#: that stall and try all forty steps.  Over the table1 blocks at
+#: (500, 250), (20, 10), (30, 20) and (15, 15) (BENCH_17.json, sweep),
+#: 2048 took the (500, 250) block from 57-88 ms at 256 to 45-64 ms and
+#: the four sets together from 124-169 ms to 105-153 ms; 64 was the
+#: slowest in total, and 4096 read within 2% of 2048.
+_TRIAL_POINTS = 2048
 
-# Rows al, be, ga, de, s of a stacked solver state.
-_FORM = slice(6, 11)
+# Rows of the Newton's lane table: the point (u, v) = (log r1, log r2),
+# its merit, its state (the rows _form_two_states writes: F1 F2 J11 J12
+# J21 J22 al be ga de s) and the lane's n, m, |c| and |cp|.  A table of
+# trial points holds the first 14 rows.
+_POINT, _MERIT, _STATE, _PARAMS = slice(0, 2), 2, slice(3, 14), slice(14, 18)
+_RESID, _TRIAL = slice(3, 5), 14
+# Rows u v al be ga de s of the table, a lane's root.
+_ROOT = [0, 1, 9, 10, 11, 12, 13]
 
 
-def _form_two_states(u, v, n, m, ac, acp):
+def _exp(x: np.ndarray) -> np.ndarray:
+    # libm's exp on each float of x.  numpy's real exp differs from it in
+    # the last bit on a few percent of inputs, and the one-matrix chain
+    # the census reproduces bit for bit used math.exp; glibc's complex
+    # exp multiplies libm's exp(x) by cos 0 = 1 where |x| <= 709.
+    return np.exp(x + 0j).real
+
+
+def _form_two_states(point, params, out):
     # Residuals and Jacobian of the balancing system at (log r1, log r2)
-    # = (u, v) for every lane, rows F1 F2 J11 J12 J21 J22 al be ga de s,
-    # and the mask of lanes inside the domain of the square roots.  The
-    # rows of a lane outside it are junk, computed from a safe stand-in.
-    inside = ~((np.abs(u) > 300.0) | (np.abs(v) > 300.0))
-    u = np.where(inside, u, 0.0)
-    v = np.where(inside, v, 0.0)
-    eu, ev, s = _per_element(math.exp, np.concatenate((u, v, 0.5 * (u + v)))).reshape(3, -1)
-    al = eu * n
-    be = n / eu
-    ga = ev * m
-    de = m / ev
-    P1 = (al - 1.0) * (ga - 1.0)
-    P2 = (be - 1.0) * (de - 1.0)
-    inside &= ~((P1 < 0.0) | (P2 < 0.0))
-    R1 = np.sqrt(np.where(inside, P1, 0.0))
-    R2 = np.sqrt(np.where(inside, P2, 0.0))
-    F1 = (al - 1.0) * (de - 1.0) - (be - 1.0) * (ga - 1.0)
-    F2 = ac * s - acp / s - R1 + R2
-    h = 0.5 * (ac * s + acp / s)
-    e1 = np.where(R1 > 5e-13, 2.0 * R1, 1e-12)
-    e2 = np.where(R2 > 5e-13, 2.0 * R2, 1e-12)
-    J11 = al * (de - 1.0) + be * (ga - 1.0)
-    J12 = -de * (al - 1.0) - ga * (be - 1.0)
-    J21 = h - al * (ga - 1.0) / e1 - be * (de - 1.0) / e2
-    J22 = h - ga * (al - 1.0) / e1 - de * (be - 1.0) / e2
-    return inside, np.stack((F1, F2, J11, J12, J21, J22, al, be, ga, de, s))
+    # = point, a (2, L) array, for every lane, written into the 11 rows
+    # F1 F2 J11 J12 J21 J22 al be ga de s of out; returns the mask of
+    # lanes inside the domain of the square roots.  The rows of a lane
+    # outside it are junk, computed from a safe stand-in.  Each entry
+    # takes the operations of the one-matrix chain in the same order,
+    # several rows to a numpy call.
+    inside = ~(np.abs(point) > 300.0).any(axis=0)
+    if not inside.all():
+        point = np.where(inside, point, 0.0)
+    u, v = point
+    x = np.empty((3, u.size))
+    x[:2] = point
+    np.add(u, v, out=x[2])
+    x[2] *= 0.5
+    ex = _exp(x)  # exp u, exp v, s
+    w = out[6:10]  # al be ga de
+    np.multiply(ex[:2], params[:2], out=out[6:10:2])  # al = n exp u, ga = m exp v
+    np.divide(params[:2], ex[:2], out=out[7:10:2])  # be = n / exp u, de = m / exp v
+    s = out[10]
+    s[...] = ex[2]
+    t = w - 1.0  # al-1 be-1 ga-1 de-1
+    p = t[:2] * t[2:]  # P1 = (al-1)(ga-1), P2 = (be-1)(de-1)
+    inside &= ~(p < 0.0).any(axis=0)
+    if not inside.all():
+        p = np.where(inside, p, 0.0)
+    r = np.sqrt(p)  # R1, R2
+    F1, F2, J11, J12 = out[:4]
+    y = t[:2] * t[3:1:-1]  # (al-1)(de-1), (be-1)(ga-1)
+    np.subtract(y[0], y[1], out=F1)
+    ac, acp = params[2:]
+    cs, cps = ac * s, acp / s
+    np.add(cs - cps - r[0], r[1], out=F2)
+    h = 0.5 * (cs + cps)
+    e = np.where(r > 5e-13, 2.0 * r, 1e-12)  # e1, e2
+    y = w[:2] * t[3:1:-1]  # al (de-1), be (ga-1)
+    np.add(y[0], y[1], out=J11)
+    y = w[3:1:-1] * t[:2]  # de (al-1), ga (be-1)
+    np.subtract(-y[0], y[1], out=J12)
+    # q[0] = al (ga-1) / e1, be (de-1) / e2 and q[1] = ga (al-1) / e1,
+    # de (be-1) / e2: J21 and J22 are h - q[i, 0] - q[i, 1].
+    q = w.reshape(2, 2, -1) * t.reshape(2, 2, -1)[::-1]
+    q /= e
+    np.subtract(h - q[:, 0], q[:, 1], out=out[4:6])
+    return inside
 
 
-def _merit(state: np.ndarray) -> np.ndarray:
-    # Squares of residuals far outside overflow to inf, as in floats.
-    F1, F2 = state[:2]
+def _merit(resid: np.ndarray) -> np.ndarray:
+    # F1^2 + F2^2 from the rows F1 F2.  Squares of residuals far outside
+    # overflow to inf, as in floats.
     with np.errstate(over="ignore"):
-        return F1 * F1 + F2 * F2
+        sq = resid * resid
+    return sq[0] + sq[1]
 
 
-def _line_search(u, v, du, dv, merit, params):
-    # Per lane, the first halved step whose trial point is inside the
-    # domain, has finite residuals and lowers the merit.  Returns the
-    # mask of lanes that moved and, for those, the new point, state
-    # and merit.
-    lanes = u.size
-    moved = np.zeros(lanes, dtype=bool)
-    new_u, new_v, new_merit = np.empty(lanes), np.empty(lanes), np.empty(lanes)
-    new_state = np.empty((11, lanes))
-    pending = np.arange(lanes)
-    lo = 0
+def _try(trial, params, merit):
+    # Fills the merit and state rows of a trial table at its points and
+    # gives the mask of lanes whose point is inside the domain, has
+    # finite residuals and lowers the merit.
+    inside = _form_two_states(trial[_POINT], params, trial[_STATE])
+    trial[_MERIT] = _merit(trial[_RESID])
+    return inside & np.isfinite(trial[_RESID]).all(axis=0) & (trial[_MERIT] < merit)
+
+
+def _line_search(table, step):
+    # Per lane, the first halved step along step, a (2, L) array, whose
+    # trial point _try accepts.  Writes the point, merit and state of
+    # the lanes that moved into table and returns their mask.  The full
+    # step is tried for every lane at once, the halved ones only for the
+    # lanes it fails.
+    trial = np.empty((_TRIAL, table.shape[1]))
+    np.add(table[_POINT], step, out=trial[_POINT])
+    moved = _try(trial, table[_PARAMS], table[_MERIT])
+    np.copyto(table[:_TRIAL], trial, where=moved)
+    pending = np.flatnonzero(~moved)
+    lo = 1
     while pending.size and lo < _STEPS.size:
         steps = _STEPS[lo:lo + max(1, _TRIAL_POINTS // pending.size)]
         lo += steps.size
-        tu = (u[pending, None] + steps * du[pending, None]).ravel()
-        tv = (v[pending, None] + steps * dv[pending, None]).ravel()
-        inside, state = _form_two_states(
-            tu, tv, *np.repeat(params[:, pending], steps.size, axis=1))
-        trial_merit = _merit(state)
-        good = (
-            inside
-            & np.isfinite(state[:2]).all(axis=0)
-            & (trial_merit < np.repeat(merit[pending], steps.size))
-        ).reshape(-1, steps.size)
+        trial = np.empty((_TRIAL, pending.size * steps.size))
+        trial[_POINT] = (table[_POINT, pending, None]
+                         + steps * step[:, pending, None]).reshape(2, -1)
+        good = _try(trial, np.repeat(table[_PARAMS, pending], steps.size, axis=1),
+                    np.repeat(table[_MERIT, pending], steps.size))
+        good = good.reshape(-1, steps.size)
         hit = good.any(axis=1)
         pick = np.flatnonzero(hit) * steps.size + good[hit].argmax(axis=1)
         done = pending[hit]
         moved[done] = True
-        new_u[done], new_v[done] = tu[pick], tv[pick]
-        new_state[:, done] = state[:, pick]
-        new_merit[done] = trial_merit[pick]
+        table[:_TRIAL, done] = trial[:, pick]
         pending = pending[~hit]
-    return moved, new_u, new_v, new_state, new_merit
+    return moved
 
 
-def _solve_form_two(n, m, ac, acp, tol):
-    # Damped Newton on (log r1, log r2) from (0, 0), one lane per solve:
-    # every live lane takes its step of the same iteration together and
-    # leaves on convergence or failure.  Returns the failure codes and
-    # the rows u v al be ga de s at each lane's root.
-    lanes = n.size
+def _solve_form_two(params, tol):
+    # Damped Newton on (log r1, log r2) from (0, 0), one lane per solve,
+    # for the lanes of params, rows n m |c| |cp|: every live lane takes
+    # its step of the same iteration together and leaves on convergence
+    # or failure, and the table of live lanes is compacted only when
+    # some leave.  Returns the failure codes and the rows u v al be ga
+    # de s at each lane's root.
+    lanes = params.shape[1]
     failure = np.zeros(lanes, dtype=np.int8)
     root = np.full((7, lanes), math.nan)
-    u, v = np.zeros(lanes), np.zeros(lanes)
-    params = np.stack((n, m, ac, acp))
-    inside, state = _form_two_states(u, v, *params)
+    table = np.empty((18, lanes))
+    table[_POINT] = 0.0
+    table[_PARAMS] = params
+    inside = _form_two_states(table[_POINT], table[_PARAMS], table[_STATE])
     failure[~inside] = SolverFailure.START_OUTSIDE
     live = np.flatnonzero(inside)
-    u, v, state, params = u[live], v[live], state[:, live], params[:, live]
-    merit = _merit(state)
+    if live.size < lanes:
+        table = table[:, live]
+    table[_MERIT] = _merit(table[_RESID])
     resid = tol.newton_residual
     for _ in range(tol.newton_max_iter):
         if not live.size:
             break
-        F1, F2, J11, J12, J21, J22 = state[:6]
-        converged = (np.abs(F1) < resid) & (np.abs(F2) < resid)
-        root[:2, live[converged]] = u[converged], v[converged]
-        root[2:, live[converged]] = state[_FORM, converged]
+        F1, F2, J11, J12, J21, J22 = table[_STATE][:6]
+        converged = (np.abs(table[_RESID]) < resid).all(axis=0)
         with np.errstate(over="ignore", invalid="ignore"):
             det = J11 * J22 - J12 * J21
         singular = ~converged & ((det == 0.0) | ~np.isfinite(det))
-        failure[live[singular]] = SolverFailure.SINGULAR_JACOBIAN
-        keep = ~(converged | singular)
-        live, u, v, merit, det = live[keep], u[keep], v[keep], merit[keep], det[keep]
-        state, params = state[:, keep], params[:, keep]
-        F1, F2, J11, J12, J21, J22 = state[:6]
+        leave = converged | singular
+        if leave.any():
+            root[:, live[converged]] = table[_ROOT][:, converged]
+            failure[live[singular]] = SolverFailure.SINGULAR_JACOBIAN
+            keep = ~leave
+            table, live, det = table[:, keep], live[keep], det[keep]
+            F1, F2, J11, J12, J21, J22 = table[_STATE][:6]
+        step = np.empty((2, live.size))
         with np.errstate(over="ignore", invalid="ignore"):
-            du = -(J22 * F1 - J12 * F2) / det
-            dv = -(-J21 * F1 + J11 * F2) / det
-        moved, u, v, state, merit = _line_search(u, v, du, dv, merit, params)
-        failure[live[~moved]] = SolverFailure.LINE_SEARCH_STALLED
-        live, u, v, merit = live[moved], u[moved], v[moved], merit[moved]
-        state, params = state[:, moved], params[:, moved]
+            np.divide(-(J22 * F1 - J12 * F2), det, out=step[0])
+            np.divide(-(-J21 * F1 + J11 * F2), det, out=step[1])
+        moved = _line_search(table, step)
+        if not moved.all():
+            failure[live[~moved]] = SolverFailure.LINE_SEARCH_STALLED
+            table, live = table[:, moved], live[moved]
     failure[live] = SolverFailure.BUDGET_EXHAUSTED
     return failure, root
 
@@ -484,7 +523,8 @@ def to_standard_form_two(f1: StandardFormI, tol: Tolerances = DEFAULT) -> Standa
     )
     failure[degenerate] = SolverFailure.DEGENERATE
     lanes = np.flatnonzero(todo & ~degenerate)
-    code, root = _solve_form_two(n[lanes], m[lanes], np.abs(c[lanes]), np.abs(cp[lanes]), tol)
+    code, root = _solve_form_two(
+        np.stack((n[lanes], m[lanes], np.abs(c[lanes]), np.abs(cp[lanes]))), tol)
     failure[lanes] = code
     solved = lanes[code == SolverFailure.NONE]
     form = np.full((9, n.size), math.nan)
@@ -496,8 +536,8 @@ def to_standard_form_two(f1: StandardFormI, tol: Tolerances = DEFAULT) -> Standa
 
 def _assemble_form_two(root, c, cp, tol):
     # Form II at each lane's root; lanes whose a0 has no real value fail.
-    u, v, al, be, ga, de, s = root
-    n1, n2, m1, m2 = al, be, ga, de
+    # np.float_power, unlike np.power, takes x ** 0.25 from libm's pow.
+    n1, n2, m1, m2, s = root[2:]
     balanced = ~(
         (np.abs(n1 - 1.0) <= tol.degenerate_abs)
         | (np.abs(m1 - 1.0) <= tol.degenerate_abs)
@@ -507,11 +547,9 @@ def _assemble_form_two(root, c, cp, tol):
     balanced = np.flatnonzero(balanced)
     failure = np.zeros(n1.size, dtype=np.int8)
     failure[balanced[~admissible]] = SolverFailure.INADMISSIBLE_ROOT
-    radicand = radicand[admissible]
     a0 = np.ones(n1.size)
-    a0[balanced[admissible]] = _per_element(lambda x: x**0.25, radicand)
-    r1 = _per_element(math.exp, u)
-    r2 = _per_element(math.exp, v)
+    a0[balanced[admissible]] = np.float_power(radicand[admissible], 0.25)
+    r1, r2 = _exp(root[:2])
     return failure, np.stack((n1, n2, m1, m2, c * s, cp / s, a0, r1, r2))
 
 

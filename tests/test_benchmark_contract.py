@@ -14,7 +14,10 @@ import io
 import sys
 from pathlib import Path
 
-from gausscensus import cli, montecarlo
+import numpy as np
+
+from gausscensus import cli, criteria, montecarlo
+from gausscensus.tolerances import DEFAULT
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -61,3 +64,23 @@ def test_table1_row_lines_match_the_csv(monkeypatch, capsys) -> None:
     matches = row_line.findall(captured.err)
     assert [int(row) for row, _, _ in matches] == list(range(1, len(cli.TABLE1_ROWS) + 1))
     assert [int(accepted) for _, accepted, _ in matches] == [int(r["accepted"]) for r in records]
+
+
+def test_classify_solves_form_two_through_the_module_attribute(monkeypatch) -> None:
+    # The states.form_two span wraps criteria.to_standard_form_two: a
+    # classify pass that reached the Newton some other way would time
+    # nothing there.
+    calls = []
+    real = criteria.to_standard_form_two
+
+    def counted(f1, *args, **kwargs):
+        calls.append(f1.n.size)
+        return real(f1, *args, **kwargs)
+
+    monkeypatch.setattr(criteria, "to_standard_form_two", counted)
+    monkeypatch.setattr(criteria, "CLASSIFY_CHUNK", 64)
+    _, M = montecarlo._candidates(11, 0, 4096, 15.0, 15.0, DEFAULT)
+    verdict = criteria.classify(M)
+    assert len(M) > 2 * criteria.CLASSIFY_CHUNK
+    assert len(calls) == -(-len(M) // criteria.CLASSIFY_CHUNK)
+    assert sum(calls) == np.count_nonzero(verdict.physical)

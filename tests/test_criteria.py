@@ -36,6 +36,7 @@ from oracles import (
     CHAIN_SOLVER_ERRORS,
     STACK_CONFIGS,
     ChainFormI,
+    ChainFormII,
     ComplexRootError,
     chain_classify,
     chain_failure,
@@ -326,6 +327,31 @@ class TestStackedClassify:
         assert same_bits(disagrees(v), disagrees(chain))
         if kl == (500, 250):
             assert np.count_nonzero(v.failure == SolverFailure.LINE_SEARCH_STALLED) > 1000
+
+    @pytest.mark.parametrize("kl", STACK_CONFIGS)
+    def test_form_two_matches_per_sample_chain(self, blocks, kl):
+        # The verdict reads form II only through margin_sep.  Here every
+        # number field and the failure code of each physical lane are held
+        # to the chain's solve of the same form I, clamped as classify
+        # clamps it; a form-I failure stands in both.
+        M = blocks[kl]
+        f1 = to_standard_form_one(M[is_physical(M)])
+        f1 = dataclasses.replace(f1, n=np.maximum(f1.n, 1.0), m=np.maximum(f1.m, 1.0))
+        f2 = to_standard_form_two(f1)
+        names = [f.name for f in dataclasses.fields(ChainFormII)]
+        want = np.full((len(names), f1.n.size), math.nan)
+        failure = f1.failure.copy()
+        for i in np.flatnonzero(failure == SolverFailure.NONE):
+            try:
+                chain = chain_form_two(ChainFormI(*(float(x[i]) for x in (f1.n, f1.m, f1.c, f1.cp))))
+            except CHAIN_SOLVER_ERRORS as exc:
+                failure[i] = chain_failure(exc)
+            else:
+                want[:, i] = [getattr(chain, name) for name in names]
+        assert same_bits(f2.failure, failure)
+        for name, column in zip(names, want):
+            assert same_bits(getattr(f2, name), column), name
+        assert np.count_nonzero(failure == SolverFailure.NONE) > 100
 
     def test_chunk_size_changes_nothing(self, blocks, monkeypatch):
         M = np.concatenate([blocks[kl] for kl in STACK_CONFIGS])

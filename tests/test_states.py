@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gausscensus import states
 from gausscensus.states import (
     OMEGA,
     SolverFailure,
@@ -208,6 +209,30 @@ class TestStandardFormTwo:
                 assert getattr(f2, name)[i] == pytest.approx(
                     ref[name], rel=1e-6, abs=1e-8), name
         assert compared > 100
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+class TestLibmSubstitutes:
+    """The form-II solver takes exp and x ** 0.25 from numpy calls that
+    give libm's bits, as math.exp and ** did in the one-matrix chain."""
+
+    def test_vectorized_exp_is_math_exp(self):
+        rng = np.random.default_rng(17)
+        x = np.concatenate((rng.uniform(-300.0, 300.0, 1_000_000),
+                            [0.0, -0.0, 5e-324, -5e-324, 300.0, -300.0]))
+        want = np.fromiter(map(math.exp, x.tolist()), float, x.size)
+        assert same_bits(states._exp(x), want)
+        # The solver passes (rows, lanes) arrays, views among them.
+        assert same_bits(states._exp(x[:600].reshape(3, 200)[:2]), want[:400].reshape(2, 200))
+
+    def test_float_power_quarter_is_python_pow(self):
+        rng = np.random.default_rng(19)
+        x = np.concatenate((10.0 ** rng.uniform(-300.0, 300.0, 1_000_000), [1e-300, 1e300]))
+        want = np.fromiter((t ** 0.25 for t in x.tolist()), float, x.size)
+        assert same_bits(np.float_power(x, 0.25), want)
 
 
 def random_positive_stack(rng, count):
