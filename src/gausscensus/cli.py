@@ -375,10 +375,7 @@ def _cmd_bures(args, config) -> tuple[list[str], list[dict]]:
             f"{result.discarded_grids} discarded); increase --samples"
         )
     rows = []
-    names = ["fisher"] + [
-        f"{kind}:{est}" for kind in volume_kinds for est in estimators
-    ]
-    for name in names:
+    for name in result.measure_names():
         label = name.replace("_", "-") if "none" not in robust else (
             name.replace(":median", ":single").replace("_", "-")
         )

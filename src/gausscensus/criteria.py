@@ -15,7 +15,7 @@ stack raises ValueError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,10 +51,6 @@ MIRROR = np.diag([1.0, 1.0, 1.0, -1.0])
 MIRROR.setflags(write=False)
 # M * _MIRROR_SIGNS is MIRROR @ M @ MIRROR for each matrix of a stack.
 _MIRROR_SIGNS = np.outer(np.diag(MIRROR), np.diag(MIRROR))
-
-# Matrices per stacked classify pass.  Results do not depend on it; it
-# bounds the memory of a pass.
-CLASSIFY_CHUNK = 16384
 
 _EYE4 = np.eye(4)
 _EYE4.setflags(write=False)
@@ -181,23 +177,14 @@ def classify(M: np.ndarray, tol: Tolerances = DEFAULT) -> Verdict:
     mirror test is taken in closed form; is_separable_ppt gives the
     margin on the lanes where it does not surely confirm the variance
     verdict, the only lanes disagrees can flag, so the caller can still
-    compare the two separability tests there.  The stack is classified
-    CLASSIFY_CHUNK matrices at a time, and solver failures are marked
-    in the verdict's failure field.
+    compare the two separability tests there.  The whole stack is one
+    pass: a census hands classify one block of at most rng.BLOCK
+    samples and counts its verdicts into a partial census, the same
+    CensusResult record as the whole census.  Solver failures are
+    marked in the verdict's failure field, and no lane's verdict
+    depends on the other lanes of its stack.
     """
     M = _stack(M, (4, 4))
-    parts = [
-        _classify_stack(M[i:i + CLASSIFY_CHUNK], tol)
-        for i in range(0, max(len(M), 1), CLASSIFY_CHUNK)
-    ]
-    if len(parts) == 1:
-        return parts[0]
-    return Verdict(*(
-        np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(Verdict)
-    ))
-
-
-def _classify_stack(M: np.ndarray, tol: Tolerances) -> Verdict:
     count = len(M)
     physical = is_physical(M, tol)
     lanes = np.flatnonzero(physical)

@@ -50,7 +50,7 @@ def _cov(A) -> np.ndarray:
     return A
 
 
-def fidelity_one_mode(A1, A2, tol: Tolerances = DEFAULT) -> float:
+def fidelity_one_mode(A1, A2) -> float:
     """Fidelity of two one-mode Gaussian states from their covariances.
 
         F = 2 / (sqrt(det(A1 + A2) + P) - sqrt(P)),

@@ -129,7 +129,7 @@ def random_grid(
                         f"apart on [{lo!r}, {hi!r}]; widen the grid range")
 
 
-def _kernel_pieces(M: np.ndarray, tol: Tolerances):
+def _kernel_pieces(M: np.ndarray):
     # Reorder (x1, p1, x2, p2) -> (x.., p..), invert, and Schur-reduce the
     # momentum block, for a stack of one-mode (2x2) or two-mode (4x4)
     # matrices along the leading axis.
@@ -149,9 +149,7 @@ def _kernel_pieces(M: np.ndarray, tol: Tolerances):
     return Aq, Kpp_inv, Cqv
 
 
-def schroedinger_kernel(
-    M: np.ndarray, x: np.ndarray, xp: np.ndarray, tol: Tolerances = DEFAULT
-) -> complex:
+def schroedinger_kernel(M: np.ndarray, x: np.ndarray, xp: np.ndarray) -> complex:
     """Position-representation kernel of the Gaussian state at (x, xp).
 
     With K the inverse of the position/momentum-ordered covariance,
@@ -164,7 +162,7 @@ def schroedinger_kernel(
     normalized so the value at the origin is 1; the overall constant is
     irrelevant because spectra are normalized downstream.
     """
-    Aq, Kpp_inv, Cqv = (p[0] for p in _kernel_pieces(np.asarray(M, dtype=float)[None], tol))
+    Aq, Kpp_inv, Cqv = (p[0] for p in _kernel_pieces(np.asarray(M, dtype=float)[None]))
     x = np.asarray(x, dtype=float)
     xp = np.asarray(xp, dtype=float)
     q = 0.5 * (x + xp)
@@ -233,7 +231,7 @@ def discretize(
     if coords.shape[:1] != M.shape[:1] or coords.ndim != 2:
         raise ValueError(f"expected one grid per matrix, shape ({len(M)}, m), "
                          f"got shape {coords.shape}")
-    Aq, Kpp_inv, Cqv = _kernel_pieces(M, tol) if pieces is None else pieces
+    Aq, Kpp_inv, Cqv = _kernel_pieces(M) if pieces is None else pieces
     axes = _grid_axes(coords, M.shape[-1] // 2)
     n = axes[0].shape[-1]
     a, b = _triu(n)
@@ -321,7 +319,7 @@ def _volume_logs(
     discarded rows.  No row depends on the others or on the chunk size.
     """
     S, G, _ = coords.shape
-    pieces = _kernel_pieces(M, tol)
+    pieces = _kernel_pieces(M)
     logs = {kind: np.empty((S, G)) for kind in metric_kinds}
     discarded = np.zeros(S, dtype=bool)
     for g in range(G):

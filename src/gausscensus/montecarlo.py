@@ -2,8 +2,9 @@
 
 Samples are drawn from per-index counter-based substreams, processed in
 fixed blocks, and folded in block order, so results are identical for
-any worker count.  All weighted tallies are kept in the log domain with
-streaming log-sum-exp accumulators.
+any worker count.  A block's partial census and a whole census are one
+record, CensusResult, and folding is its merge.  All weighted tallies
+are kept in the log domain with streaming log-sum-exp accumulators.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 import time
 from contextlib import closing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -35,7 +36,6 @@ __all__ = [
     "SamplerConfig",
     "LogSumExp",
     "MeasureTally",
-    "CensusAccumulator",
     "CensusResult",
     "OneModePoint",
     "EntropyReport",
@@ -143,12 +143,18 @@ class MeasureTally:
 
 
 @dataclass
-class CensusAccumulator:
-    """Mergeable census state: stage counts plus per-measure tallies.
+class CensusResult:
+    """One census: stage counts, per-measure tallies and the run config.
 
-    Counts satisfy classical <= separable <= accepted <= generated.
+    A block's partial census and a whole census are the same record:
+    each block fills one in place and merge folds them, so it is
+    mutable, and each census run returns its own copy
+    (dataclasses.replace) with the config and wall time set.  merge
+    sums every int field, so a new count is one declaration.  Counts
+    satisfy classical <= separable <= accepted <= generated.
     """
 
+    config: SamplerConfig | None = None
     generated: int = 0
     accepted: int = 0
     separable: int = 0
@@ -158,6 +164,7 @@ class CensusAccumulator:
     numerical_faults: int = 0
     ordering_faults: int = 0
     measures: dict = field(default_factory=dict)
+    wall_time: float = 0.0
 
     def tally(self, measure: str) -> MeasureTally:
         t = self.measures.get(measure)
@@ -165,34 +172,12 @@ class CensusAccumulator:
             t = self.measures[measure] = MeasureTally()
         return t
 
-    def merge(self, other: "CensusAccumulator") -> None:
-        self.generated += other.generated
-        self.accepted += other.accepted
-        self.separable += other.separable
-        self.classical += other.classical
-        self.discarded_grids += other.discarded_grids
-        self.solver_failures += other.solver_failures
-        self.numerical_faults += other.numerical_faults
-        self.ordering_faults += other.ordering_faults
+    def merge(self, other: "CensusResult") -> None:
+        for f in fields(self):
+            if f.type == "int":  # a string: annotations are postponed
+                setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
         for key, tally in other.measures.items():
             self.tally(key).merge(tally)
-
-
-@dataclass(frozen=True)
-class CensusResult:
-    """Counts, per-measure weighted probabilities, and the run config."""
-
-    config: SamplerConfig
-    generated: int
-    accepted: int
-    separable: int
-    classical: int
-    discarded_grids: int
-    solver_failures: int
-    measures: dict
-    wall_time: float
-    numerical_faults: int = 0
-    ordering_faults: int = 0
 
     def _ratio(self, measure: str, part: str) -> float:
         tally = self.measures.get(measure)
@@ -241,7 +226,7 @@ class EntropyReport:
 
 @dataclass
 class _BlockOut:
-    acc: CensusAccumulator
+    census: CensusResult
     disagreement: tuple | None = None
     extra: tuple | None = None
 
@@ -347,7 +332,7 @@ def _census_block(args) -> _BlockOut:
     index, M = _candidates(seed, start, count, k, l, tol)
     verdict = criteria.classify(M, tol)
     ok = verdict.physical & (verdict.failure == 0)
-    acc = CensusAccumulator(
+    census = CensusResult(
         generated=count,
         accepted=int(np.count_nonzero(ok)),
         solver_failures=int(np.count_nonzero(verdict.physical & (verdict.failure != 0))),
@@ -361,27 +346,27 @@ def _census_block(args) -> _BlockOut:
     if n_grids:
         coords = _grids(seed, start + index[ok], grid_size, n_grids, lo, hi, tol)
         discarded, logs = measures._volume_logs(M[ok], coords, kinds, tol)
-        acc.discarded_grids = int(np.count_nonzero(discarded))
+        census.discarded_grids = int(np.count_nonzero(discarded))
         finite = np.ones(len(coords), dtype=bool)
         for kind in kinds:
             finite &= np.isfinite(logs[kind]).all(axis=-1)
-        acc.numerical_faults = int(np.count_nonzero(~discarded & ~finite))
+        census.numerical_faults = int(np.count_nonzero(~discarded & ~finite))
         good = ~discarded & finite
         logs = {kind: v[good] for kind, v in logs.items()}
         if all(kind in kinds for kind in ("bures", "kubo_mori", "maximal")):
             vb, vk, vm = logs["bures"], logs["kubo_mori"], logs["maximal"]
             slack = 1e-9 * np.maximum(1.0, np.abs(vk))
-            acc.ordering_faults = int(np.count_nonzero((vb > vk + slack) | (vk > vm + slack)))
+            census.ordering_faults = int(np.count_nonzero((vb > vk + slack) | (vk > vm + slack)))
         weights["fisher"] = weights["fisher"][good]
         sep, cls = sep[good], cls[good]
         for kind in kinds:
             est = measures.VolumeEstimate.from_log_volumes(logs[kind], kind)
             for name in estimators:
                 weights[f"{kind}:{name}"] = getattr(est, name)
-    acc.separable = int(np.count_nonzero(sep))
-    acc.classical = int(np.count_nonzero(cls))
+    census.separable = int(np.count_nonzero(sep))
+    census.classical = int(np.count_nonzero(cls))
     for key, lw in weights.items():
-        tally = acc.tally(key)
+        tally = census.tally(key)
         tally.acc.add_array(lw)
         tally.sep.add_array(lw[sep])
         tally.cls.add_array(lw[cls])
@@ -390,7 +375,7 @@ def _census_block(args) -> _BlockOut:
     if flagged.size:
         i = flagged[0]
         disagreement = (M[i].copy(), float(verdict.margin_sep[i]), float(verdict.margin_ppt[i]))
-    return _BlockOut(acc=acc, disagreement=disagreement)
+    return _BlockOut(census, disagreement=disagreement)
 
 
 def _one_mode_block(args) -> _BlockOut:
@@ -404,18 +389,17 @@ def _one_mode_block(args) -> _BlockOut:
     # closed-form min eig(A - I) for the symmetric 2x2 sample
     shifted = 0.5 * (d1 + d2) - 1.0 - np.sqrt(0.25 * (d1 - d2) ** 2 + off * off)
     classical = phys & (shifted > DEFAULT.classical_min_eig)
-    acc = CensusAccumulator(generated=count)
-    acc.accepted = int(np.count_nonzero(phys))
-    acc.classical = int(np.count_nonzero(classical))
+    census = CensusResult(generated=count, accepted=int(np.count_nonzero(phys)),
+                          classical=int(np.count_nonzero(classical)))
     lw = -1.5 * np.log(det[phys])
     cls_mask = classical[phys]
-    tally = acc.tally("fisher")
+    tally = census.tally("fisher")
     tally.acc.add_array(lw)
     tally.cls.add_array(lw[cls_mask])
-    squared = acc.tally("fisher:squared")
+    squared = census.tally("fisher:squared")
     squared.acc.add_array(2.0 * lw)
     squared.cls.add_array(2.0 * lw[cls_mask])
-    return _BlockOut(acc=acc)
+    return _BlockOut(census)
 
 
 def _entropy_block(args) -> _BlockOut:
@@ -431,15 +415,12 @@ def _entropy_block(args) -> _BlockOut:
     joint = states.entropy(M)
     largest = np.maximum(states.entropy(M[:, :2, :2]), states.entropy(M[:, 2:, 2:]))
     beats = np.flatnonzero(joint < largest - 1e-12)
-    acc = CensusAccumulator(
-        generated=count,
-        accepted=int(np.count_nonzero(physical)),
-        separable=len(M),
-    )
+    census = CensusResult(generated=count, accepted=int(np.count_nonzero(physical)),
+                          separable=len(M))
     # The violation count and the block's first three violations with
     # their sample indices.
     where = (start + index[separable][beats[:3]]).tolist()
-    return _BlockOut(acc=acc, extra=(beats.size, tuple(zip(where, M[beats[:3]]))))
+    return _BlockOut(census, extra=(beats.size, tuple(zip(where, M[beats[:3]]))))
 
 
 def _in_order(pool: ProcessPoolExecutor, runner: Callable, argses: Iterable,
@@ -460,8 +441,8 @@ def _fold(
     censuses: list[tuple[int, Iterable]],
     workers: int,
     progress: Sequence[Callable | None],
-) -> Iterator[tuple[CensusAccumulator, list]]:
-    # Each census's merged accumulator and its blocks' extras in block
+) -> Iterator[tuple[CensusResult, list]]:
+    # Each census's merged record and its blocks' extras in block
     # order, one census after another; a census is its block count and
     # its block arguments (_blocks).  The blocks of every census go
     # through one pool in order, at most two per process ahead of the
@@ -481,10 +462,10 @@ def _fold(
         else:
             outs = map(runner, argses)
         for (count, _), report in zip(censuses, progress):
-            total = CensusAccumulator()
+            total = CensusResult()
             extras: list = []
             for done, out in enumerate(itertools.islice(outs, count)):
-                total.merge(out.acc)
+                total.merge(out.census)
                 extras.append(out.extra)
                 if out.disagreement is not None:
                     raise criteria.OracleDisagreementError(*out.disagreement)
@@ -516,19 +497,7 @@ def _two_mode_censuses(cfgs: list, workers: int, progress: Sequence[Callable | N
             for kind in kinds:
                 for name in estimators:
                     total.tally(f"{kind}:{name}")
-            yield CensusResult(
-                config=cfg,
-                generated=total.generated,
-                accepted=total.accepted,
-                separable=total.separable,
-                classical=total.classical,
-                discarded_grids=total.discarded_grids,
-                solver_failures=total.solver_failures,
-                measures=total.measures,
-                wall_time=time.perf_counter() - t0,
-                numerical_faults=total.numerical_faults,
-                ordering_faults=total.ordering_faults,
-            )
+            yield replace(total, config=cfg, wall_time=time.perf_counter() - t0)
 
 
 def run_classical_sweep(

@@ -4,8 +4,9 @@ Everything here is deliberately written against different formulations
 than the package: the two-parameter reduction is solved by a bracketed
 one-dimensional scan instead of Newton, kernels come from brute-force
 Fourier quadrature of the phase-space density, fidelity comes from
-operator square roots of discretized kernels, and the Jeffreys census
-decides every verdict by batched eigenvalue tests.  The per-grid kernel
+operator square roots of discretized kernels, the Jeffreys census
+decides every verdict by batched eigenvalue tests, and the one-mode
+census is integrated by nested quadrature.  The per-grid kernel
 pipeline keeps the one-kernel-at-a-time formulation the package's
 batched volume stage must reproduce bit for bit: every lattice entry by
 np.einsum, the lower triangle mirrored by conjugation, one eigensolve
@@ -382,6 +383,47 @@ def exact_census(cfg, tol) -> ExactCensus:
         prob_classical=math.exp(_log_sum_exp(lw_cls) - log_acc),
         **counts,
     )
+
+
+def _o_integral(P: float, a: float) -> float:
+    # The integral of (P - o^2)^(-3/2) over o in [-a, a], a^2 < P.
+    return 2.0 * a / (P * math.sqrt(P - a * a))
+
+
+def one_mode_exact(k: float, l: float) -> float:
+    """Jeffreys-weighted classicality probability of the one-mode census
+    by quadrature.
+
+    The census draws d1, d2 on [0, k] and o on [-l, l], keeps
+    D = d1*d2 - o^2 >= 1 with weight D^(-3/2), and calls a sample
+    classical when d1, d2 > 1 and o^2 < (d1 - 1)(d2 - 1).  The o-integral
+    is closed form (_o_integral) with a = min(l, sqrt(d1*d2 - 1)), or
+    a = min(l, sqrt((d1 - 1)(d2 - 1))) for the classical part, so both
+    parts are nested quad over d1 and d2 with breakpoints where a
+    reaches l: d1*d2 = 1 + l^2 and (d1 - 1)(d2 - 1) = l^2.  quad reports
+    roundoff from k = 1e4 on, so k should stay at most 1000.
+    """
+    from scipy.integrate import quad
+
+    def integral(lo: float, edge, reach, knee) -> float:
+        # d1 from lo to k; d2 from edge(d1) to k, where the o-integral
+        # has its half-width sqrt(reach(d1, d2)) until that reaches l at
+        # d2 = knee(d1).  The outer breakpoint is where knee(d1) = k.
+        def inner(d1: float) -> float:
+            start, bend = edge(d1), knee(d1)
+            return quad(lambda d2: _o_integral(d1 * d2, min(l, math.sqrt(reach(d1, d2)))),
+                        start, k, points=[bend] if start < bend < k else None, limit=200)[0]
+
+        outer = [d1 for d1 in (knee(k),) if lo < d1 < k]
+        return quad(inner, lo, k, points=outer or None, limit=200)[0] if lo < k else 0.0
+
+    physical = integral(1.0 / k, lambda d1: 1.0 / d1,
+                        lambda d1, d2: max(d1 * d2 - 1.0, 0.0),
+                        lambda d1: (1.0 + l * l) / d1)
+    classical = integral(1.0, lambda d1: 1.0,
+                         lambda d1, d2: (d1 - 1.0) * (d2 - 1.0),
+                         lambda d1: 1.0 + l * l / (d1 - 1.0))
+    return classical / physical
 
 
 # ---------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 
 from gausscensus import cli, criteria, measures, montecarlo, rng, states
 from gausscensus.montecarlo import (
+    CensusResult,
     EntropyReport,
     LogSumExp,
     OneModePoint,
@@ -32,6 +33,7 @@ from oracles import (
     grid_coords,
     kernel_on_grid,
     materialised_candidates,
+    one_mode_exact,
     same_value,
     sample_matrix,
     sample_stream,
@@ -129,6 +131,40 @@ class TestLogSumExp:
         for bad in (math.inf, math.nan, -math.inf):
             with pytest.raises(ValueError):
                 acc.add_array(np.array([0.0, bad]))
+
+
+class TestCensusResultMerge:
+    COUNTS = ("generated", "accepted", "separable", "classical", "discarded_grids",
+              "solver_failures", "numerical_faults", "ordering_faults")
+
+    @staticmethod
+    def _tally(xs) -> montecarlo.MeasureTally:
+        tally = montecarlo.MeasureTally()
+        for part, values in zip((tally.acc, tally.sep, tally.cls), (xs, xs[::2], xs[::3])):
+            part.add_array(values)
+        return tally
+
+    def test_merge_sums_every_count_and_tally(self) -> None:
+        # Distinct powers of two in every count field, so a count that
+        # the fold skips or adds twice shows in its sum.
+        left = CensusResult(**{name: 1 << i for i, name in enumerate(self.COUNTS)})
+        right = CensusResult(**{name: 1 << (20 + i) for i, name in enumerate(self.COUNTS)})
+        # The split at 12 keeps every second and every third value
+        # where the whole array has it, so the merged tally is the
+        # whole one.
+        xs = np.linspace(-40.0, 40.0, 30)
+        left.measures["fisher"] = self._tally(xs[:12])
+        right.measures["fisher"] = self._tally(xs[12:])
+        right.measures["bures:median"] = self._tally(xs)
+        left.merge(right)
+        for i, name in enumerate(self.COUNTS):
+            assert getattr(left, name) == (1 << i) + (1 << (20 + i)), name
+        assert left.measure_names() == ("fisher", "bures:median")
+        whole = self._tally(xs)
+        for got, want in zip(_lse_fields(left.measures["fisher"]), _lse_fields(whole)):
+            assert got == pytest.approx(want, rel=1e-13)
+        assert _lse_fields(left.measures["bures:median"]) == _lse_fields(whole)
+        assert left.config is None and left.wall_time == 0.0
 
 
 class TestDeterminism:
@@ -689,7 +725,7 @@ class TestCandidates:
             monkeypatch.setattr(np.linalg, name, spy)
         out = montecarlo._census_block((seed, 0, BLOCK, k, l, 0, 0, 0.0, 0.0, (), ()))
         monkeypatch.undo()
-        assert out.acc.accepted == len(accepted) > 0 and out.acc.solver_failures == 0
+        assert out.census.accepted == len(accepted) > 0 and out.census.solver_failures == 0
         assert len(M) > 10 * len(accepted)
         assert calls["eigvalsh"] == []
         assert len(calls["det"]) == 2
@@ -836,6 +872,21 @@ class TestOneModeClassicality:
         assert (point.k, point.l, point.samples, point.physical, point.classical,
                 point.prob_classical, point.stderr) == (2.0, 1.0, 0, 0, 0, 0.0, 0.0)
 
+    @pytest.fixture(scope="class")
+    def exact(self) -> dict:
+        return {k: one_mode_exact(k, k / 2) for k in (10.0, 100.0)}
+
+    def test_quadrature_oracle_values(self, exact) -> None:
+        assert exact[10.0] == pytest.approx(0.209831, abs=1e-6)
+        assert exact[100.0] == pytest.approx(0.115082, abs=1e-6)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_quadrature_within_its_standard_error(self, exact, seed) -> None:
+        cfg = SamplerConfig(k=10.0, l=5.0, samples=10**6, seed=seed, mode_count=1)
+        for point in run_one_mode_classicality(cfg, ks=(10.0, 100.0)):
+            z = (point.prob_classical - exact[point.k]) / point.stderr
+            assert abs(z) < 4.0, (point.k, z)
+
 
 def _classify_entropy_block(args):
     # The entropy block as it was built on the full stacked classify,
@@ -849,13 +900,13 @@ def _classify_entropy_block(args):
     joint = states.entropy(M)
     largest = np.maximum(states.entropy(M[:, :2, :2]), states.entropy(M[:, 2:, 2:]))
     beats = np.flatnonzero(joint < largest - 1e-12)
-    acc = montecarlo.CensusAccumulator(
+    census = montecarlo.CensusResult(
         generated=count,
         accepted=int(np.count_nonzero(v.physical)),
         separable=len(M),
     )
     where = (start + index[separable][beats[:3]]).tolist()
-    return montecarlo._BlockOut(acc=acc, extra=(beats.size, tuple(zip(where, M[beats[:3]]))))
+    return montecarlo._BlockOut(census, extra=(beats.size, tuple(zip(where, M[beats[:3]]))))
 
 
 class TestEntropyProbe:
@@ -908,7 +959,7 @@ class TestEntropyProbe:
             assert np.array_equal(a, b)
         # Violations have their own count; the classical count stays 0.
         out = montecarlo._entropy_block((cfg.seed, 0, BLOCK, cfg.k, cfg.l))
-        assert out.acc.classical == 0
+        assert out.census.classical == 0
         assert (out.extra[0] > 0) == flip
 
     def test_skips_form_two_solve(self, monkeypatch) -> None:
