@@ -11,8 +11,7 @@ from gausscensus.montecarlo import SamplerConfig, run_one_mode_classicality
 
 
 def main() -> None:
-    cfg = SamplerConfig(k=10.0, l=5.0, samples=1_000_000, seed=515,
-                        mode_count=1)
+    cfg = SamplerConfig(k=10.0, l=5.0, samples=1_000_000, seed=515)
     points = run_one_mode_classicality(cfg, ks=(10.0, 100.0, 1000.0))
     print(f"{'k':>7s} {'physical':>9s} {'classical':>9s} "
           f"{'prob_classical':>15s} {'std error':>10s}")

@@ -3,7 +3,10 @@
 Standard output carries only machine-readable results (CSV, JSON lines,
 or an aligned table); progress and diagnostics go to standard error.
 Exit codes: 0 success, 1 I/O or empty-result failure, 2 oracle
-disagreement, 64 usage or configuration error.
+disagreement, 64 usage or configuration error.  The sampling commands
+share the --k, --l, --samples and --seed flags; one-mode draws 2x2
+matrices from the box and the others 4x4, and each command refuses a
+box where its own determinant could overflow.
 """
 
 from __future__ import annotations
@@ -304,13 +307,20 @@ def _cmd_table1(args, config) -> tuple[list[str], list[dict]]:
     return CENSUS_FIELDS, rows
 
 
-def _cmd_census(args, config) -> tuple[list[str], list[dict]]:
-    cfg = SamplerConfig(
-        k=_resolve(args, config, "k", 10.0),
-        l=_resolve(args, config, "l", 5.0),
-        samples=_resolve(args, config, "samples", 100_000),
+def _sampler_config(args, config: dict, k: float = 10.0, l: float = 5.0,
+                    samples: int = 100_000) -> SamplerConfig:
+    # The box, sample budget and seed of a sampling command, from its
+    # flags, then its config file, then the command's own defaults.
+    return SamplerConfig(
+        k=_resolve(args, config, "k", k),
+        l=_resolve(args, config, "l", l),
+        samples=_resolve(args, config, "samples", samples),
         seed=_resolve(args, config, "seed", 1),
     )
+
+
+def _cmd_census(args, config) -> tuple[list[str], list[dict]]:
+    cfg = _sampler_config(args, config)
     workers = _resolve_workers(args, config)
     progress = _progress_printer("census", cfg.samples)
     result = montecarlo.run_classical_census(cfg, workers=workers,
@@ -324,12 +334,7 @@ def _cmd_census(args, config) -> tuple[list[str], list[dict]]:
 
 
 def _cmd_bures(args, config) -> tuple[list[str], list[dict]]:
-    cfg = SamplerConfig(
-        k=_resolve(args, config, "k", 15.0),
-        l=_resolve(args, config, "l", 15.0),
-        samples=_resolve(args, config, "samples", 100_000),
-        seed=_resolve(args, config, "seed", 1),
-    )
+    cfg = _sampler_config(args, config, k=15.0, l=15.0)
     workers = _resolve_workers(args, config)
     grid_size = _resolve(args, config, "grid_size", 5)
     n_grids = _resolve(args, config, "n_grids", 5)
@@ -396,13 +401,7 @@ def _cmd_bures(args, config) -> tuple[list[str], list[dict]]:
 
 
 def _cmd_one_mode(args, config) -> tuple[list[str], list[dict]]:
-    cfg = SamplerConfig(
-        k=_resolve(args, config, "k", 10.0),
-        l=_resolve(args, config, "l", 5.0),
-        samples=_resolve(args, config, "samples", 200_000),
-        seed=_resolve(args, config, "seed", 1),
-        mode_count=1,
-    )
+    cfg = _sampler_config(args, config, samples=200_000)
     workers = _resolve_workers(args, config)
     ks = _resolve(args, config, "ks", None)
     if isinstance(ks, str):
@@ -426,12 +425,7 @@ def _cmd_one_mode(args, config) -> tuple[list[str], list[dict]]:
 
 
 def _cmd_entropy(args, config) -> tuple[list[str], list[dict]]:
-    cfg = SamplerConfig(
-        k=_resolve(args, config, "k", 10.0),
-        l=_resolve(args, config, "l", 5.0),
-        samples=_resolve(args, config, "samples", 100_000),
-        seed=_resolve(args, config, "seed", 1),
-    )
+    cfg = _sampler_config(args, config)
     workers = _resolve_workers(args, config)
     report = montecarlo.run_entropy_probe(cfg, workers=workers)
     for index, matrix in zip(report.example_indices, report.examples):

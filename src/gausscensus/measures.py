@@ -7,12 +7,12 @@ the log domain.  The closed-form information-metric weight, det(M) to a
 negative half-integer power, is taken by the census blocks in
 `montecarlo` from the determinants they already hold.
 
-`discretize` takes a stack of matrices along a leading axis, shape
-(S, 4, 4) or (S, 2, 2), with one grid per matrix, and marks a kernel
-that falls to the spectrum floor in `passed_floor` rather than raising;
-any other shape raises ValueError.  Only `robust_volume_multi`, which
-takes one matrix and a caller's stream, raises for a rejected kernel
-(SampleDiscarded).
+Every state is a two-mode covariance matrix.  `discretize` takes a
+stack of them along a leading axis, shape (S, 4, 4), with one grid per
+matrix, and marks a kernel that falls to the spectrum floor in
+`passed_floor` rather than raising; any other shape raises ValueError.
+Only `robust_volume_multi`, which takes one matrix and a caller's
+stream, raises for a rejected kernel (SampleDiscarded).
 """
 
 from __future__ import annotations
@@ -130,15 +130,14 @@ def random_grid(
 
 
 def _kernel_pieces(M: np.ndarray):
-    # Reorder (x1, p1, x2, p2) -> (x.., p..), invert, and Schur-reduce the
-    # momentum block, for a stack of one-mode (2x2) or two-mode (4x4)
-    # matrices along the leading axis.
-    d = M.shape[-1] // 2
-    perm = [0, 1] if d == 1 else [0, 2, 1, 3]
+    # Reorder (x1, p1, x2, p2) -> (x1, x2, p1, p2), invert, and
+    # Schur-reduce the momentum block, for a stack of 4x4 matrices along
+    # the leading axis.
+    perm = [0, 2, 1, 3]
     K = np.linalg.inv(M[:, perm][:, :, perm])
-    Kqq = K[:, :d, :d]
-    Kqp = K[:, :d, d:]
-    Kpp = K[:, d:, d:]
+    Kqq = K[:, :2, :2]
+    Kqp = K[:, :2, 2:]
+    Kpp = K[:, 2:, 2:]
     w = np.linalg.eigvalsh(Kpp)
     floor = _SINGULAR_BLOCK_REL * np.maximum(np.abs(w[:, -1]), 1e-300)
     if not np.isfinite(w).all() or (w[:, 0] <= floor).any():
@@ -160,9 +159,10 @@ def schroedinger_kernel(M: np.ndarray, x: np.ndarray, xp: np.ndarray) -> complex
             - i/2 q^T Kqp Kpp^-1 v)
 
     normalized so the value at the origin is 1; the overall constant is
-    irrelevant because spectra are normalized downstream.
+    irrelevant because spectra are normalized downstream.  M is one 4x4
+    matrix and x, xp are positions of both modes.
     """
-    Aq, Kpp_inv, Cqv = (p[0] for p in _kernel_pieces(np.asarray(M, dtype=float)[None]))
+    Aq, Kpp_inv, Cqv = (p[0] for p in _kernel_pieces(_stack(np.asarray(M)[None], (4, 4))))
     x = np.asarray(x, dtype=float)
     xp = np.asarray(xp, dtype=float)
     q = 0.5 * (x + xp)
@@ -180,15 +180,6 @@ def _triu(n: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
     rows.flags.writeable = False
     cols.flags.writeable = False
     return rows, cols
-
-
-def _grid_axes(coords: np.ndarray, modes: int) -> list[np.ndarray]:
-    # (n, m) coordinates -> per-mode coordinates (n, points) of the
-    # row-major point lattice.
-    if modes == 1:
-        return [coords]
-    m = coords.shape[-1]
-    return [np.repeat(coords, m, axis=-1), np.tile(coords, (1, m))]
 
 
 def _quadratic_form(x: list, A: np.ndarray, y: list) -> np.ndarray:
@@ -213,11 +204,10 @@ def discretize(
 ) -> KernelMatrix:
     """Evaluate the kernels on their grids' point lattices and diagonalize.
 
-    M is a stack of S matrices, (S, 4, 4) or (S, 2, 2), and coords holds
-    one grid per matrix, shape (S, m).  A grid's strictly increasing
-    coordinates serve on every axis: points are the row-major Cartesian
-    product of the coordinates with themselves (for one-mode input, the
-    coordinates directly).  Entries are evaluated on and above the
+    M is a stack of S matrices, (S, 4, 4), and coords holds one grid per
+    matrix, shape (S, m).  A grid's strictly increasing coordinates serve
+    on both axes: points are the row-major Cartesian product of the
+    coordinates with themselves.  Entries are evaluated on and above the
     diagonal and stored below it as their conjugates; the entries above
     the diagonal are not set, since the eigensolve reads only the lower
     triangle.  Returns S kernels from one stacked eigensolve.  A
@@ -226,14 +216,16 @@ def discretize(
     that already holds the `_kernel_pieces` of M passes them as
     `pieces`.
     """
-    M = _stack(M, (4, 4), (2, 2))
+    M = _stack(M, (4, 4))
     coords = np.asarray(coords, dtype=float)
     if coords.shape[:1] != M.shape[:1] or coords.ndim != 2:
         raise ValueError(f"expected one grid per matrix, shape ({len(M)}, m), "
                          f"got shape {coords.shape}")
     Aq, Kpp_inv, Cqv = _kernel_pieces(M) if pieces is None else pieces
-    axes = _grid_axes(coords, M.shape[-1] // 2)
-    n = axes[0].shape[-1]
+    # Each mode's coordinate at every point of the row-major lattice.
+    m = coords.shape[-1]
+    axes = [np.repeat(coords, m, axis=-1), np.tile(coords, (1, m))]
+    n = m * m
     a, b = _triu(n)
     x_a = [np.take(x, a, axis=-1) for x in axes]
     x_b = [np.take(x, b, axis=-1) for x in axes]
@@ -308,7 +300,7 @@ def _volume_logs(
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Per-grid log volumes for a stack of matrices on their own grids.
 
-    M has shape (S, 2d, 2d) and coords (S, G, m): G grids per matrix.
+    M has shape (S, 4, 4) and coords (S, G, m): G grids per matrix.
     The kernel pieces are computed once per matrix.  Grid g is then
     discretized, KERNEL_CHUNK kernels at a time, only for the matrices
     that no earlier grid rejected, so a matrix is discarded at its first
@@ -340,30 +332,23 @@ def _volume_logs(
 
 def robust_volume_multi(
     M: np.ndarray,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     *,
     metric_kinds: tuple[str, ...] = ("bures",),
     n_grids: int = 5,
     grid_size: int = 5,
     grid_range: tuple[float, float] = (-2.0, 2.0),
-    grid: np.ndarray | None = None,
     tol: Tolerances = DEFAULT,
 ) -> dict[str, VolumeEstimate]:
     """Volume estimates for several metrics from one set of grids.
 
-    Draws n_grids random grids from the caller-owned stream (or uses the
-    single supplied grid's coordinates), discretizes once per grid, and
-    evaluates every requested metric on the shared spectra.  Any rejected
-    kernel discards the whole sample by raising SampleDiscarded.  This is
-    _volume_logs on a stack of one matrix.
+    Draws n_grids random grids from the caller-owned stream, discretizes
+    once per grid, and evaluates every requested metric on the shared
+    spectra.  Any rejected kernel discards the whole sample by raising
+    SampleDiscarded.  This is _volume_logs on a stack of one matrix.
     """
-    if grid is not None:
-        grids = [grid]
-    else:
-        if rng is None:
-            raise ValueError("a random stream is required to draw grids")
-        lo, hi = grid_range
-        grids = [random_grid(grid_size, rng, lo, hi, tol) for _ in range(n_grids)]
+    lo, hi = grid_range
+    grids = [random_grid(grid_size, rng, lo, hi, tol) for _ in range(n_grids)]
     coords = np.array([grids], dtype=float)
     discarded, logs = _volume_logs(np.asarray(M, dtype=float)[None], coords, metric_kinds, tol)
     if discarded[0]:

@@ -61,13 +61,16 @@ _MAX_BOUND = {n: (sys.float_info.max / math.factorial(2 * n)) ** (0.5 / n) for n
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Box bounds, sample budget, and stream seed for one census."""
+    """Box bounds, sample budget, and stream seed for one census.
+
+    The mode count is the driver's: each census driver checks the box
+    against the determinant overflow bound of its own mode count.
+    """
 
     k: float
     l: float
     samples: int
     seed: int
-    mode_count: int = 2
 
     def __post_init__(self):
         if not (math.isfinite(self.k) and math.isfinite(self.l)):
@@ -79,9 +82,6 @@ class SamplerConfig:
         if self.samples > 2**64:
             raise ValueError(f"sample count must be at most 2**64, the range of sample "
                              f"indices, got {self.samples}")
-        if self.mode_count not in (1, 2):
-            raise ValueError("mode_count must be 1 or 2")
-        _check_bound(max(self.k, self.l), self.mode_count)
         _check_seed(self.seed)
 
 
@@ -477,11 +477,6 @@ def _fold(
             pool.shutdown(cancel_futures=True)
 
 
-def _two_mode_only(cfg: SamplerConfig) -> None:
-    if cfg.mode_count != 2:
-        raise ValueError("this census is defined for two-mode sampling")
-
-
 def _two_mode_censuses(cfgs: list, workers: int, progress: Sequence[Callable | None],
                        grids: tuple = (0, 0, 0.0, 0.0, (), ())) -> Iterator[CensusResult]:
     # Both two-mode censuses, one result per config as its last block is
@@ -520,7 +515,7 @@ def run_classical_sweep(
     """
     cfgs = list(cfgs)
     for cfg in cfgs:
-        _two_mode_only(cfg)
+        _check_bound(max(cfg.k, cfg.l), 2)
     if progress is None:
         progress = [None] * len(cfgs)
     if len(progress) != len(cfgs):
@@ -566,7 +561,7 @@ def run_bures_census(
     weight evaluated on the same surviving population, so the population
     is identical across all reported measures.
     """
-    _two_mode_only(cfg)
+    _check_bound(max(cfg.k, cfg.l), 2)
     for kind in metric_kinds:
         if kind not in measures.METRIC_KINDS:
             raise ValueError(f"unknown metric kind {kind!r}")
@@ -607,8 +602,6 @@ def run_one_mode_classicality(
     common random numbers.  The standard error is the delta-method
     estimate for the weighted ratio.
     """
-    if cfg.mode_count != 1:
-        raise ValueError("one-mode classicality needs mode_count=1")
     schedule = tuple(ks) if ks is not None else (cfg.k,)
     ratio = cfg.l / cfg.k
     boxes = []
@@ -661,7 +654,7 @@ def run_entropy_probe(
     A violation is S(joint) < max(S(mode 1), S(mode 2)); the first three
     violating matrices are kept with their sample indices.
     """
-    _two_mode_only(cfg)
+    _check_bound(max(cfg.k, cfg.l), 2)
     census = _blocks(cfg.samples, cfg.seed, cfg.k, cfg.l)
     ((total, extras),) = _fold(_entropy_block, [census], workers, [progress])
     examples = [example for _, found in extras for example in found][:3]

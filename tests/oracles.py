@@ -227,28 +227,24 @@ def grid_coords(rng: np.random.Generator, m: int = 5, lo: float = -2.0,
 
 def kernel_on_grid(M: np.ndarray, coords: np.ndarray,
                    floor_rel: float = 1e-13) -> tuple:
-    """One discretized kernel, entry by entry over the whole lattice.
+    """One discretized two-mode kernel, entry by entry over the whole lattice.
 
     Returns (gamma, normalized spectrum, log det); the last two are None
     when the smallest eigenvalue is at or below floor_rel times the
     largest.
     """
     M = np.asarray(M, dtype=float)
-    d = M.shape[0] // 2
-    perm = [0, 1] if d == 1 else [0, 2, 1, 3]
+    perm = [0, 2, 1, 3]
     K = np.linalg.inv(M[np.ix_(perm, perm)])
-    Kqq, Kqp, Kpp = K[:d, :d], K[:d, d:], K[d:, d:]
+    Kqq, Kqp, Kpp = K[:2, :2], K[:2, 2:], K[2:, 2:]
     w = np.linalg.eigvalsh(Kpp)
     assert np.isfinite(w).all() and w[0] > 1e-14 * max(abs(w[-1]), 1e-300)
     Kpp_inv = np.linalg.inv(Kpp)
     Aq = Kqq - Kqp @ Kpp_inv @ Kqp.T
     Cqv = Kqp @ Kpp_inv
     coords = np.asarray(coords, dtype=float)
-    if d == 1:
-        pts = coords[:, None]
-    else:
-        m = len(coords)
-        pts = np.column_stack([np.repeat(coords, m), np.tile(coords, m)])
+    m = len(coords)
+    pts = np.column_stack([np.repeat(coords, m), np.tile(coords, m)])
     q = 0.5 * (pts[:, None, :] + pts[None, :, :])
     v = pts[:, None, :] - pts[None, :, :]
     re = -0.5 * np.einsum("abi,ij,abj->ab", q, Aq, q)
@@ -399,9 +395,42 @@ def one_mode_exact(k: float, l: float) -> float:
     classical when d1, d2 > 1 and o^2 < (d1 - 1)(d2 - 1).  The o-integral
     is closed form (_o_integral) with a = min(l, sqrt(d1*d2 - 1)), or
     a = min(l, sqrt((d1 - 1)(d2 - 1))) for the classical part, so both
-    parts are nested quad over d1 and d2 with breakpoints where a
-    reaches l: d1*d2 = 1 + l^2 and (d1 - 1)(d2 - 1) = l^2.  quad reports
-    roundoff from k = 1e4 on, so k should stay at most 1000.
+    parts are nested quad over s = ln d1 and t = ln d2 (area element
+    d1*d2 ds dt) with breakpoints where a reaches l: d1*d2 = 1 + l^2 and
+    (d1 - 1)(d2 - 1) = l^2.  The weight piles up along d1*d2 = 1, which
+    spans decades of d1 as k grows: in d1 and d2 themselves quad reports
+    roundoff from k = 1e4 on, in their logarithms it runs clean up to
+    k = 1e5 (l = k/2) and reports roundoff at 1e6.
+
+    Large-k rate.  For l = k/2, p(k) * sqrt(k) tends to c = I2 / I1
+    (one_mode_rate), about 1.925311.  Write d_i = k x_i and P = d1*d2.
+    Below the knee x1*x2 = 1/4 the o-integral is 2 sqrt(P - 1) / P,
+    about 2 / sqrt(P), for the physical part, and
+    2 sqrt((d1 - 1)(d2 - 1)) / (P sqrt(d1 + d2 - 1)), about
+    2 / (sqrt(P) sqrt(d1 + d2)), for the classical part, since
+    P - a^2 = d1 + d2 - 1 there.  Above the knee it is
+    2l / (P sqrt(P - l^2)), O(1/k^2) per unit area, so that region adds
+    O(1) to either part.  Hence the physical part is 2k I1 and the
+    classical part 2 sqrt(k) I2 to leading order, with
+
+        I1 = integral of (x1 x2)^(-1/2),
+        I2 = integral of (x1 x2)^(-1/2) (x1 + x2)^(-1/2),
+
+    both over x1, x2 in [0, 1] with x1 x2 <= 1/4.  With x_i = u_i^2 the
+    area element (x1 x2)^(-1/2) dx1 dx2 is 4 du1 du2 on the unit square
+    cut by u1 u2 <= 1/2, so I1 = 4 (1/2 + ln(2) / 2) = 2 + ln 4.  In
+    polar coordinates (u1, u2) = r (cos theta, sin theta) the integrand
+    of I2 is 4 dr dtheta; the region is symmetric about theta = pi/4
+    and, below it, bounded by r = sec(theta) up to tan(theta) = 1/2 and
+    by r = sin(2 theta)^(-1/2) beyond, so
+
+        I2 = 8 ln((1 + sqrt 5) / 2)
+             + 4 * integral of sin(phi)^(-1/2) over [atan(4/3), pi/2],
+
+    about 6.519671.  The classical part loses the strips d_i < 1, where
+    (x1 + x2)^(-1/2) is largest, so sqrt(k) p approaches c from below,
+    slowly: the gap is 0.387, 0.168 and 0.067 at k = 1e3, 1e4 and 1e5,
+    about 1.8 ln(k) / sqrt(k).
     """
     from scipy.integrate import quad
 
@@ -409,13 +438,23 @@ def one_mode_exact(k: float, l: float) -> float:
         # d1 from lo to k; d2 from edge(d1) to k, where the o-integral
         # has its half-width sqrt(reach(d1, d2)) until that reaches l at
         # d2 = knee(d1).  The outer breakpoint is where knee(d1) = k.
-        def inner(d1: float) -> float:
-            start, bend = edge(d1), knee(d1)
-            return quad(lambda d2: _o_integral(d1 * d2, min(l, math.sqrt(reach(d1, d2)))),
-                        start, k, points=[bend] if start < bend < k else None, limit=200)[0]
+        top = math.log(k)
 
-        outer = [d1 for d1 in (knee(k),) if lo < d1 < k]
-        return quad(inner, lo, k, points=outer or None, limit=200)[0] if lo < k else 0.0
+        def inner(s: float) -> float:
+            d1 = math.exp(s)
+
+            def f(t: float) -> float:
+                d2 = math.exp(t)
+                return d1 * d2 * _o_integral(d1 * d2, min(l, math.sqrt(reach(d1, d2))))
+
+            start, bend = math.log(edge(d1)), math.log(knee(d1))
+            return quad(f, start, top, points=[bend] if start < bend < top else None,
+                        limit=200)[0]
+
+        if not lo < k:
+            return 0.0
+        outer = [math.log(d1) for d1 in (knee(k),) if lo < d1 < k]
+        return quad(inner, math.log(lo), top, points=outer or None, limit=200)[0]
 
     physical = integral(1.0 / k, lambda d1: 1.0 / d1,
                         lambda d1, d2: max(d1 * d2 - 1.0, 0.0),
@@ -424,6 +463,15 @@ def one_mode_exact(k: float, l: float) -> float:
                          lambda d1, d2: (d1 - 1.0) * (d2 - 1.0),
                          lambda d1: 1.0 + l * l / (d1 - 1.0))
     return classical / physical
+
+
+def one_mode_rate() -> float:
+    """c = I2 / I1, the limit of sqrt(k) * one_mode_exact(k, k / 2), from
+    the one-dimensional form of I2 derived in one_mode_exact."""
+    from scipy.integrate import quad
+
+    tail = quad(lambda phi: math.sin(phi) ** -0.5, math.atan(4.0 / 3.0), 0.5 * math.pi)[0]
+    return (8.0 * math.log(0.5 * (1.0 + math.sqrt(5.0))) + 4.0 * tail) / (2.0 + math.log(4.0))
 
 
 # ---------------------------------------------------------------------
@@ -505,16 +553,12 @@ PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def sample_matrix(cfg, stream: np.random.Generator) -> np.ndarray:
-    """Draw one symmetric matrix from the configured box.
+    """Draw one symmetric two-mode (4x4) matrix from the configured box.
 
     Diagonal entries are uniform on [0, k]; the distinct off-diagonals
     (row-major) are uniform on [-l, l].  The census's block sampler must
     match it bit for bit when the stream is the sample's own substream.
     """
-    if cfg.mode_count == 1:
-        u = stream.random(3)
-        off = -cfg.l + 2.0 * cfg.l * u[2]
-        return np.array([[cfg.k * u[0], off], [off, cfg.k * u[1]]])
     u = stream.random(10)
     M = np.zeros((4, 4))
     for j in range(4):

@@ -206,8 +206,7 @@ def test_08_unbounded_marginal_integrals(report) -> None:
 
 
 def test_09_one_mode_classicality_trend(report) -> None:
-    cfg = SamplerConfig(k=10.0, l=5.0, samples=1_000_000, seed=SEED,
-                        mode_count=1)
+    cfg = SamplerConfig(k=10.0, l=5.0, samples=1_000_000, seed=SEED)
     points = run_one_mode_classicality(cfg, ks=(10.0, 100.0, 1000.0))
     clauses = []
     for a, b in zip(points, points[1:]):

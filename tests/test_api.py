@@ -58,10 +58,12 @@ def test_form_two_refuses_scalar_numbers() -> None:
 
 
 def test_one_mode_blocks_are_stacks_too() -> None:
-    for fn in (states.entropy, lambda M: measures.discretize(M, measures.regular_grid(3))):
-        with pytest.raises(ValueError, match=r"\(S, 4, 4\) or \(S, 2, 2\)"):
-            fn(np.eye(2))
+    with pytest.raises(ValueError, match=r"\(S, 4, 4\) or \(S, 2, 2\)"):
+        states.entropy(np.eye(2))
     assert states.entropy(2.0 * np.eye(2)[None]).shape == (1,)
+    # The kernels are two-mode only.
+    with pytest.raises(ValueError, match=r"shape \(S, 4, 4\), got shape \(1, 2, 2\)"):
+        measures.discretize(2.0 * np.eye(2)[None], measures.regular_grid(3)[None])
 
 
 def test_discretize_needs_one_grid_per_matrix() -> None:

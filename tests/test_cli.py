@@ -268,6 +268,20 @@ class TestUsageErrors:
         assert out == ""
         assert "determinant can overflow" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["census", "--k", "1e77"], "max(k, l) = 1e+77 is above 5.23e+76, where a 2-mode "
+                                    "determinant can overflow\n"),
+        (["one-mode", "--ks", "1e200"], "max(k, l) = 1e+200 is above 9.48e+153, where a 1-mode "
+                                        "determinant can overflow\n"),
+    ], ids=["census", "one-mode"])
+    def test_overflow_refusal_names_the_drivers_mode_count(self, capsys, argv, message) -> None:
+        # Each driver checks the box against the bound of its own mode
+        # count, so one-mode takes boxes that the two-mode commands refuse.
+        code, out, err = run_cli(capsys, argv + ["--samples", "2000"])
+        assert (code, out, err) == (64, "", message)
+        code, out, _ = run_cli(capsys, ["one-mode", "--k", "1e77", "--samples", "10"])
+        assert code == 0 and float(out.splitlines()[1].split(",")[0]) == 1e77
+
     @pytest.mark.parametrize("flags,message", [
         (["--h", "0"], "h must be positive and finite"),
         (["--h", "nan"], "h must be positive and finite"),

@@ -93,15 +93,9 @@ class TestKernel:
                 want = kernel_by_quadrature(M, x, xp)
                 assert got == pytest.approx(want, abs=5e-9)
 
-    def test_one_mode_kernel_against_quadrature(self):
-        rng = np.random.default_rng(13)
-        A = np.array([[2.0, 0.3], [0.3, 1.5]])
-        for _ in range(4):
-            x = rng.uniform(-1.0, 1.0, size=1)
-            xp = rng.uniform(-1.0, 1.0, size=1)
-            got = schroedinger_kernel(A, x, xp)
-            want = kernel_by_quadrature(A, x, xp)
-            assert got == pytest.approx(want, abs=5e-9)
+    def test_refuses_a_one_mode_matrix(self):
+        with pytest.raises(ValueError, match=r"expected a stack of shape \(S, 4, 4\)"):
+            schroedinger_kernel(np.array([[2.0, 0.3], [0.3, 1.5]]), np.zeros(1), np.zeros(1))
 
 
 class TestDiscretize:
@@ -130,11 +124,6 @@ class TestDiscretize:
         kern = discretize(M, np.stack([regular_grid(5)] * 2))
         assert list(kern.passed_floor) == [False, True]
         assert math.isnan(kern.log_det[0]) and np.isfinite(kern.log_det[1])
-
-    def test_one_mode_discretization(self):
-        kern = discretize(np.array([[[2.0, 0.2], [0.2, 1.7]]]), regular_grid(5)[None])
-        assert kern.gamma.shape == (1, 5, 5)
-        assert kern.eigenvalues[0].sum() == pytest.approx(1.0, abs=1e-14)
 
 
 def _stack_with_grids(seed: int, grids: int = 3):
@@ -196,13 +185,11 @@ class TestStackedKernels:
     @pytest.mark.parametrize("m", [3, 5, 7])
     def test_regular_and_one_mode_kernels_match_reference(self, m):
         rng = np.random.default_rng(29 + m)
-        two = np.array([random_physical_matrix(rng) for _ in range(3)])
-        one = np.array([[[2.0, 0.2], [0.2, 1.7]], two[0, :2, :2], two[1, 2:, 2:]])
+        M = np.array([random_physical_matrix(rng) for _ in range(3)])
         coords = np.broadcast_to(regular_grid(m), (3, m))
-        for M in (two, one):
-            kern = discretize(M, coords)
-            for s in range(3):
-                assert self._assert_matches_reference(M, coords, kern, s)
+        kern = discretize(M, coords)
+        for s in range(3):
+            assert self._assert_matches_reference(M, coords, kern, s)
 
     def test_stacked_spectra_match_reference(self):
         rng = np.random.default_rng(23)
@@ -325,15 +312,6 @@ class TestVolumeElement:
 
 
 class TestRobustVolume:
-    def test_fixed_grid_is_deterministic(self):
-        M = 2.0 * np.eye(4)
-        grid = regular_grid(3)
-        a = robust_volume_multi(M, grid=grid)["bures"]
-        b = robust_volume_multi(M, grid=grid)["bures"]
-        assert a.log_volumes.shape == (1,)
-        assert a.median == b.median == a.log_volumes[0]
-        assert a.trimmed_mean == a.median
-
     def test_median_and_trimmed_mean_of_five(self):
         rng = np.random.default_rng(41)
         M = np.diag([12.0, 9.0, 10.0, 8.0])
@@ -361,7 +339,3 @@ class TestRobustVolume:
         rng = np.random.default_rng(31)
         with pytest.raises(SampleDiscarded):
             robust_volume_multi(np.eye(4), rng)
-
-    def test_requires_stream_without_grid(self):
-        with pytest.raises(ValueError):
-            robust_volume_multi(2.0 * np.eye(4))

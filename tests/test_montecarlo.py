@@ -4,9 +4,11 @@ import dataclasses
 import math
 import multiprocessing
 import time
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, dblquad
 
 from gausscensus import cli, criteria, measures, montecarlo, rng, states
 from gausscensus.montecarlo import (
@@ -34,11 +36,26 @@ from oracles import (
     kernel_on_grid,
     materialised_candidates,
     one_mode_exact,
+    one_mode_rate,
     same_value,
     sample_matrix,
     sample_stream,
     volumes_on_grids,
 )
+
+
+@pytest.fixture
+def blocks(monkeypatch) -> list:
+    # The start of every block whose uniforms a census draws.
+    blocks = []
+    real = montecarlo.substream_uniforms
+
+    def counted(seed, start, count, width):
+        blocks.append(start)
+        return real(seed, start, count, width)
+
+    monkeypatch.setattr(montecarlo, "substream_uniforms", counted)
+    return blocks
 
 
 class TestSamplerConfig:
@@ -58,10 +75,6 @@ class TestSamplerConfig:
         with pytest.raises(ValueError, match=r"at most 2\*\*64"):
             SamplerConfig(k=10.0, l=5.0, samples=2**64 + 1, seed=1)
 
-    def test_rejects_bad_mode_count(self) -> None:
-        with pytest.raises(ValueError):
-            SamplerConfig(k=10.0, l=5.0, samples=10, seed=1, mode_count=3)
-
     def test_rejects_out_of_range_seed(self) -> None:
         with pytest.raises(ValueError):
             SamplerConfig(k=10.0, l=5.0, samples=10, seed=-1)
@@ -76,16 +89,38 @@ class TestSamplerConfig:
 
     @pytest.mark.parametrize("k, l, mode_count", [(1e200, 5.0, 2), (10.0, 6e76, 2),
                                                   (1e154, 1.0, 1), (1.0, 1e200, 1)])
-    def test_rejects_bounds_that_overflow_the_determinant(self, k, l, mode_count) -> None:
-        with pytest.raises(ValueError, match="determinant can overflow"):
-            SamplerConfig(k=k, l=l, samples=10, seed=1, mode_count=mode_count)
+    def test_rejects_bounds_that_overflow_the_determinant(self, blocks, k, l,
+                                                          mode_count) -> None:
+        # The config holds any finite box; each driver checks it against
+        # the bound of its own mode count before it draws a block.
+        cfg = SamplerConfig(k=k, l=l, samples=10, seed=1)
+        ok = SamplerConfig(k=10.0, l=5.0, samples=10, seed=1)
+        if mode_count == 1:
+            drivers = [lambda: run_one_mode_classicality(cfg),
+                       lambda: run_one_mode_classicality(ok, ks=(10.0, max(k, l)))]
+        else:
+            drivers = [lambda: run_classical_census(cfg),
+                       lambda: run_classical_sweep([ok, cfg]),
+                       lambda: run_bures_census(cfg),
+                       lambda: run_entropy_probe(cfg)]
+        for driver in drivers:
+            with pytest.raises(ValueError, match=f"a {mode_count}-mode determinant can overflow"):
+                driver()
+        assert blocks == []
+        # The counter does see the block of a box within the bound.
+        if mode_count == 1:
+            run_one_mode_classicality(ok)
+        else:
+            run_classical_census(ok)
+        assert blocks == [0]
 
     def test_accepts_bounds_below_the_overflow_limit(self) -> None:
-        SamplerConfig(k=5e76, l=5e76, samples=10, seed=1)
-        SamplerConfig(k=9e153, l=9e153, samples=10, seed=1, mode_count=1)
+        one_mode = SamplerConfig(k=9e153, l=9e153, samples=10, seed=1)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             res = run_classical_census(SamplerConfig(k=5e76, l=5e76, samples=20_000, seed=1))
+            (point,) = run_one_mode_classicality(one_mode)
         assert res.accepted > 0
+        assert point.samples == 10
 
 
 class TestLogSumExp:
@@ -196,31 +231,11 @@ class TestClassicalSweepArguments:
 
     CFG = SamplerConfig(k=10.0, l=5.0, samples=2 * BLOCK, seed=3)
 
-    @pytest.fixture
-    def blocks(self, monkeypatch) -> list:
-        blocks = []
-        real = montecarlo.substream_uniforms
-
-        def counted(seed, start, count, width):
-            blocks.append(start)
-            return real(seed, start, count, width)
-
-        monkeypatch.setattr(montecarlo, "substream_uniforms", counted)
-        return blocks
-
     @pytest.mark.parametrize("callbacks", [0, 1, 3])
     def test_progress_must_match_the_configs(self, blocks, callbacks) -> None:
         with pytest.raises(ValueError, match=f"{callbacks} progress callbacks for 2 configs"):
             run_classical_sweep([self.CFG, self.CFG], progress=[None] * callbacks)
         assert blocks == []
-
-    def test_one_mode_config_refused_before_any_block(self, blocks) -> None:
-        one_mode = dataclasses.replace(self.CFG, mode_count=1)
-        with pytest.raises(ValueError, match="two-mode"):
-            run_classical_sweep([self.CFG, one_mode])
-        assert blocks == []
-        assert len(list(run_classical_sweep([self.CFG]))) == 1
-        assert blocks == [0, BLOCK]
 
 
 class TestWorkerPool:
@@ -279,7 +294,7 @@ class TestWorkerPool:
         assert capsys.readouterr().out == cli._render(cli.CENSUS_FIELDS, rows, "csv")
 
     def test_one_mode_schedule_runs_on_one_pool(self, pools) -> None:
-        cfg = SamplerConfig(k=10.0, l=5.0, samples=2 * BLOCK + 7, seed=8, mode_count=1)
+        cfg = SamplerConfig(k=10.0, l=5.0, samples=2 * BLOCK + 7, seed=8)
         ks = (5.0, 10.0, 20.0)
         points = run_one_mode_classicality(cfg, ks=ks, workers=2)
         assert [(p.size, p.blocks) for p in pools] == [(2, 9)]
@@ -362,11 +377,6 @@ class TestCountsAndErrors:
         res = run_classical_census(SamplerConfig(k=500.0, l=250.0, samples=30_000, seed=4))
         assert res.solver_failures > 0
         assert res.accepted + res.solver_failures <= res.generated
-
-    def test_one_mode_config_rejected(self) -> None:
-        cfg = SamplerConfig(k=10.0, l=5.0, samples=10, seed=1, mode_count=1)
-        with pytest.raises(ValueError):
-            run_classical_census(cfg)
 
 
 class TestSampleAccess:
@@ -821,13 +831,8 @@ class TestOracleAbort:
 
 
 class TestOneModeClassicality:
-    def test_requires_one_mode_config(self) -> None:
-        cfg = SamplerConfig(k=10.0, l=5.0, samples=10, seed=1)
-        with pytest.raises(ValueError):
-            run_one_mode_classicality(cfg)
-
     def test_k_below_one_gives_zero_probability(self) -> None:
-        cfg = SamplerConfig(k=0.5, l=0.25, samples=20_000, seed=11, mode_count=1)
+        cfg = SamplerConfig(k=0.5, l=0.25, samples=20_000, seed=11)
         (point,) = run_one_mode_classicality(cfg)
         expected = OneModePoint(0.5, 0.25, 20_000, 0, 0, 0.0, 0.0)
         assert all(
@@ -837,7 +842,7 @@ class TestOneModeClassicality:
         )
 
     def test_schedule_scales_off_diagonal_bound(self) -> None:
-        cfg = SamplerConfig(k=10.0, l=5.0, samples=30_000, seed=12, mode_count=1)
+        cfg = SamplerConfig(k=10.0, l=5.0, samples=30_000, seed=12)
         points = run_one_mode_classicality(cfg, ks=(10.0, 40.0))
         assert [p.k for p in points] == [10.0, 40.0]
         assert [p.l for p in points] == [5.0, 20.0]
@@ -847,42 +852,59 @@ class TestOneModeClassicality:
             assert point.classical <= point.physical <= point.samples
 
     def test_rejects_nonpositive_schedule(self) -> None:
-        cfg = SamplerConfig(k=10.0, l=5.0, samples=10, seed=1, mode_count=1)
+        cfg = SamplerConfig(k=10.0, l=5.0, samples=10, seed=1)
         with pytest.raises(ValueError):
             run_one_mode_classicality(cfg, ks=(10.0, 0.0))
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_rejects_nonfinite_schedule(self, bad) -> None:
-        cfg = SamplerConfig(k=10.0, l=5.0, samples=10, seed=1, mode_count=1)
+        cfg = SamplerConfig(k=10.0, l=5.0, samples=10, seed=1)
         with pytest.raises(ValueError, match="positive and finite"):
             run_one_mode_classicality(cfg, ks=(10.0, bad))
 
     def test_rejects_schedule_that_overflows_the_determinant(self) -> None:
-        cfg = SamplerConfig(k=10.0, l=5.0, samples=10, seed=1, mode_count=1)
+        cfg = SamplerConfig(k=10.0, l=5.0, samples=10, seed=1)
         with pytest.raises(ValueError, match="determinant can overflow"):
             run_one_mode_classicality(cfg, ks=(10.0, 1e200))
         # l scales with k, so the limit applies to max(k, l).
-        wide = SamplerConfig(k=1.0, l=4.0, samples=10, seed=1, mode_count=1)
+        wide = SamplerConfig(k=1.0, l=4.0, samples=10, seed=1)
         with pytest.raises(ValueError, match="determinant can overflow"):
             run_one_mode_classicality(wide, ks=(5e153,))
 
     def test_zero_samples_give_the_empty_point(self) -> None:
-        cfg = SamplerConfig(k=2.0, l=1.0, samples=0, seed=1, mode_count=1)
+        cfg = SamplerConfig(k=2.0, l=1.0, samples=0, seed=1)
         (point,) = run_one_mode_classicality(cfg)
         assert (point.k, point.l, point.samples, point.physical, point.classical,
                 point.prob_classical, point.stderr) == (2.0, 1.0, 0, 0, 0, 0.0, 0.0)
 
     @pytest.fixture(scope="class")
     def exact(self) -> dict:
-        return {k: one_mode_exact(k, k / 2) for k in (10.0, 100.0)}
+        # Any roundoff or subdivision warning of quad fails the oracle.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            return {k: one_mode_exact(k, k / 2) for k in (10.0, 100.0, 1e3, 1e4, 1e5)}
 
     def test_quadrature_oracle_values(self, exact) -> None:
         assert exact[10.0] == pytest.approx(0.209831, abs=1e-6)
         assert exact[100.0] == pytest.approx(0.115082, abs=1e-6)
+        assert exact[1e3] == pytest.approx(0.04865184, abs=1e-6)
+        assert exact[1e4] == pytest.approx(0.01757503, abs=1e-6)
+        assert exact[1e5] == pytest.approx(0.005876237, abs=1e-6)
+
+    def test_large_box_rate(self, exact) -> None:
+        # sqrt(k) p rises toward c = I2 / I1 (one_mode_exact), and its
+        # gap to c shrinks at every decade of k.
+        c = one_mode_rate()
+        assert c == pytest.approx(1.925311, abs=1e-6)
+        i2 = dblquad(lambda u2, u1: 4.0 / math.hypot(u1, u2), 0.0, 1.0,
+                     0.0, lambda u1: min(1.0, 0.5 / u1))[0]
+        assert i2 / (2.0 + math.log(4.0)) == pytest.approx(c, rel=1e-10)
+        gaps = [c - math.sqrt(k) * p for k, p in sorted(exact.items())]
+        assert all(0.0 < b < a for a, b in zip(gaps, gaps[1:])), gaps
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_quadrature_within_its_standard_error(self, exact, seed) -> None:
-        cfg = SamplerConfig(k=10.0, l=5.0, samples=10**6, seed=seed, mode_count=1)
+        cfg = SamplerConfig(k=10.0, l=5.0, samples=10**6, seed=seed)
         for point in run_one_mode_classicality(cfg, ks=(10.0, 100.0)):
             z = (point.prob_classical - exact[point.k]) / point.stderr
             assert abs(z) < 4.0, (point.k, z)
