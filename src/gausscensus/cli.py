@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -238,7 +239,7 @@ def _format_cell(value) -> str:
 
 def _render(fields: list[str], rows: list[dict], fmt: str) -> str:
     if fmt == "json":
-        return "".join(json.dumps(row) + "\n" for row in rows)
+        return "".join(json.dumps({f: row[f] for f in fields}) + "\n" for row in rows)
     cells = [[_format_cell(row[f]) for f in fields] for row in rows]
     if fmt == "csv":
         lines = [",".join(fields)] + [",".join(r) for r in cells]
@@ -262,7 +263,9 @@ def _write_output(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _census_row(result: montecarlo.CensusResult) -> dict:
+def _census_row(result: montecarlo.CensusResult, measure: str = "fisher") -> dict:
+    # One census's row under one measure, for every command that prints
+    # a census; _render picks the command's own fields from it.
     cfg = result.config
     if result.accepted == 0:
         raise EmptyResultError(
@@ -275,8 +278,8 @@ def _census_row(result: montecarlo.CensusResult) -> dict:
         "accepted": result.accepted,
         "separable": result.separable,
         "classical": result.classical,
-        "prob_sep": result.prob_sep("fisher"),
-        "prob_classical": result.prob_classical("fisher"),
+        "prob_sep": result.prob_sep(measure),
+        "prob_classical": result.prob_classical(measure),
         "seed": cfg.seed,
     }
 
@@ -340,7 +343,8 @@ def _cmd_bures(args, config) -> tuple[list[str], list[dict]]:
     n_grids = _resolve(args, config, "n_grids", 5)
     grid_range = _resolve(args, config, "grid_range", (-2.0, 2.0))
     metric = _resolve(args, config, "metric", None) or ["bures"]
-    robust = _resolve(args, config, "robust", None) or ["median", "trimmed-mean"]
+    robust = list(dict.fromkeys(
+        _resolve(args, config, "robust", None) or ["median", "trimmed-mean"]))
     volume_kinds = tuple(
         m.replace("-", "_") for m in dict.fromkeys(metric) if m != "fisher"
     )
@@ -351,9 +355,7 @@ def _cmd_bures(args, config) -> tuple[list[str], list[dict]]:
             raise UsageError("--robust none requires --n-grids 1")
         estimators = ("median",)
     else:
-        estimators = tuple(
-            r.replace("trimmed-mean", "trimmed_mean") for r in dict.fromkeys(robust)
-        )
+        estimators = tuple(r.replace("trimmed-mean", "trimmed_mean") for r in robust)
     progress = _progress_printer("bures census", cfg.samples)
     result = montecarlo.run_bures_census(
         cfg,
@@ -384,19 +386,8 @@ def _cmd_bures(args, config) -> tuple[list[str], list[dict]]:
         label = name.replace("_", "-") if "none" not in robust else (
             name.replace(":median", ":single").replace("_", "-")
         )
-        rows.append({
-            "measure": label,
-            "k": cfg.k,
-            "l": cfg.l,
-            "samples": result.generated,
-            "accepted": result.accepted,
-            "discarded": result.discarded_grids,
-            "separable": result.separable,
-            "classical": result.classical,
-            "prob_sep": result.prob_sep(name),
-            "prob_classical": result.prob_classical(name),
-            "seed": cfg.seed,
-        })
+        rows.append(dict(_census_row(result, name), measure=label,
+                         discarded=result.discarded_grids))
     return BURES_FIELDS, rows
 
 
@@ -409,19 +400,7 @@ def _cmd_one_mode(args, config) -> tuple[list[str], list[dict]]:
     schedule = tuple(ks) if ks else None
     points = montecarlo.run_one_mode_classicality(cfg, ks=schedule,
                                                   workers=workers)
-    rows = []
-    for pt in points:
-        rows.append({
-            "k": pt.k,
-            "l": pt.l,
-            "samples": pt.samples,
-            "physical": pt.physical,
-            "classical": pt.classical,
-            "prob_classical": pt.prob_classical,
-            "stderr": pt.stderr,
-            "seed": cfg.seed,
-        })
-    return ONE_MODE_FIELDS, rows
+    return ONE_MODE_FIELDS, [dict(dataclasses.asdict(pt), seed=cfg.seed) for pt in points]
 
 
 def _cmd_entropy(args, config) -> tuple[list[str], list[dict]]:

@@ -130,16 +130,23 @@ class LogSumExp:
 
 @dataclass
 class MeasureTally:
-    """Log-weighted totals for one measure: all, separable, classical."""
+    """Log-weighted totals for one measure: all, separable, classical.
+
+    Next to each sum of weights (acc, sep, cls) it keeps the sum of the
+    squared weights (acc_sq, sep_sq, cls_sq), fed twice the log weights,
+    from which CensusResult.stderr takes the error bar.
+    """
 
     acc: LogSumExp = field(default_factory=LogSumExp)
     sep: LogSumExp = field(default_factory=LogSumExp)
     cls: LogSumExp = field(default_factory=LogSumExp)
+    acc_sq: LogSumExp = field(default_factory=LogSumExp)
+    sep_sq: LogSumExp = field(default_factory=LogSumExp)
+    cls_sq: LogSumExp = field(default_factory=LogSumExp)
 
     def merge(self, other: "MeasureTally") -> None:
-        self.acc.merge(other.acc)
-        self.sep.merge(other.sep)
-        self.cls.merge(other.cls)
+        for f in fields(self):
+            getattr(self, f.name).merge(getattr(other, f.name))
 
 
 @dataclass
@@ -172,6 +179,23 @@ class CensusResult:
             t = self.measures[measure] = MeasureTally()
         return t
 
+    def add(self, weights: dict, separable: np.ndarray, classical: np.ndarray) -> None:
+        """Fold in a population of samples.
+
+        weights maps each measure key to the population's log weights,
+        one per sample; separable and classical are boolean masks over
+        the same samples.  Counts the separable and classical samples
+        and tallies each measure's weights and squared weights over all,
+        separable and classical samples.
+        """
+        self.separable += int(np.count_nonzero(separable))
+        self.classical += int(np.count_nonzero(classical))
+        for key, lw in weights.items():
+            tally = self.tally(key)
+            for part, x in (("acc", lw), ("sep", lw[separable]), ("cls", lw[classical])):
+                getattr(tally, part).add_array(x)
+                getattr(tally, part + "_sq").add_array(2.0 * x)
+
     def merge(self, other: "CensusResult") -> None:
         for f in fields(self):
             if f.type == "int":  # a string: annotations are postponed
@@ -188,6 +212,22 @@ class CensusResult:
             raise ValueError("no accepted samples: probability undefined")
         num = getattr(tally, part).log_total()
         return math.exp(num - denom) if num > -math.inf else 0.0
+
+    def stderr(self, measure: str, part: str) -> float:
+        """Delta-method standard error of the weighted probability p.
+
+        p = S/W is the share of the weight W of all samples that lies in
+        part ("sep" or "cls"), S; with the sums of squared weights W2 and
+        S2, the variance is ((1 - p)^2 S2 + p^2 (W2 - S2)) / W^2.
+        """
+        p = self._ratio(measure, part)
+        tally = self.measures[measure]
+        la = tally.acc.log_total()
+        lp2 = getattr(tally, part + "_sq").log_total()
+        s2a = math.exp(tally.acc_sq.log_total() - 2.0 * la)
+        s2p = math.exp(lp2 - 2.0 * la) if lp2 > -math.inf else 0.0
+        var = (1.0 - p) ** 2 * s2p + p * p * (s2a - s2p)
+        return math.sqrt(max(var, 0.0))
 
     def prob_sep(self, measure: str = "fisher") -> float:
         return self._ratio(measure, "sep")
@@ -363,13 +403,7 @@ def _census_block(args) -> _BlockOut:
             est = measures.VolumeEstimate.from_log_volumes(logs[kind], kind)
             for name in estimators:
                 weights[f"{kind}:{name}"] = getattr(est, name)
-    census.separable = int(np.count_nonzero(sep))
-    census.classical = int(np.count_nonzero(cls))
-    for key, lw in weights.items():
-        tally = census.tally(key)
-        tally.acc.add_array(lw)
-        tally.sep.add_array(lw[sep])
-        tally.cls.add_array(lw[cls])
+    census.add(weights, sep, cls)
     flagged = np.flatnonzero(criteria.disagrees(verdict, tol) & ok)
     disagreement = None
     if flagged.size:
@@ -389,16 +423,10 @@ def _one_mode_block(args) -> _BlockOut:
     # closed-form min eig(A - I) for the symmetric 2x2 sample
     shifted = 0.5 * (d1 + d2) - 1.0 - np.sqrt(0.25 * (d1 - d2) ** 2 + off * off)
     classical = phys & (shifted > DEFAULT.classical_min_eig)
-    census = CensusResult(generated=count, accepted=int(np.count_nonzero(phys)),
-                          classical=int(np.count_nonzero(classical)))
-    lw = -1.5 * np.log(det[phys])
-    cls_mask = classical[phys]
-    tally = census.tally("fisher")
-    tally.acc.add_array(lw)
-    tally.cls.add_array(lw[cls_mask])
-    squared = census.tally("fisher:squared")
-    squared.acc.add_array(2.0 * lw)
-    squared.cls.add_array(2.0 * lw[cls_mask])
+    census = CensusResult(generated=count, accepted=int(np.count_nonzero(phys)))
+    # One mode has no bipartition: no sample is counted separable.
+    cls = classical[phys]
+    census.add({"fisher": -1.5 * np.log(det[phys])}, np.zeros_like(cls), cls)
     return _BlockOut(census)
 
 
@@ -599,8 +627,8 @@ def run_one_mode_classicality(
     by det^(-3/2); classical means A - I positive definite.  The l bound
     scales with k, keeping the box shape of the base config, and the
     same substreams drive every k so the trend comparison rides on
-    common random numbers.  The standard error is the delta-method
-    estimate for the weighted ratio.
+    common random numbers.  The standard error is CensusResult.stderr
+    of the classical share.
     """
     schedule = tuple(ks) if ks is not None else (cfg.k,)
     ratio = cfg.l / cfg.k
@@ -612,33 +640,13 @@ def run_one_mode_classicality(
         _check_bound(max(boxes[-1]), 1)
     censuses = [_blocks(cfg.samples, cfg.seed, k, l) for k, l in boxes]
     folds = _fold(_one_mode_block, censuses, workers, [progress] * len(boxes))
-    totals = [total for total, _ in folds]
     points = []
-    for (k, l), total in zip(boxes, totals):
-        tally = total.tally("fisher")  # present even when nothing was drawn
-        squared = total.tally("fisher:squared")
-        la = tally.acc.log_total()
-        if la == -math.inf:
-            points.append(OneModePoint(k, l, cfg.samples, 0, 0, 0.0, 0.0))
-            continue
-        lc = tally.cls.log_total()
-        p = math.exp(lc - la) if lc > -math.inf else 0.0
-        la2 = squared.acc.log_total()
-        lc2 = squared.cls.log_total()
-        s2a = math.exp(la2 - 2.0 * la)
-        s2c = math.exp(lc2 - 2.0 * la) if lc2 > -math.inf else 0.0
-        var = (1.0 - p) ** 2 * s2c + p * p * (s2a - s2c)
-        points.append(
-            OneModePoint(
-                k=float(k),
-                l=float(l),
-                samples=cfg.samples,
-                physical=total.accepted,
-                classical=total.classical,
-                prob_classical=p,
-                stderr=math.sqrt(max(var, 0.0)),
-            )
-        )
+    for (k, l), (total, _) in zip(boxes, folds):
+        p = se = 0.0
+        if total.accepted:
+            p, se = total.prob_classical(), total.stderr("fisher", "cls")
+        points.append(OneModePoint(float(k), float(l), cfg.samples, total.accepted,
+                                   total.classical, p, se))
     return points
 
 

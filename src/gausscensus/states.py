@@ -56,7 +56,6 @@ class SolverFailure(IntEnum):
     COMPLEX_ROOT = 1
     BELOW_VACUUM = 2
     DEGENERATE = 3
-    START_OUTSIDE = 4
     SINGULAR_JACOBIAN = 5
     LINE_SEARCH_STALLED = 6
     BUDGET_EXHAUSTED = 7
@@ -455,11 +454,10 @@ def _solve_form_two(params, tol):
     table = np.empty((18, lanes))
     table[_POINT] = 0.0
     table[_PARAMS] = params
-    inside = _form_two_states(table[_POINT], table[_PARAMS], table[_STATE])
-    failure[~inside] = SolverFailure.START_OUTSIDE
-    live = np.flatnonzero(inside)
-    if live.size < lanes:
-        table = table[:, live]
+    # Every lane starts inside the domain: to_standard_form_two passes
+    # only lanes with n, m >= 1 (or NaN), so (n - 1)(m - 1) is not < 0.
+    _form_two_states(table[_POINT], table[_PARAMS], table[_STATE])
+    live = np.arange(lanes)
     table[_MERIT] = _merit(table[_RESID])
     resid = tol.newton_residual
     for _ in range(tol.newton_max_iter):

@@ -671,7 +671,6 @@ CHAIN_ERRORS = {
     SolverFailure.COMPLEX_ROOT: (ComplexRootError, None),
     SolverFailure.BELOW_VACUUM: (ValueError, "form II requires n >= 1 and m >= 1"),
     SolverFailure.DEGENERATE: (DegenerateError, "unit local invariants with nonzero cross term"),
-    SolverFailure.START_OUTSIDE: (NoConvergenceError, "start point outside the solver domain"),
     SolverFailure.SINGULAR_JACOBIAN: (NoConvergenceError, "singular Jacobian"),
     SolverFailure.LINE_SEARCH_STALLED: (NoConvergenceError, "line search stalled"),
     SolverFailure.BUDGET_EXHAUSTED: (NoConvergenceError, "iteration budget exhausted"),

@@ -442,6 +442,18 @@ class TestOtherSubcommands:
         labels = [line.split(",")[0] for line in out.splitlines()[1:]]
         assert labels == ["fisher", "bures:single"]
 
+    def test_bures_repeated_robust_none(self, capsys, tmp_path) -> None:
+        # A repeated choice is one choice, from the flags and from a
+        # config file line alike.
+        config = tmp_path / "run.cfg"
+        config.write_text("robust = none, none\n")
+        base = ["bures", "--samples", "40000", "--seed", "7", "--n-grids", "1"]
+        for extra in (["--robust", "none", "--robust", "none"], ["--config", str(config)]):
+            code, out, err = run_cli(capsys, base + extra)
+            assert code == 0, err
+            labels = [line.split(",")[0] for line in out.splitlines()[1:]]
+            assert labels == ["fisher", "bures:single"], extra
+
     def test_fidelity_check_constant_ratio(self, capsys) -> None:
         code, out, err = run_cli(
             capsys, ["fidelity-check", "--grid-points", "2"]
@@ -500,18 +512,26 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "cli"
 # Each golden's command line, less --workers.  The table1 run holds the
 # k=500 row, whose form-II solves fail on many physical samples; the
 # census run is the widest box of the front-end checks, and the bures
-# run takes the volume-element path with all three metrics.
+# runs take the volume-element path with all three metrics, once as
+# JSON lines to hold that format's key order.
 CLI_GOLDENS = {
     "table1.csv": ["table1", "--scale", "0.002", "--seed", "100"],
     "entropy.csv": ["entropy", "--samples", "50000", "--seed", "3"],
     "census.csv": ["census", "--k", "1000", "--l", "1000", "--samples", "100000", "--seed", "5"],
     "bures.csv": ["bures", "--samples", "16384", "--seed", "2", "--metric", "bures",
                   "--metric", "kubo-mori", "--metric", "maximal"],
+    "bures.jsonl": ["bures", "--samples", "16384", "--seed", "2", "--metric", "bures",
+                    "--metric", "kubo-mori", "--metric", "maximal", "--format", "json"],
+    "one-mode.csv": ["one-mode", "--ks", "5,10,20,100", "--samples", "200000", "--seed", "4"],
+    "fidelity-check.csv": ["fidelity-check", "--grid-points", "3"],
 }
 
 
 def test_every_cli_golden_has_a_command() -> None:
+    # Every golden file has a command line, and every subcommand has a
+    # golden.
     assert sorted(CLI_GOLDENS) == sorted(p.name for p in GOLDEN.iterdir())
+    assert sorted(cli._COMMANDS) == sorted({argv[0] for argv in CLI_GOLDENS.values()})
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -174,10 +174,7 @@ class TestCensusResultMerge:
 
     @staticmethod
     def _tally(xs) -> montecarlo.MeasureTally:
-        tally = montecarlo.MeasureTally()
-        for part, values in zip((tally.acc, tally.sep, tally.cls), (xs, xs[::2], xs[::3])):
-            part.add_array(values)
-        return tally
+        return _reference_tally((xs, xs[::2], xs[::3]))
 
     def test_merge_sums_every_count_and_tally(self) -> None:
         # Distinct powers of two in every count field, so a count that
@@ -196,6 +193,8 @@ class TestCensusResultMerge:
             assert getattr(left, name) == (1 << i) + (1 << (20 + i)), name
         assert left.measure_names() == ("fisher", "bures:median")
         whole = self._tally(xs)
+        # Every sum, the squared-weight sums included, is the whole one.
+        assert len(_lse_fields(whole)) == 6
         for got, want in zip(_lse_fields(left.measures["fisher"]), _lse_fields(whole)):
             assert got == pytest.approx(want, rel=1e-13)
         assert _lse_fields(left.measures["bures:median"]) == _lse_fields(whole)
@@ -351,6 +350,54 @@ class TestStreamingAccuracy:
         direct_cls = math.exp(total(log_cls) - total(log_acc))
         assert res.prob_sep() == pytest.approx(direct_sep, rel=1e-12)
         assert res.prob_classical() == pytest.approx(direct_cls, rel=1e-12)
+
+
+def _two_pass_stderr(lw: np.ndarray, part: np.ndarray) -> float:
+    # The delta-method error bar of the weighted share p of the samples
+    # in part, from the weights themselves:
+    # sqrt(sum of w^2 (1[part] - p)^2) / sum of w.
+    w = np.exp(lw - lw.max())
+    p = w[part].sum() / w.sum()
+    return math.sqrt(np.sum((w * (part - p)) ** 2)) / w.sum()
+
+
+class TestStderr:
+    @pytest.fixture
+    def populations(self, monkeypatch) -> list:
+        # The (weights, separable, classical) of every population a
+        # block folds in, in block order.
+        added = []
+        add = CensusResult.add
+
+        def spy(self, weights, separable, classical):
+            added.append((weights, separable, classical))
+            add(self, weights, separable, classical)
+
+        monkeypatch.setattr(CensusResult, "add", spy)
+        return added
+
+    @pytest.mark.parametrize("census, measure", [
+        (lambda: run_classical_census(SamplerConfig(k=10.0, l=5.0, samples=BLOCK, seed=7)),
+         "fisher"),
+        (lambda: run_bures_census(SamplerConfig(k=10.0, l=5.0, samples=20_000, seed=2)),
+         "bures:median"),
+    ], ids=["jeffreys-block", "bures-kernel-key"])
+    def test_matches_two_pass_delta_method(self, populations, census, measure) -> None:
+        res = census()
+        lw = np.concatenate([weights[measure] for weights, _, _ in populations])
+        assert lw.size > 1000
+        for part, column in (("sep", 1), ("cls", 2)):
+            mask = np.concatenate([added[column] for added in populations])
+            assert 0.0 < res._ratio(measure, part) < 0.9
+            assert res.stderr(measure, part) == pytest.approx(
+                _two_pass_stderr(lw, mask), rel=1e-12), part
+
+    def test_refuses_what_the_probability_refuses(self) -> None:
+        res = run_classical_census(SamplerConfig(k=10.0, l=5.0, samples=0, seed=1))
+        with pytest.raises(ValueError, match="no accepted samples"):
+            res.stderr("fisher", "sep")
+        with pytest.raises(KeyError):
+            res.stderr("euclid", "sep")
 
 
 class TestCountsAndErrors:
@@ -540,16 +587,25 @@ def _per_sample_bures(cfg: SamplerConfig, coincidence: float = 1e-9):
                 lws[key][1].append(sample[key])
             if verdict.classical:
                 lws[key][2].append(sample[key])
-    tallies = {}
-    for key, parts in lws.items():
-        tally = tallies[key] = montecarlo.MeasureTally()
-        for part, values in zip((tally.acc, tally.sep, tally.cls), parts):
-            part.add_array(values)
+    tallies = {key: _reference_tally(parts) for key, parts in lws.items()}
     return counts, tallies, discarded_at, kernels
 
 
+def _reference_tally(parts) -> montecarlo.MeasureTally:
+    # The tally of the log weights of all, separable and classical
+    # samples, each part fed whole, its squared weights as twice the
+    # log weights.
+    tally = montecarlo.MeasureTally()
+    for name, values in zip(("acc", "sep", "cls"), parts):
+        values = np.asarray(values, dtype=float)
+        getattr(tally, name).add_array(values)
+        getattr(tally, f"{name}_sq").add_array(2.0 * values)
+    return tally
+
+
 def _lse_fields(tally) -> list:
-    return [(part.log_max, part.sum_scaled) for part in (tally.acc, tally.sep, tally.cls)]
+    return [(part.log_max, part.sum_scaled)
+            for part in (getattr(tally, f.name) for f in dataclasses.fields(tally))]
 
 
 class TestBuresVolumeStage:
@@ -652,10 +708,7 @@ def _per_sample_classical(cfg: SamplerConfig):
                 if flag:
                     counts[key] += 1
                     lws[part].append(lw)
-    tally = montecarlo.MeasureTally()
-    for part, values in zip((tally.acc, tally.sep, tally.cls), lws):
-        part.add_array(values)
-    return counts, tally
+    return counts, _reference_tally(lws)
 
 
 def _survivors(seed, start, count, k, l):

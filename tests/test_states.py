@@ -176,7 +176,7 @@ class TestStandardFormTwo:
         f2 = to_standard_form_two(f1)
         ok = f2.failure == SolverFailure.NONE
         assert set(f2.failure[~ok]) <= {
-            SolverFailure.DEGENERATE, SolverFailure.START_OUTSIDE, SolverFailure.SINGULAR_JACOBIAN,
+            SolverFailure.DEGENERATE, SolverFailure.SINGULAR_JACOBIAN,
             SolverFailure.LINE_SEARCH_STALLED, SolverFailure.BUDGET_EXHAUSTED,
             SolverFailure.INADMISSIBLE_ROOT}
         n, m, c, cp = f1.n[ok], f1.m[ok], f1.c[ok], f1.cp[ok]
