@@ -157,8 +157,9 @@ class CensusResult:
     each block fills one in place and merge folds them, so it is
     mutable, and each census run returns its own copy
     (dataclasses.replace) with the config and wall time set.  merge
-    sums every int field, so a new count is one declaration.  Counts
-    satisfy classical <= separable <= accepted <= generated.
+    sums every int field, so a new count is one declaration.  The counts
+    of a two-mode census satisfy classical <= separable <= accepted <=
+    generated; a one-mode census counts no sample separable.
     """
 
     config: SamplerConfig | None = None
