@@ -20,6 +20,14 @@ import os
 import sys
 import time
 
+# The census's linear algebra runs on stacks of 2x2, 4x4 and 25x25
+# matrices, which OpenBLAS never splits across threads; the worker
+# thread it starts when it loads only spins on another core.  OpenBLAS
+# reads this variable once, as it loads, so it is set before numpy (and
+# scipy) load; a value the user set still wins, and pool workers
+# inherit it.  The library modules leave threading alone.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import criteria, fidelity, measures, montecarlo
@@ -397,9 +405,7 @@ def _cmd_one_mode(args, config) -> tuple[list[str], list[dict]]:
     ks = _resolve(args, config, "ks", None)
     if isinstance(ks, str):
         ks = _split_floats(ks)
-    schedule = tuple(ks) if ks else None
-    points = montecarlo.run_one_mode_classicality(cfg, ks=schedule,
-                                                  workers=workers)
+    points = montecarlo.run_one_mode_classicality(cfg, ks=ks, workers=workers)
     return ONE_MODE_FIELDS, [dict(dataclasses.asdict(pt), seed=cfg.seed) for pt in points]
 
 

@@ -588,7 +588,8 @@ def run_bures_census(
     random grids; any grid rejection discards the sample.  Survivors
     carry one weighted tally per metric/estimator pair plus the Fisher
     weight evaluated on the same surviving population, so the population
-    is identical across all reported measures.
+    is identical across all reported measures.  With no metric kinds no
+    grid is drawn, and the result is run_classical_census's.
     """
     _check_bound(max(cfg.k, cfg.l), 2)
     for kind in metric_kinds:
@@ -610,6 +611,9 @@ def run_bures_census(
     if not hi - lo > (grid_size - 1) * DEFAULT.grid_coincidence:
         raise ValueError(f"grid range ({lo!r}, {hi!r}) is too narrow for {grid_size} "
                          f"coordinates {DEFAULT.grid_coincidence!r} apart")
+    if not metric_kinds:
+        # The Fisher weight alone needs no grid, so no sample is discarded.
+        return run_classical_census(cfg, workers, progress)
     grids = (grid_size, n_grids, lo, hi, tuple(metric_kinds), tuple(estimators))
     (result,) = _two_mode_censuses([cfg], workers, [progress], grids)
     return result
@@ -632,6 +636,8 @@ def run_one_mode_classicality(
     of the classical share.
     """
     schedule = tuple(ks) if ks is not None else (cfg.k,)
+    if not schedule:
+        raise ValueError("the k schedule is empty")
     ratio = cfg.l / cfg.k
     boxes = []
     for k in schedule:

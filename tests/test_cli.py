@@ -295,6 +295,16 @@ class TestUsageErrors:
         assert out == ""
         assert message in err
 
+    def test_empty_k_schedule(self, capsys, tmp_path) -> None:
+        # "--ks ," and "ks =" parse to no k at all, which is refused
+        # rather than read as the default schedule.
+        conf = tmp_path / "run.conf"
+        conf.write_text("ks =\n", encoding="utf-8")
+        for argv in (["one-mode", "--ks", ","], ["one-mode", "--config", str(conf)]):
+            code, out, err = run_cli(capsys, argv + ["--samples", "10"])
+            assert (code, out) == (64, ""), argv
+            assert "k schedule is empty" in err, argv
+
     def test_zero_workers(self, capsys) -> None:
         code, _, _ = run_cli(
             capsys, ["census", "--samples", "1000", "--workers", "0"]
@@ -432,6 +442,24 @@ class TestOtherSubcommands:
             "kubo-mori:trimmed-mean",
         ]
 
+    @pytest.mark.parametrize("metrics", [["fisher"], ["fisher", "fisher"]])
+    def test_bures_fisher_only_is_the_census_row(self, capsys, metrics) -> None:
+        # With no kernel metric no grid is drawn and no sample discarded,
+        # so the Fisher row is census's row bit for bit.
+        box = ["--k", "15", "--l", "15", "--samples", "30000", "--seed", "1"]
+        code, out, _ = run_cli(capsys, ["census", *box])
+        assert code == 0
+        census = dict(zip(*(line.split(",") for line in out.splitlines())))
+        flags = [flag for m in metrics for flag in ("--metric", m)]
+        code, out, _ = run_cli(capsys, ["bures", *box, *flags])
+        assert code == 0
+        header, *rows = out.splitlines()
+        assert len(rows) == 1
+        fisher = dict(zip(header.split(","), rows[0].split(",")))
+        assert (fisher["measure"], fisher["discarded"]) == ("fisher", "0")
+        for name in ("accepted", "separable", "classical", "prob_sep", "prob_classical"):
+            assert fisher[name] == census[name], name
+
     def test_bures_robust_none_single_grid(self, capsys) -> None:
         code, out, _ = run_cli(
             capsys,
@@ -488,23 +516,58 @@ class TestOtherSubcommands:
         assert "no samples accepted" in err
 
 
+def _fresh_python(probe: str, **env: str | None) -> str:
+    # Runs probe in a fresh interpreter that imports this checkout's
+    # package, with each of env's variables set, or removed where None;
+    # returns its stripped stdout.
+    src = str(Path(gausscensus.__file__).resolve().parent.parent)
+    child = dict(os.environ)
+    child["PYTHONPATH"] = os.pathsep.join(p for p in (src, child.get("PYTHONPATH")) if p)
+    for name, value in env.items():
+        if value is None:
+            child.pop(name, None)
+        else:
+            child[name] = value
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=child
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 class TestStartup:
     def test_cli_import_leaves_scipy_unloaded(self) -> None:
         # scipy.special and scipy.integrate take most of a fresh
         # process's start-up time and no census uses them, so the modules
         # that need them import them inside the function that calls them.
-        src = str(Path(gausscensus.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         probe = (
             "import sys, gausscensus.cli; "
             "print(sorted(m for m in ('scipy.special', 'scipy.integrate') if m in sys.modules))"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, env=env
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert _fresh_python(probe) == "[]"
+
+    @pytest.mark.parametrize("given,expected", [(None, "1"), ("3", "3")])
+    def test_cli_import_defaults_blas_to_one_thread(self, given, expected) -> None:
+        # The CLI sets OPENBLAS_NUM_THREADS to 1 unless the user set it.
+        probe = "import os, gausscensus.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert _fresh_python(probe, OPENBLAS_NUM_THREADS=given) == expected
+
+    def test_library_import_leaves_numpy_unloaded(self) -> None:
+        # OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it,
+        # so the CLI's default works only while nothing that loads before
+        # cli.py (the package's __init__) imports numpy.  Importing the
+        # library itself must leave BLAS threading to the user's code.
+        probe = ("import os, sys, gausscensus; "
+                 "print('numpy' in sys.modules, 'OPENBLAS_NUM_THREADS' in os.environ)")
+        assert _fresh_python(probe, OPENBLAS_NUM_THREADS=None) == "False False"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+                        reason="needs /proc/self/task and at least two CPUs")
+    def test_cli_import_starts_no_blas_thread(self) -> None:
+        # On two or more CPUs OpenBLAS starts a worker thread when numpy
+        # loads, unless it is held to one thread.
+        probe = "import os, gausscensus.cli; print(len(os.listdir('/proc/self/task')))"
+        assert _fresh_python(probe, OPENBLAS_NUM_THREADS=None) == "1"
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli"

@@ -533,6 +533,27 @@ class TestBuresCensus:
         run_bures_census(cfg)
         assert {"grid_uniforms", "_volume_logs"} <= set(calls)
 
+    def test_no_kernel_metric_is_the_plain_census(self, monkeypatch) -> None:
+        # With no kernel metric the Fisher weight is the only one, and it
+        # needs no grid: the result is the Jeffreys census's, bit for
+        # bit, with nothing discarded.  On this config the grids used to
+        # discard 30 of the 103 accepted samples.
+        cfg = SamplerConfig(k=15.0, l=15.0, samples=30_000, seed=1)
+        plain = run_classical_census(cfg)
+
+        def no_grids(*args):
+            raise AssertionError("a grid was drawn")
+
+        monkeypatch.setattr(montecarlo, "_grids", no_grids)
+        fisher = run_bures_census(cfg, metric_kinds=())
+        assert fisher.accepted == 103
+        assert fisher.discarded_grids == 0
+        assert dataclasses.replace(fisher, wall_time=0.0) == dataclasses.replace(
+            plain, wall_time=0.0)
+        # The argument checks still run first.
+        with pytest.raises(ValueError, match="n_grids"):
+            run_bures_census(cfg, metric_kinds=(), n_grids=0)
+
 
 ALL_KINDS = ("bures", "kubo_mori", "maximal")
 ESTIMATORS = ("median", "trimmed_mean")
@@ -903,6 +924,11 @@ class TestOneModeClassicality:
             assert 0.0 < point.prob_classical < 1.0
             assert point.stderr > 0.0
             assert point.classical <= point.physical <= point.samples
+
+    def test_rejects_empty_schedule(self) -> None:
+        cfg = SamplerConfig(k=10.0, l=5.0, samples=10, seed=1)
+        with pytest.raises(ValueError, match="k schedule is empty"):
+            run_one_mode_classicality(cfg, ks=())
 
     def test_rejects_nonpositive_schedule(self) -> None:
         cfg = SamplerConfig(k=10.0, l=5.0, samples=10, seed=1)
