@@ -143,20 +143,21 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="gausscensus", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p, sampling=True):
-        if sampling:
+    def common(p, box=True, sampling=True):
+        if box:
             p.add_argument("--k", type=float, default=None)
             p.add_argument("--l", type=float, default=None)
             p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
+        if sampling:
+            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--workers", type=int, default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json", "table"), default=None)
         p.add_argument("--config", default=None)
 
     p = sub.add_parser("table1", help="five-row census sweep")
     p.add_argument("--scale", type=float, default=None)
-    common(p, sampling=False)
+    common(p, box=False)
 
     p = sub.add_parser("census", help="weighted separability census")
     common(p)
@@ -173,7 +174,8 @@ def _build_parser() -> _Parser:
     common(p)
 
     p = sub.add_parser("one-mode", help="classicality trend over box sizes")
-    p.add_argument("--ks", default=None, help="comma-separated k schedule")
+    p.add_argument("--ks", type=_split_floats, default=None,
+                   help="comma-separated k schedule")
     common(p)
 
     p = sub.add_parser("entropy", help="joint-vs-marginal entropy probe")
@@ -186,7 +188,7 @@ def _build_parser() -> _Parser:
                    metavar=("LO", "HI"))
     p.add_argument("--grid-points", type=int, default=None)
     p.add_argument("--h", type=float, default=None)
-    common(p, sampling=False)
+    common(p, box=False, sampling=False)
     return parser
 
 
@@ -198,9 +200,7 @@ def _resolve(args, config: dict, name: str, builtin):
 
 
 def _resolve_workers(args, config: dict) -> int:
-    value = getattr(args, "workers", None)
-    if value is None:
-        value = config.get("workers")
+    value = _resolve(args, config, "workers", None)
     if value is None:
         raw = os.environ.get(ENV_WORKERS)
         if raw is not None:
@@ -271,13 +271,15 @@ def _write_output(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _census_row(result: montecarlo.CensusResult, measure: str = "fisher") -> dict:
+def _census_row(result: montecarlo.CensusResult, measure: str = "fisher",
+                budget: str = "--samples") -> dict:
     # One census's row under one measure, for every command that prints
-    # a census; _render picks the command's own fields from it.
+    # a census; _render picks the command's own fields from it.  budget
+    # is the flag that raises the command's sample count.
     cfg = result.config
     if result.accepted == 0:
         raise EmptyResultError(
-            f"no samples accepted out of {result.generated}; increase --samples"
+            f"no samples accepted out of {result.generated}; increase {budget}"
         )
     return {
         "k": cfg.k,
@@ -314,7 +316,7 @@ def _cmd_table1(args, config) -> tuple[list[str], list[dict]]:
                 f"{result.wall_time:.1f}s",
                 file=sys.stderr,
             )
-            rows.append(_census_row(result))
+            rows.append(_census_row(result, budget="--scale"))
     return CENSUS_FIELDS, rows
 
 
@@ -403,16 +405,17 @@ def _cmd_one_mode(args, config) -> tuple[list[str], list[dict]]:
     cfg = _sampler_config(args, config, samples=200_000)
     workers = _resolve_workers(args, config)
     ks = _resolve(args, config, "ks", None)
-    if isinstance(ks, str):
-        ks = _split_floats(ks)
-    points = montecarlo.run_one_mode_classicality(cfg, ks=ks, workers=workers)
+    progress = _progress_printer("one-mode", cfg.samples)
+    points = montecarlo.run_one_mode_classicality(cfg, ks=ks, workers=workers,
+                                                  progress=progress)
     return ONE_MODE_FIELDS, [dict(dataclasses.asdict(pt), seed=cfg.seed) for pt in points]
 
 
 def _cmd_entropy(args, config) -> tuple[list[str], list[dict]]:
     cfg = _sampler_config(args, config)
     workers = _resolve_workers(args, config)
-    report = montecarlo.run_entropy_probe(cfg, workers=workers)
+    progress = _progress_printer("entropy", cfg.samples)
+    report = montecarlo.run_entropy_probe(cfg, workers=workers, progress=progress)
     for index, matrix in zip(report.example_indices, report.examples):
         print(f"violation example, sample {index}:", file=sys.stderr)
         for line in criteria.format_disagreement(matrix, 0.0, 0.0).splitlines()[:4]:

@@ -100,6 +100,10 @@ class OracleDisagreementError(RuntimeError):
         self.margin_sep = margin_sep
         self.margin_ppt = margin_ppt
 
+    def __reduce__(self):
+        # So the error raised in a pool worker's block crosses the pool.
+        return type(self), (self.matrix, self.margin_sep, self.margin_ppt)
+
 
 def total_variance(f2: StandardFormII) -> VarianceReport:
     """Evaluate the scaled sum/difference variance and its bound.

@@ -46,8 +46,6 @@ __all__ = [
     "run_entropy_probe",
 ]
 
-_PROGRESS_EVERY = 4
-
 # The largest box bound m = max(k, l) at which no sample's determinant
 # can overflow float64, per mode count.  Every entry of an n-mode sample
 # lies in [-m, m], so each of the (2n)! signed products in the Leibniz
@@ -155,11 +153,11 @@ class CensusResult:
 
     A block's partial census and a whole census are the same record:
     each block fills one in place and merge folds them, so it is
-    mutable, and each census run returns its own copy
-    (dataclasses.replace) with the config and wall time set.  merge
-    sums every int field, so a new count is one declaration.  The counts
-    of a two-mode census satisfy classical <= separable <= accepted <=
-    generated; a one-mode census counts no sample separable.
+    mutable, and the fold stamps each census's record with its config
+    and wall time.  merge sums every int field, so a new count is one
+    declaration.  The counts of a two-mode census satisfy classical <=
+    separable <= accepted <= generated; a one-mode census counts no
+    sample separable.
     """
 
     config: SamplerConfig | None = None
@@ -265,13 +263,6 @@ class EntropyReport:
     examples: tuple
 
 
-@dataclass
-class _BlockOut:
-    census: CensusResult
-    disagreement: tuple | None = None
-    extra: tuple | None = None
-
-
 # For each of the 16 matrix entries (row-major), which of a sample's ten
 # values it holds: 0-3 the diagonal, 4-9 the off-diagonal pairs (0, 1),
 # (0, 2), (0, 3), (1, 2), (1, 3) and (2, 3).  The leading 3x3 submatrix
@@ -295,13 +286,6 @@ def _build_matrices(u: np.ndarray, k: float, l: float) -> np.ndarray:
     # then one transposing copy.
     entries = np.take(_values(u, k, l), _ENTRY_COLUMNS, axis=0)
     return np.ascontiguousarray(entries.T).reshape(-1, 4, 4)
-
-
-def _blocks(samples: int, seed: int, *rest) -> tuple[int, Iterator[tuple]]:
-    # A census's block count and the arguments (seed, start, count,
-    # *rest) of its blocks, made one at a time: a census may have 2**48.
-    starts = range(0, samples, BLOCK)
-    return len(starts), ((seed, s, min(BLOCK, samples - s), *rest) for s in starts)
 
 
 def _candidates(seed: int, start: int, count: int, k: float, l: float,
@@ -361,16 +345,17 @@ def _grids(seed: int, index: np.ndarray, grid_size: int, n_grids: int,
     return coords
 
 
-def _census_block(args) -> _BlockOut:
+def _census_block(cfg: SamplerConfig, start: int, count: int, volume: tuple) -> tuple:
     # One two-mode census block: the front end, one stacked classify of
-    # its survivors, the Jeffreys weight and, when n_grids > 0, the
-    # volume-element stage.  A survivor is accepted when classify finds
-    # it physical and solved by form I and form II; only the accepted
-    # get a determinant.  With n_grids == 0 (the Jeffreys census) no
-    # grid is drawn and no sample is discarded.
-    (seed, start, count, k, l, grid_size, n_grids, lo, hi, kinds, estimators) = args
+    # its survivors, the Jeffreys weight and, when volume holds the grid
+    # size and count, the grid range, and the metric kinds and
+    # estimators, the volume-element stage.  A survivor is accepted when
+    # classify finds it physical and solved by form I and form II; only
+    # the accepted get a determinant.  With volume empty (the Jeffreys
+    # census) no grid is drawn and no sample is discarded.  The block's
+    # first oracle disagreement, in sample order, is raised.
     tol = DEFAULT
-    index, M = _candidates(seed, start, count, k, l, tol)
+    index, M = _candidates(cfg.seed, start, count, cfg.k, cfg.l, tol)
     verdict = criteria.classify(M, tol)
     ok = verdict.physical & (verdict.failure == 0)
     census = CensusResult(
@@ -384,8 +369,9 @@ def _census_block(args) -> _BlockOut:
     det = np.linalg.det(M[ok])
     weights = {"fisher": -2.5 * np.fromiter(map(math.log, det.tolist()), float, det.size)}
     sep, cls = verdict.separable[ok], verdict.classical[ok]
-    if n_grids:
-        coords = _grids(seed, start + index[ok], grid_size, n_grids, lo, hi, tol)
+    if volume:
+        grid_size, n_grids, lo, hi, kinds, estimators = volume
+        coords = _grids(cfg.seed, start + index[ok], grid_size, n_grids, lo, hi, tol)
         discarded, logs = measures._volume_logs(M[ok], coords, kinds, tol)
         census.discarded_grids = int(np.count_nonzero(discarded))
         finite = np.ones(len(coords), dtype=bool)
@@ -406,16 +392,16 @@ def _census_block(args) -> _BlockOut:
                 weights[f"{kind}:{name}"] = getattr(est, name)
     census.add(weights, sep, cls)
     flagged = np.flatnonzero(criteria.disagrees(verdict, tol) & ok)
-    disagreement = None
     if flagged.size:
         i = flagged[0]
-        disagreement = (M[i].copy(), float(verdict.margin_sep[i]), float(verdict.margin_ppt[i]))
-    return _BlockOut(census, disagreement=disagreement)
+        raise criteria.OracleDisagreementError(M[i], float(verdict.margin_sep[i]),
+                                               float(verdict.margin_ppt[i]))
+    return census, None
 
 
-def _one_mode_block(args) -> _BlockOut:
-    seed, start, count, k, l = args
-    u = substream_uniforms(seed, start, count, width=3).T
+def _one_mode_block(cfg: SamplerConfig, start: int, count: int) -> tuple:
+    k, l = cfg.k, cfg.l
+    u = substream_uniforms(cfg.seed, start, count, width=3).T
     d1 = k * u[0]
     d2 = k * u[1]
     off = -l + 2.0 * l * u[2]
@@ -428,15 +414,14 @@ def _one_mode_block(args) -> _BlockOut:
     # One mode has no bipartition: no sample is counted separable.
     cls = classical[phys]
     census.add({"fisher": -1.5 * np.log(det[phys])}, np.zeros_like(cls), cls)
-    return _BlockOut(census)
+    return census, None
 
 
-def _entropy_block(args) -> _BlockOut:
-    seed, start, count, k, l = args
+def _entropy_block(cfg: SamplerConfig, start: int, count: int) -> tuple:
     tol = DEFAULT
     # Only the physicality gate and the mirror oracle's verdict, both in
     # closed form: no form-I or form-II solve.
-    index, M = _candidates(seed, start, count, k, l, tol)
+    index, M = _candidates(cfg.seed, start, count, cfg.k, cfg.l, tol)
     physical = states.is_physical(M, tol)
     separable = physical.copy()
     separable[physical] = criteria._is_ppt(M[physical], tol)
@@ -449,16 +434,16 @@ def _entropy_block(args) -> _BlockOut:
     # The violation count and the block's first three violations with
     # their sample indices.
     where = (start + index[separable][beats[:3]]).tolist()
-    return _BlockOut(census, extra=(beats.size, tuple(zip(where, M[beats[:3]]))))
+    return census, (beats.size, tuple(zip(where, M[beats[:3]])))
 
 
 def _in_order(pool: ProcessPoolExecutor, runner: Callable, argses: Iterable,
               depth: int) -> Iterator:
-    # pool.map(runner, argses), which submits every call up front, with
-    # at most depth calls submitted and not yet taken.
+    # pool.map(runner, *zip(*argses)), which submits every call up
+    # front, with at most depth calls submitted and not yet taken.
     pending: collections.deque = collections.deque()
     for args in argses:
-        pending.append(pool.submit(runner, args))
+        pending.append(pool.submit(runner, *args))
         if len(pending) == depth:
             yield pending.popleft().result()
     while pending:
@@ -467,39 +452,45 @@ def _in_order(pool: ProcessPoolExecutor, runner: Callable, argses: Iterable,
 
 def _fold(
     runner: Callable,
-    censuses: list[tuple[int, Iterable]],
+    cfgs: list[SamplerConfig],
     workers: int,
     progress: Sequence[Callable | None],
+    *stage,
 ) -> Iterator[tuple[CensusResult, list]]:
-    # Each census's merged record and its blocks' extras in block
-    # order, one census after another; a census is its block count and
-    # its block arguments (_blocks).  The blocks of every census go
+    # Each config's census and its blocks' extras in block order, one
+    # census after another.  A block is runner(cfg, start, count,
+    # *stage) and returns its partial census and its extra; the
+    # arguments are made as blocks are submitted, since a census may
+    # have 2**48 blocks.  Each census is stamped with its config and
+    # its wall time from the first block.  The blocks of every census go
     # through one pool in order, at most two per process ahead of the
     # fold, so with a pool the blocks of later censuses run while
-    # earlier ones are folded.  Closing the generator early shuts the
-    # pool down with its pending blocks cancelled.
-    blocks = sum(count for count, _ in censuses)
-    argses = itertools.chain.from_iterable(args for _, args in censuses)
+    # earlier ones are folded.  A block that raises stops the fold
+    # there; closing the generator early shuts the pool down with its
+    # pending blocks cancelled.
+    t0 = time.perf_counter()
+    blocks = [-(-cfg.samples // BLOCK) for cfg in cfgs]
+    argses = ((cfg, start, min(BLOCK, cfg.samples - start), *stage)
+              for cfg in cfgs for start in range(0, cfg.samples, BLOCK))
     pool = None
     try:
-        if workers > 1 and blocks > 1:
+        if workers > 1 and sum(blocks) > 1:
             # A forked pool starts all its workers at the first submit, so
             # it gets no more than there are blocks.
-            size = min(workers, blocks)
+            size = min(workers, sum(blocks))
             pool = ProcessPoolExecutor(max_workers=size)
             outs = _in_order(pool, runner, argses, 2 * size)
         else:
-            outs = map(runner, argses)
-        for (count, _), report in zip(censuses, progress):
-            total = CensusResult()
+            outs = itertools.starmap(runner, argses)
+        for cfg, count, report in zip(cfgs, blocks, progress):
+            total = CensusResult(config=cfg)
             extras: list = []
-            for done, out in enumerate(itertools.islice(outs, count)):
-                total.merge(out.census)
-                extras.append(out.extra)
-                if out.disagreement is not None:
-                    raise criteria.OracleDisagreementError(*out.disagreement)
-                if report is not None and (done % _PROGRESS_EVERY == 0 or done == count - 1):
+            for part, extra in itertools.islice(outs, count):
+                total.merge(part)
+                extras.append(extra)
+                if report is not None:
                     report(total.generated, total.accepted)
+            total.wall_time = time.perf_counter() - t0
             yield total, extras
     finally:
         if pool is not None:
@@ -507,21 +498,19 @@ def _fold(
 
 
 def _two_mode_censuses(cfgs: list, workers: int, progress: Sequence[Callable | None],
-                       grids: tuple = (0, 0, 0.0, 0.0, (), ())) -> Iterator[CensusResult]:
+                       volume: tuple = ()) -> Iterator[CensusResult]:
     # Both two-mode censuses, one result per config as its last block is
-    # folded.  grids holds the grid size and count, the grid range, and
-    # the metric kinds and estimators of _census_block; a grid count of 0
-    # is the Jeffreys census.  Wall times count from the first block.
-    t0 = time.perf_counter()
-    censuses = [_blocks(cfg.samples, cfg.seed, cfg.k, cfg.l, *grids) for cfg in cfgs]
-    kinds, estimators = grids[-2:]
-    with closing(_fold(_census_block, censuses, workers, progress)) as folds:
-        for cfg, (total, _) in zip(cfgs, folds):
-            total.tally("fisher")  # present even when nothing was accepted
-            for kind in kinds:
-                for name in estimators:
-                    total.tally(f"{kind}:{name}")
-            yield replace(total, config=cfg, wall_time=time.perf_counter() - t0)
+    # folded; volume is _census_block's.  Every measure gets its tally,
+    # even when nothing was accepted.
+    keys = ["fisher"]
+    if volume:
+        kinds, estimators = volume[4:]
+        keys += [f"{kind}:{name}" for kind in kinds for name in estimators]
+    with closing(_fold(_census_block, cfgs, workers, progress, volume)) as folds:
+        for total, _ in folds:
+            for key in keys:
+                total.tally(key)
+            yield total
 
 
 def run_classical_sweep(
@@ -614,8 +603,8 @@ def run_bures_census(
     if not metric_kinds:
         # The Fisher weight alone needs no grid, so no sample is discarded.
         return run_classical_census(cfg, workers, progress)
-    grids = (grid_size, n_grids, lo, hi, tuple(metric_kinds), tuple(estimators))
-    (result,) = _two_mode_censuses([cfg], workers, [progress], grids)
+    volume = (grid_size, n_grids, lo, hi, tuple(metric_kinds), tuple(estimators))
+    (result,) = _two_mode_censuses([cfg], workers, [progress], volume)
     return result
 
 
@@ -643,16 +632,15 @@ def run_one_mode_classicality(
     for k in schedule:
         if not (k > 0.0 and math.isfinite(k)):
             raise ValueError(f"k schedule entries must be positive and finite, got {k!r}")
-        boxes.append((k, ratio * k))
-        _check_bound(max(boxes[-1]), 1)
-    censuses = [_blocks(cfg.samples, cfg.seed, k, l) for k, l in boxes]
-    folds = _fold(_one_mode_block, censuses, workers, [progress] * len(boxes))
+        _check_bound(max(k, ratio * k), 1)
+        boxes.append(replace(cfg, k=k, l=ratio * k))
     points = []
-    for (k, l), (total, _) in zip(boxes, folds):
+    for total, _ in _fold(_one_mode_block, boxes, workers, [progress] * len(boxes)):
         p = se = 0.0
         if total.accepted:
             p, se = total.prob_classical(), total.stderr("fisher", "cls")
-        points.append(OneModePoint(float(k), float(l), cfg.samples, total.accepted,
+        box = total.config
+        points.append(OneModePoint(float(box.k), float(box.l), cfg.samples, total.accepted,
                                    total.classical, p, se))
     return points
 
@@ -670,8 +658,7 @@ def run_entropy_probe(
     violating matrices are kept with their sample indices.
     """
     _check_bound(max(cfg.k, cfg.l), 2)
-    census = _blocks(cfg.samples, cfg.seed, cfg.k, cfg.l)
-    ((total, extras),) = _fold(_entropy_block, [census], workers, [progress])
+    ((total, extras),) = _fold(_entropy_block, [cfg], workers, [progress])
     examples = [example for _, found in extras for example in found][:3]
     return EntropyReport(
         generated=total.generated,

@@ -52,7 +52,7 @@ def test_census_block_draws_through_the_module_attribute(monkeypatch) -> None:
         return real(*args, **kwargs)
 
     monkeypatch.setattr(montecarlo, "substream_uniforms", counted)
-    montecarlo._census_block((11, 0, 4096, 15.0, 15.0, 0, 0, 0.0, 0.0, (), ()))
+    montecarlo._census_block(montecarlo.SamplerConfig(15.0, 15.0, 4096, 11), 0, 4096, ())
     assert len(calls) == 1
 
 

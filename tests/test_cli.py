@@ -305,6 +305,14 @@ class TestUsageErrors:
             assert (code, out) == (64, ""), argv
             assert "k schedule is empty" in err, argv
 
+    @pytest.mark.parametrize("flag", ["--seed", "--workers"])
+    def test_fidelity_check_takes_no_sampling_flags(self, capsys, flag) -> None:
+        # fidelity-check draws no samples, so a seed or a worker count
+        # would be read by nothing.
+        code, out, err = run_cli(capsys, ["fidelity-check", "--grid-points", "2", flag, "2"])
+        assert (code, out) == (64, "")
+        assert f"unrecognized arguments: {flag} 2" in err
+
     def test_zero_workers(self, capsys) -> None:
         code, _, _ = run_cli(
             capsys, ["census", "--samples", "1000", "--workers", "0"]
@@ -424,6 +432,15 @@ class TestOtherSubcommands:
         assert lines[0] == ",".join(cli.ENTROPY_FIELDS)
         assert len(lines) == 2
 
+    @pytest.mark.parametrize("command", ["entropy", "one-mode"])
+    def test_progress_goes_to_stderr_only(self, capsys, monkeypatch, command) -> None:
+        argv = [command, "--samples", "70000", "--seed", "3"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0
+        assert f"{command}: 70000/70000 samples, " in err
+        monkeypatch.setattr(cli, "_progress_printer", lambda label, total: None)
+        assert run_cli(capsys, argv)[:2] == (0, out)
+
     def test_bures_measure_labels(self, capsys) -> None:
         code, out, _ = run_cli(
             capsys,
@@ -513,7 +530,14 @@ class TestOtherSubcommands:
         # usage mistake.
         code, _, err = run_cli(capsys, ["table1", "--scale", "0.00002"])
         assert code == 1
-        assert "no samples accepted" in err
+        assert "no samples accepted out of 10; increase --scale\n" in err
+        # The sampling commands name their own budget flag; in a box of
+        # side 0.5, det A <= 1/4, so no sample is physical.
+        for command in ("census", "bures"):
+            code, _, err = run_cli(capsys, [command, "--k", "0.5", "--l", "0.5",
+                                            "--samples", "100"])
+            assert code == 1, command
+            assert err.endswith("; increase --samples\n"), command
 
 
 def _fresh_python(probe: str, **env: str | None) -> str:
@@ -572,7 +596,9 @@ class TestStartup:
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli"
 
-# Each golden's command line, less --workers.  The table1 run holds the
+# Each golden's command line; the worker count goes in through
+# GAUSSCENSUS_WORKERS, which fidelity-check, drawing no samples, does not
+# read.  The table1 run holds the
 # k=500 row, whose form-II solves fail on many physical samples; the
 # census run is the widest box of the front-end checks, and the bures
 # runs take the volume-element path with all three metrics, once as
@@ -606,9 +632,9 @@ def test_cli_output_matches_golden(name: str, workers: str) -> None:
     src = str(Path(gausscensus.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    env.pop(cli.ENV_WORKERS, None)
+    env[cli.ENV_WORKERS] = workers
     proc = subprocess.run(
-        [sys.executable, "-m", "gausscensus.cli", *CLI_GOLDENS[name], "--workers", workers],
+        [sys.executable, "-m", "gausscensus.cli", *CLI_GOLDENS[name]],
         capture_output=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")

@@ -3,6 +3,7 @@ positive-P test, and the agreement properties between them."""
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -284,6 +285,18 @@ class TestDisagreementFormat:
         )
         assert list(disagrees(v)) == [False, False, True]
 
+    def test_error_survives_pickle(self):
+        # A census block raises the error in its pool worker, and the
+        # pool hands it to the fold by pickle.
+        rng = np.random.default_rng(43)
+        M = rng.normal(size=(4, 4))
+        exc = criteria.OracleDisagreementError(M, -1.25e-3, 4.5e-7)
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is criteria.OracleDisagreementError
+        assert back.matrix.tobytes() == M.tobytes()
+        assert (back.margin_sep, back.margin_ppt) == (-1.25e-3, 4.5e-7)
+        assert str(back) == str(exc)
+
 
 def block_candidates(k, l, seed=11):
     return materialised_candidates(seed, 0, BLOCK, float(k), float(l))[1]
@@ -536,7 +549,7 @@ class TestClosedFormVerdicts:
 
     def test_census_block_never_calls_eigvalsh(self, eigvalsh_lanes):
         # A k = l = 15 census block (seed 7): every verdict in closed form.
-        args = (7, 0, BLOCK, 15.0, 15.0, 0, 0, 0.0, 0.0, (), ())
-        out = montecarlo._census_block(args)
-        assert out.census.separable > 0 and out.census.accepted > out.census.separable
+        cfg = montecarlo.SamplerConfig(k=15.0, l=15.0, samples=BLOCK, seed=7)
+        census, _ = montecarlo._census_block(cfg, 0, BLOCK, ())
+        assert census.separable > 0 and census.accepted > census.separable
         assert eigvalsh_lanes == []

@@ -252,7 +252,7 @@ class TestWorkerPool:
                 self.blocks = self.pending = self.most_pending = 0
                 pools.append(self)
 
-            def submit(self, fn, args):
+            def submit(self, fn, *args):
                 self.blocks += 1
                 self.pending += 1
                 self.most_pending = max(self.most_pending, self.pending)
@@ -261,7 +261,7 @@ class TestWorkerPool:
                 class Future:
                     def result(self):
                         pool.pending -= 1
-                        return fn(args)
+                        return fn(*args)
 
                 return Future()
 
@@ -299,6 +299,37 @@ class TestWorkerPool:
         assert [(p.size, p.blocks) for p in pools] == [(2, 9)]
         alone = [run_one_mode_classicality(cfg, ks=(k,))[0] for k in ks]
         assert [dataclasses.astuple(p) for p in points] == [dataclasses.astuple(p) for p in alone]
+
+
+def _echo_block(cfg, start, count, *stage):
+    # A block runner that counts its samples and hands back its
+    # arguments as its extra.
+    return montecarlo.CensusResult(generated=count), (cfg, start, count, stage)
+
+
+class TestFold:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blocks_get_their_config_start_count_and_stage(self, workers) -> None:
+        cfgs = [SamplerConfig(k=10.0, l=5.0, samples=2 * BLOCK + 7, seed=3),
+                SamplerConfig(k=20.0, l=10.0, samples=BLOCK, seed=4)]
+        folds = montecarlo._fold(_echo_block, cfgs, workers, [None, None], "a", ("b",))
+        for cfg, (total, extras) in zip(cfgs, folds):
+            assert total.config is cfg
+            assert total.wall_time > 0.0
+            assert total.generated == cfg.samples
+            assert [start for _, start, _, _ in extras] == list(range(0, cfg.samples, BLOCK))
+            counts = [count for _, _, count, _ in extras]
+            assert counts[:-1] == [BLOCK] * (len(counts) - 1)
+            assert 0 < counts[-1] == cfg.samples - BLOCK * (len(counts) - 1)
+            assert all(got == cfg and stage == ("a", ("b",)) for got, _, _, stage in extras)
+        assert counts[-1] == BLOCK and len(extras) == 1
+
+    def test_progress_after_every_block(self) -> None:
+        cfg = SamplerConfig(k=10.0, l=5.0, samples=3 * BLOCK + 1, seed=3)
+        reports = []
+        ((total, _),) = montecarlo._fold(_echo_block, [cfg], 1,
+                                         [lambda *counts: reports.append(counts)])
+        assert reports == [(BLOCK, 0), (2 * BLOCK, 0), (3 * BLOCK, 0), (cfg.samples, 0)]
 
 
 class _Stop(Exception):
@@ -807,9 +838,10 @@ class TestCandidates:
                 return _real(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, spy)
-        out = montecarlo._census_block((seed, 0, BLOCK, k, l, 0, 0, 0.0, 0.0, (), ()))
+        cfg = SamplerConfig(k=k, l=l, samples=BLOCK, seed=seed)
+        census, _ = montecarlo._census_block(cfg, 0, BLOCK, ())
         monkeypatch.undo()
-        assert out.census.accepted == len(accepted) > 0 and out.census.solver_failures == 0
+        assert census.accepted == len(accepted) > 0 and census.solver_failures == 0
         assert len(M) > 10 * len(accepted)
         assert calls["eigvalsh"] == []
         assert len(calls["det"]) == 2
@@ -989,12 +1021,11 @@ class TestOneModeClassicality:
             assert abs(z) < 4.0, (point.k, z)
 
 
-def _classify_entropy_block(args):
+def _classify_entropy_block(cfg, start, count):
     # The entropy block as it was built on the full stacked classify,
     # form-II solve included; its report is the reference.
-    seed, start, count, k, l = args
     tol = criteria.DEFAULT
-    index, M, _ = materialised_candidates(seed, start, count, k, l)
+    index, M, _ = materialised_candidates(cfg.seed, start, count, cfg.k, cfg.l)
     v = criteria.classify(M, tol)
     separable = v.physical & criteria.is_separable_ppt(M, tol)[0]
     M = M[separable]
@@ -1007,7 +1038,7 @@ def _classify_entropy_block(args):
         separable=len(M),
     )
     where = (start + index[separable][beats[:3]]).tolist()
-    return montecarlo._BlockOut(census, extra=(beats.size, tuple(zip(where, M[beats[:3]]))))
+    return census, (beats.size, tuple(zip(where, M[beats[:3]])))
 
 
 class TestEntropyProbe:
@@ -1059,9 +1090,9 @@ class TestEntropyProbe:
         for a, b in zip(ours.examples, reference.examples):
             assert np.array_equal(a, b)
         # Violations have their own count; the classical count stays 0.
-        out = montecarlo._entropy_block((cfg.seed, 0, BLOCK, cfg.k, cfg.l))
-        assert out.census.classical == 0
-        assert (out.extra[0] > 0) == flip
+        census, (violations, _) = montecarlo._entropy_block(cfg, 0, BLOCK)
+        assert census.classical == 0
+        assert (violations > 0) == flip
 
     def test_skips_form_two_solve(self, monkeypatch) -> None:
         calls = []
