@@ -3,8 +3,9 @@
 Standard output carries only machine-readable results (CSV, JSON lines,
 or an aligned table); progress and diagnostics go to standard error.
 Exit codes: 0 success, 1 I/O or empty-result failure, 2 oracle
-disagreement, 64 usage or configuration error.  The sampling commands
-share the --k, --l, --samples and --seed flags; one-mode draws 2x2
+disagreement, 64 usage or configuration error.  census, bures, one-mode
+and entropy share the --k, --l, --samples, --seed and --workers flags,
+and table1 takes --scale, --seed and --workers; one-mode draws 2x2
 matrices from the box and the others 4x4, and each command refuses a
 box where its own determinant could overflow.
 """
@@ -79,42 +80,32 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: error: {message}")
 
 
-def _g17(x: float) -> str:
-    return f"{float(x):.17g}"
+def _split_floats(text: str) -> list[float]:
+    return [float(p) for p in text.replace(",", " ").split()]
 
 
-def _split_floats(text: str, expect: int | None = None) -> list[float]:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    values = [float(p) for p in parts]
-    if expect is not None and len(values) != expect:
-        raise ValueError(f"expected {expect} numbers, got {text!r}")
-    return values
+def _config_value(action: argparse.Action, text: str, where: str):
+    # One value as argparse reads it for the flag: type, then choices.
+    flag = action.option_strings[0]
+    try:
+        value = action.type(text) if action.type else text
+    except ValueError:
+        raise UsageError(f"{where}: argument {flag}: invalid {action.type.__name__} "
+                         f"value: {text!r}")
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(repr, action.choices))
+        raise UsageError(f"{where}: argument {flag}: invalid choice: {value!r} "
+                         f"(choose from {choices})")
+    return value
 
 
-_CONFIG_CONVERTERS = {
-    "k": float,
-    "l": float,
-    "samples": int,
-    "seed": int,
-    "workers": int,
-    "scale": float,
-    "grid_size": int,
-    "n_grids": int,
-    "grid_points": int,
-    "h": float,
-    "out": str,
-    "format": str,
-    "robust": lambda s: [p for p in s.replace(",", " ").split() if p],
-    "metric": lambda s: [p for p in s.replace(",", " ").split() if p],
-    "ks": _split_floats,
-    "grid_range": lambda s: _split_floats(s, 2),
-    "beta_range": lambda s: _split_floats(s, 2),
-    "r_range": lambda s: _split_floats(s, 2),
-}
+def _load_config(path: str, command: str, keys: dict) -> dict:
+    """Parse a key=value file through the command's own flags.
 
-
-def _load_config(path: str) -> dict:
-    """Parse a key=value file; '#' starts a comment, blanks are skipped."""
+    keys maps each flag's dest to its Action and whether it takes a list
+    (a pair or a repeated flag), written comma- or space-separated.  '#'
+    starts a comment, blanks are skipped.
+    """
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -122,20 +113,23 @@ def _load_config(path: str) -> dict:
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}")
     for lineno, raw in enumerate(lines, 1):
+        where = f"{path}:{lineno}"
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value")
-        key, _, value = line.partition("=")
+            raise UsageError(f"{where}: expected key=value")
+        key, _, text = line.partition("=")
         key = key.strip().replace("-", "_")
-        conv = _CONFIG_CONVERTERS.get(key)
-        if conv is None:
-            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            values[key] = conv(value.strip())
-        except ValueError as exc:
-            raise UsageError(f"{path}:{lineno}: {exc}")
+        if key not in keys:
+            raise UsageError(f"{where}: unknown key {key!r} for {command}")
+        action, many = keys[key]
+        texts = text.replace(",", " ").split() if many else [text.strip()]
+        if not texts or action.nargs not in (None, len(texts)):
+            raise UsageError(f"{where}: argument {action.option_strings[0]}: expected "
+                             f"{action.nargs or 'one or more'} values, got {text.strip()!r}")
+        value = [_config_value(action, t, where) for t in texts]
+        values[key] = value if many else value[0]
     return values
 
 
@@ -143,52 +137,57 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="gausscensus", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p, box=True, sampling=True):
+    def command(name, help):
+        # Each flag's dest is also its config key.
+        p = sub.add_parser(name, help=help)
+        keys = {}
+        p.set_defaults(config_keys=keys)
+
+        def flag(*names, **kw):
+            action = p.add_argument(*names, default=None, **kw)
+            keys[action.dest] = (action, "nargs" in kw or kw.get("action") == "append")
+        return p, flag
+
+    def common(p, flag, box=True, sampling=True):
         if box:
-            p.add_argument("--k", type=float, default=None)
-            p.add_argument("--l", type=float, default=None)
-            p.add_argument("--samples", type=int, default=None)
+            flag("--k", type=float)
+            flag("--l", type=float)
+            flag("--samples", type=int)
         if sampling:
-            p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("csv", "json", "table"), default=None)
+            flag("--seed", type=int)
+            flag("--workers", type=int)
+        flag("--out")
+        flag("--format", choices=("csv", "json", "table"))
         p.add_argument("--config", default=None)
 
-    p = sub.add_parser("table1", help="five-row census sweep")
-    p.add_argument("--scale", type=float, default=None)
-    common(p, box=False)
+    p, flag = command("table1", "five-row census sweep")
+    flag("--scale", type=float)
+    common(p, flag, box=False)
 
-    p = sub.add_parser("census", help="weighted separability census")
-    common(p)
+    p, flag = command("census", "weighted separability census")
+    common(p, flag)
 
-    p = sub.add_parser("bures", help="volume-element census on random grids")
-    p.add_argument("--grid-size", type=int, default=None)
-    p.add_argument("--n-grids", type=int, default=None)
-    p.add_argument("--grid-range", type=float, nargs=2, default=None,
-                   metavar=("LO", "HI"))
-    p.add_argument("--metric", action="append", default=None,
-                   choices=("fisher", "bures", "kubo-mori", "maximal"))
-    p.add_argument("--robust", action="append", default=None,
-                   choices=("none", "median", "trimmed-mean"))
-    common(p)
+    p, flag = command("bures", "volume-element census on random grids")
+    flag("--grid-size", type=int)
+    flag("--n-grids", type=int)
+    flag("--grid-range", type=float, nargs=2, metavar=("LO", "HI"))
+    flag("--metric", action="append", choices=("fisher", "bures", "kubo-mori", "maximal"))
+    flag("--robust", action="append", choices=("none", "median", "trimmed-mean"))
+    common(p, flag)
 
-    p = sub.add_parser("one-mode", help="classicality trend over box sizes")
-    p.add_argument("--ks", type=_split_floats, default=None,
-                   help="comma-separated k schedule")
-    common(p)
+    p, flag = command("one-mode", "classicality trend over box sizes")
+    flag("--ks", type=_split_floats, help="comma-separated k schedule")
+    common(p, flag)
 
-    p = sub.add_parser("entropy", help="joint-vs-marginal entropy probe")
-    common(p)
+    p, flag = command("entropy", "joint-vs-marginal entropy probe")
+    common(p, flag)
 
-    p = sub.add_parser("fidelity-check", help="metric cross-validation")
-    p.add_argument("--beta-range", type=float, nargs=2, default=None,
-                   metavar=("LO", "HI"))
-    p.add_argument("--r-range", type=float, nargs=2, default=None,
-                   metavar=("LO", "HI"))
-    p.add_argument("--grid-points", type=int, default=None)
-    p.add_argument("--h", type=float, default=None)
-    common(p, box=False, sampling=False)
+    p, flag = command("fidelity-check", "metric cross-validation")
+    flag("--beta-range", type=float, nargs=2, metavar=("LO", "HI"))
+    flag("--r-range", type=float, nargs=2, metavar=("LO", "HI"))
+    flag("--grid-points", type=int)
+    flag("--h", type=float)
+    common(p, flag, box=False, sampling=False)
     return parser
 
 
@@ -238,11 +237,9 @@ def _progress_printer(label: str, total: int):
 def _format_cell(value) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, bool):
+    if isinstance(value, (int, np.integer)):  # bool is an int too
         return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return _g17(value)
+    return f"{float(value):.17g}"
 
 
 def _render(fields: list[str], rows: list[dict], fmt: str) -> str:
@@ -492,10 +489,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _load_config(args.config) if args.config else {}
+        config = _load_config(args.config, args.command, args.config_keys) if args.config else {}
         fmt = _resolve(args, config, "format", "csv")
-        if fmt not in ("csv", "json", "table"):
-            raise UsageError(f"unknown format {fmt!r}")
         out = _resolve(args, config, "out", None)
         handler = _COMMANDS[args.command]
         try:

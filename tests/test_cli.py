@@ -164,6 +164,55 @@ class TestWorkersAndConfig:
         assert code == 64
         assert "unknown key" in err
 
+    @pytest.mark.parametrize("argv,line", [
+        (["fidelity-check", "--grid-points", "2"], "workers = 0"),
+        (["fidelity-check", "--grid-points", "2"], "seed = -5"),
+        (["fidelity-check", "--grid-points", "2"], "scale = 7"),
+        (["census", "--samples", "1000"], "grid_size = 0"),
+        (["census", "--samples", "1000"], "ks = 1,2"),
+        (["census", "--samples", "1000"], "h = 0.1"),
+    ])
+    def test_config_key_of_another_command_exits_64(self, capsys, tmp_path, argv, line) -> None:
+        # A key is the dest of one of the command's own flags; a setting
+        # the command would not read is refused, not ignored.
+        conf = tmp_path / "run.conf"
+        conf.write_text(line + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, argv + ["--config", str(conf)])
+        assert (code, out) == (64, "")
+        key = line.split(" =")[0]
+        assert f"unknown key {key!r} for {argv[0]}" in err
+
+    @pytest.mark.parametrize("line,flags,message", [
+        ("metric = kubo_mori", ["--metric", "kubo_mori"], "invalid choice: 'kubo_mori'"),
+        ("robust = trimmed_mean", ["--robust", "trimmed_mean"], "invalid choice: 'trimmed_mean'"),
+        ("metric =", ["--metric"], "argument --metric: expected one"),
+        ("robust =", ["--robust"], "argument --robust: expected one"),
+        ("format = xml", ["--format", "xml"], "invalid choice: 'xml'"),
+    ])
+    def test_config_refuses_what_the_flag_refuses(self, capsys, tmp_path, line, flags,
+                                                  message) -> None:
+        # A config value goes through its flag's choices, and a list
+        # flag with no value is refused rather than read as the default.
+        conf = tmp_path / "run.conf"
+        conf.write_text(line + "\n", encoding="utf-8")
+        base = ["bures", "--samples", "1000"]
+        for argv in (base + ["--config", str(conf)], base + flags):
+            code, out, err = run_cli(capsys, argv)
+            assert (code, out) == (64, ""), argv
+            assert message in err, argv
+
+    def test_flag_replaces_config_list(self, capsys, tmp_path) -> None:
+        # A repeated flag on the command line replaces the config file's
+        # list instead of adding to it.
+        conf = tmp_path / "run.conf"
+        conf.write_text("metric = maximal\n", encoding="utf-8")
+        argv = ["bures", "--samples", "16384", "--seed", "2", "--metric", "kubo-mori"]
+        code, out, err = run_cli(capsys, argv + ["--config", str(conf)])
+        assert code == 0, err
+        labels = [line.split(",")[0] for line in out.splitlines()[1:]]
+        assert labels == ["fisher", "kubo-mori:median", "kubo-mori:trimmed-mean"]
+        assert run_cli(capsys, argv)[1] == out
+
     def test_malformed_config_line_exits_64(self, capsys, tmp_path) -> None:
         conf = tmp_path / "run.conf"
         conf.write_text("samples\n", encoding="utf-8")
@@ -639,3 +688,28 @@ def test_cli_output_matches_golden(name: str, workers: str) -> None:
     )
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
     assert proc.stdout == (GOLDEN / name).read_bytes()
+
+
+def _as_config(argv: list[str]) -> str:
+    # A command line's flags as config lines: each key is the flag's
+    # dest, and a pair's or a repeated flag's values make one list.
+    values: dict[str, list[str]] = {}
+    for token in argv[1:]:
+        if token.startswith("--"):
+            current = values.setdefault(token[2:].replace("-", "_"), [])
+        else:
+            current.append(token)
+    return "".join(f"{key} = {' '.join(v)}\n" for key, v in values.items())
+
+
+@pytest.mark.parametrize("name", sorted(CLI_GOLDENS))
+def test_cli_golden_from_a_config_file(name, capsys, tmp_path, monkeypatch) -> None:
+    # Flags and config lines are one parse path: the golden command with
+    # every flag moved into a config file prints the golden byte for byte.
+    monkeypatch.setenv(cli.ENV_WORKERS, "1")
+    argv = CLI_GOLDENS[name]
+    conf = tmp_path / "run.conf"
+    conf.write_text(_as_config(argv), encoding="utf-8")
+    code, out, err = run_cli(capsys, [argv[0], "--config", str(conf)])
+    assert code == 0, err
+    assert out.encode() == (GOLDEN / name).read_bytes()
