@@ -7,7 +7,11 @@ disagreement, 64 usage or configuration error.  census, bures, one-mode
 and entropy share the --k, --l, --samples, --seed and --workers flags,
 and table1 takes --scale, --seed and --workers; one-mode draws 2x2
 matrices from the box and the others 4x4, and each command refuses a
-box where its own determinant could overflow.
+box where its own determinant could overflow.  Each setting's default
+sits on its flag: a setting comes from its flag, else its --config line
+(one line per key), else that default; the worker count falls back to
+GAUSSCENSUS_WORKERS, then 1.  An empty --out is refused before any
+sample is drawn.
 """
 
 from __future__ import annotations
@@ -89,6 +93,8 @@ def _config_value(action: argparse.Action, text: str, where: str):
     flag = action.option_strings[0]
     try:
         value = action.type(text) if action.type else text
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"{where}: argument {flag}: {exc}")
     except ValueError:
         raise UsageError(f"{where}: argument {flag}: invalid {action.type.__name__} "
                          f"value: {text!r}")
@@ -102,11 +108,12 @@ def _config_value(action: argparse.Action, text: str, where: str):
 def _load_config(path: str, command: str, keys: dict) -> dict:
     """Parse a key=value file through the command's own flags.
 
-    keys maps each flag's dest to its Action and whether it takes a list
-    (a pair or a repeated flag), written comma- or space-separated.  '#'
-    starts a comment, blanks are skipped.
+    keys maps each flag's dest to its Action, whether it takes a list (a
+    pair or a repeated flag), written comma- or space-separated on one
+    line, and its default.  Each key may appear once.  '#' starts a
+    comment, blanks are skipped.
     """
-    values = {}
+    values, first = {}, {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -123,7 +130,10 @@ def _load_config(path: str, command: str, keys: dict) -> dict:
         key = key.strip().replace("-", "_")
         if key not in keys:
             raise UsageError(f"{where}: unknown key {key!r} for {command}")
-        action, many = keys[key]
+        if key in first:
+            raise UsageError(f"{where}: key {key!r} repeated (first on line {first[key]})")
+        first[key] = lineno
+        action, many, _ = keys[key]
         texts = text.replace(",", " ").split() if many else [text.strip()]
         if not texts or action.nargs not in (None, len(texts)):
             raise UsageError(f"{where}: argument {action.option_strings[0]}: expected "
@@ -133,82 +143,84 @@ def _load_config(path: str, command: str, keys: dict) -> dict:
     return values
 
 
+def _output_path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("output path is empty")
+    return text
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gausscensus", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def command(name, help):
-        # Each flag's dest is also its config key.
+        # Each flag's dest is also its config key.  argparse gets no
+        # default, so a flag left out is missing from the namespace (and a
+        # repeated flag starts a fresh list); main fills in the default.
         p = sub.add_parser(name, help=help)
         keys = {}
         p.set_defaults(config_keys=keys)
 
-        def flag(*names, **kw):
-            action = p.add_argument(*names, default=None, **kw)
-            keys[action.dest] = (action, "nargs" in kw or kw.get("action") == "append")
+        def flag(*names, default=None, **kw):
+            action = p.add_argument(*names, default=argparse.SUPPRESS, **kw)
+            keys[action.dest] = (action, "nargs" in kw or kw.get("action") == "append",
+                                 default)
         return p, flag
 
-    def common(p, flag, box=True, sampling=True):
+    def common(p, flag, box=(10.0, 5.0, 100_000), sampling=True):
+        # box is the command's default k, l and samples, or None.
         if box:
-            flag("--k", type=float)
-            flag("--l", type=float)
-            flag("--samples", type=int)
+            flag("--k", type=float, default=box[0])
+            flag("--l", type=float, default=box[1])
+            flag("--samples", type=int, default=box[2])
         if sampling:
-            flag("--seed", type=int)
-            flag("--workers", type=int)
-        flag("--out")
-        flag("--format", choices=("csv", "json", "table"))
+            flag("--seed", type=int, default=1)
+            flag("--workers", type=int)  # None: GAUSSCENSUS_WORKERS, then 1
+        flag("--out", type=_output_path)
+        flag("--format", choices=("csv", "json", "table"), default="csv")
         p.add_argument("--config", default=None)
 
     p, flag = command("table1", "five-row census sweep")
-    flag("--scale", type=float)
-    common(p, flag, box=False)
+    flag("--scale", type=float, default=1.0)
+    common(p, flag, box=None)
 
     p, flag = command("census", "weighted separability census")
     common(p, flag)
 
     p, flag = command("bures", "volume-element census on random grids")
-    flag("--grid-size", type=int)
-    flag("--n-grids", type=int)
-    flag("--grid-range", type=float, nargs=2, metavar=("LO", "HI"))
-    flag("--metric", action="append", choices=("fisher", "bures", "kubo-mori", "maximal"))
-    flag("--robust", action="append", choices=("none", "median", "trimmed-mean"))
-    common(p, flag)
+    flag("--grid-size", type=int, default=5)
+    flag("--n-grids", type=int, default=5)
+    flag("--grid-range", type=float, nargs=2, metavar=("LO", "HI"), default=(-2.0, 2.0))
+    flag("--metric", action="append", choices=("fisher", "bures", "kubo-mori", "maximal"),
+         default=["bures"])
+    flag("--robust", action="append", choices=("none", "median", "trimmed-mean"),
+         default=["median", "trimmed-mean"])
+    common(p, flag, box=(15.0, 15.0, 100_000))
 
     p, flag = command("one-mode", "classicality trend over box sizes")
     flag("--ks", type=_split_floats, help="comma-separated k schedule")
-    common(p, flag)
+    common(p, flag, box=(10.0, 5.0, 200_000))
 
     p, flag = command("entropy", "joint-vs-marginal entropy probe")
     common(p, flag)
 
     p, flag = command("fidelity-check", "metric cross-validation")
-    flag("--beta-range", type=float, nargs=2, metavar=("LO", "HI"))
-    flag("--r-range", type=float, nargs=2, metavar=("LO", "HI"))
-    flag("--grid-points", type=int)
+    flag("--beta-range", type=float, nargs=2, metavar=("LO", "HI"), default=(2.0, 6.0))
+    flag("--r-range", type=float, nargs=2, metavar=("LO", "HI"), default=(0.1, 0.9))
+    flag("--grid-points", type=int, default=5)
     flag("--h", type=float)
-    common(p, flag, box=False, sampling=False)
+    common(p, flag, box=None, sampling=False)
     return parser
 
 
-def _resolve(args, config: dict, name: str, builtin):
-    value = getattr(args, name, None)
+def _resolve_workers(value: int | None) -> int:
+    # The merged flag or config value, else the environment, else 1.
     if value is None:
-        value = config.get(name, builtin)
-    return value
-
-
-def _resolve_workers(args, config: dict) -> int:
-    value = _resolve(args, config, "workers", None)
-    if value is None:
-        raw = os.environ.get(ENV_WORKERS)
-        if raw is not None:
-            try:
-                value = int(raw)
-            except ValueError:
-                raise UsageError(f"invalid {ENV_WORKERS} value {raw!r}")
-    if value is None:
-        value = 1
+        raw = os.environ.get(ENV_WORKERS, "1")
+        try:
+            value = int(raw)
+        except ValueError:
+            raise UsageError(f"invalid {ENV_WORKERS} value {raw!r}")
     if value < 1:
         raise UsageError("worker count must be at least 1")
     return value
@@ -291,12 +303,15 @@ def _census_row(result: montecarlo.CensusResult, measure: str = "fisher",
     }
 
 
-def _cmd_table1(args, config) -> tuple[list[str], list[dict]]:
-    scale = _resolve(args, config, "scale", 1.0)
-    seed = _resolve(args, config, "seed", 1)
-    workers = _resolve_workers(args, config)
+def _cmd_table1(args) -> tuple[list[str], list[dict]]:
+    scale, seed = args.scale, args.seed
     if not (scale > 0.0 and math.isfinite(scale)):
         raise UsageError(f"--scale must be positive and finite, got {scale!r}")
+    last = 2**64 - len(TABLE1_ROWS)
+    if seed > last:
+        raise UsageError(f"table1 rows use seeds {seed} to {seed + len(TABLE1_ROWS) - 1}, "
+                         f"which must fit in an unsigned 64-bit integer; "
+                         f"--seed must be at most {last}")
     cfgs = [SamplerConfig(k=k, l=l, samples=max(1, int(round(full * scale))), seed=seed + i)
             for i, (k, l, full) in enumerate(TABLE1_ROWS)]
     progress = [_progress_printer(f"row {i + 1} (k={cfg.k:g}, l={cfg.l:g})", cfg.samples)
@@ -304,7 +319,7 @@ def _cmd_table1(args, config) -> tuple[list[str], list[dict]]:
     rows = []
     # One pool runs the blocks of every row; an empty row closes the sweep
     # and cancels the blocks still pending.
-    sweep = montecarlo.run_classical_sweep(cfgs, workers=workers, progress=progress)
+    sweep = montecarlo.run_classical_sweep(cfgs, workers=args.workers, progress=progress)
     with contextlib.closing(sweep):
         for i, result in enumerate(sweep):
             print(
@@ -317,23 +332,14 @@ def _cmd_table1(args, config) -> tuple[list[str], list[dict]]:
     return CENSUS_FIELDS, rows
 
 
-def _sampler_config(args, config: dict, k: float = 10.0, l: float = 5.0,
-                    samples: int = 100_000) -> SamplerConfig:
-    # The box, sample budget and seed of a sampling command, from its
-    # flags, then its config file, then the command's own defaults.
-    return SamplerConfig(
-        k=_resolve(args, config, "k", k),
-        l=_resolve(args, config, "l", l),
-        samples=_resolve(args, config, "samples", samples),
-        seed=_resolve(args, config, "seed", 1),
-    )
+def _sampler_config(args) -> SamplerConfig:
+    return SamplerConfig(k=args.k, l=args.l, samples=args.samples, seed=args.seed)
 
 
-def _cmd_census(args, config) -> tuple[list[str], list[dict]]:
-    cfg = _sampler_config(args, config)
-    workers = _resolve_workers(args, config)
+def _cmd_census(args) -> tuple[list[str], list[dict]]:
+    cfg = _sampler_config(args)
     progress = _progress_printer("census", cfg.samples)
-    result = montecarlo.run_classical_census(cfg, workers=workers,
+    result = montecarlo.run_classical_census(cfg, workers=args.workers,
                                              progress=progress)
     print(
         f"census: solver failures {result.solver_failures}, "
@@ -343,22 +349,16 @@ def _cmd_census(args, config) -> tuple[list[str], list[dict]]:
     return CENSUS_FIELDS, [_census_row(result)]
 
 
-def _cmd_bures(args, config) -> tuple[list[str], list[dict]]:
-    cfg = _sampler_config(args, config, k=15.0, l=15.0)
-    workers = _resolve_workers(args, config)
-    grid_size = _resolve(args, config, "grid_size", 5)
-    n_grids = _resolve(args, config, "n_grids", 5)
-    grid_range = _resolve(args, config, "grid_range", (-2.0, 2.0))
-    metric = _resolve(args, config, "metric", None) or ["bures"]
-    robust = list(dict.fromkeys(
-        _resolve(args, config, "robust", None) or ["median", "trimmed-mean"]))
+def _cmd_bures(args) -> tuple[list[str], list[dict]]:
+    cfg = _sampler_config(args)
+    robust = list(dict.fromkeys(args.robust))
     volume_kinds = tuple(
-        m.replace("-", "_") for m in dict.fromkeys(metric) if m != "fisher"
+        m.replace("-", "_") for m in dict.fromkeys(args.metric) if m != "fisher"
     )
     if "none" in robust:
         if len(robust) > 1:
             raise UsageError("--robust none excludes other robust choices")
-        if n_grids != 1:
+        if args.n_grids != 1:
             raise UsageError("--robust none requires --n-grids 1")
         estimators = ("median",)
     else:
@@ -366,12 +366,12 @@ def _cmd_bures(args, config) -> tuple[list[str], list[dict]]:
     progress = _progress_printer("bures census", cfg.samples)
     result = montecarlo.run_bures_census(
         cfg,
-        grid_size=grid_size,
-        n_grids=n_grids,
-        grid_range=tuple(grid_range),
+        grid_size=args.grid_size,
+        n_grids=args.n_grids,
+        grid_range=tuple(args.grid_range),
         metric_kinds=volume_kinds,
         estimators=estimators,
-        workers=workers,
+        workers=args.workers,
         progress=progress,
     )
     discard = result.discarded_grids / result.accepted if result.accepted else 0.0
@@ -398,21 +398,18 @@ def _cmd_bures(args, config) -> tuple[list[str], list[dict]]:
     return BURES_FIELDS, rows
 
 
-def _cmd_one_mode(args, config) -> tuple[list[str], list[dict]]:
-    cfg = _sampler_config(args, config, samples=200_000)
-    workers = _resolve_workers(args, config)
-    ks = _resolve(args, config, "ks", None)
+def _cmd_one_mode(args) -> tuple[list[str], list[dict]]:
+    cfg = _sampler_config(args)
     progress = _progress_printer("one-mode", cfg.samples)
-    points = montecarlo.run_one_mode_classicality(cfg, ks=ks, workers=workers,
+    points = montecarlo.run_one_mode_classicality(cfg, ks=args.ks, workers=args.workers,
                                                   progress=progress)
     return ONE_MODE_FIELDS, [dict(dataclasses.asdict(pt), seed=cfg.seed) for pt in points]
 
 
-def _cmd_entropy(args, config) -> tuple[list[str], list[dict]]:
-    cfg = _sampler_config(args, config)
-    workers = _resolve_workers(args, config)
+def _cmd_entropy(args) -> tuple[list[str], list[dict]]:
+    cfg = _sampler_config(args)
     progress = _progress_printer("entropy", cfg.samples)
-    report = montecarlo.run_entropy_probe(cfg, workers=workers, progress=progress)
+    report = montecarlo.run_entropy_probe(cfg, workers=args.workers, progress=progress)
     for index, matrix in zip(report.example_indices, report.examples):
         print(f"violation example, sample {index}:", file=sys.stderr)
         for line in criteria.format_disagreement(matrix, 0.0, 0.0).splitlines()[:4]:
@@ -426,18 +423,15 @@ def _cmd_entropy(args, config) -> tuple[list[str], list[dict]]:
     }]
 
 
-def _cmd_fidelity_check(args, config) -> tuple[list[str], list[dict]]:
-    beta_range = _resolve(args, config, "beta_range", (2.0, 6.0))
-    r_range = _resolve(args, config, "r_range", (0.1, 0.9))
-    points = _resolve(args, config, "grid_points", 5)
-    h = _resolve(args, config, "h", None)
+def _cmd_fidelity_check(args) -> tuple[list[str], list[dict]]:
+    points = args.grid_points
     if points < 2:
         raise UsageError("--grid-points must be at least 2")
-    for flag, (lo, hi) in (("--beta-range", beta_range), ("--r-range", r_range)):
+    for flag, (lo, hi) in (("--beta-range", args.beta_range), ("--r-range", args.r_range)):
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise UsageError(f"{flag} must be finite, got {lo!r} {hi!r}")
-    betas = np.linspace(beta_range[0], beta_range[1], points).tolist()
-    rs = np.linspace(r_range[0], r_range[1], points).tolist()
+    betas = np.linspace(*args.beta_range, points).tolist()
+    rs = np.linspace(*args.r_range, points).tolist()
     entries = []
     for beta in betas:
         for r in rs:
@@ -446,7 +440,7 @@ def _cmd_fidelity_check(args, config) -> tuple[list[str], list[dict]]:
                 # steps do, so they go first and name the cause.
                 marginal = fidelity.marginal_f(r) * fidelity.marginal_g(beta)
                 g = fidelity.metric_by_finite_difference(
-                    SqueezedThermalParams(beta=beta, r=r), h=h
+                    SqueezedThermalParams(beta=beta, r=r), h=args.h
                 )
                 sqrt_det = math.sqrt(max(float(np.linalg.det(g)), 0.0))
                 ratio = sqrt_det / marginal
@@ -489,12 +483,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _load_config(args.config, args.command, args.config_keys) if args.config else {}
-        fmt = _resolve(args, config, "format", "csv")
-        out = _resolve(args, config, "out", None)
-        handler = _COMMANDS[args.command]
+        keys = args.config_keys
+        config = _load_config(args.config, args.command, keys) if args.config else {}
+        # Every setting once: its flag, else its config line, else its default.
+        defaults = {key: default for key, (_, _, default) in keys.items()}
+        args = argparse.Namespace(**(defaults | config | vars(args)))
+        if "workers" in keys:
+            args.workers = _resolve_workers(args.workers)
         try:
-            fields, rows = handler(args, config)
+            fields, rows = _COMMANDS[args.command](args)
         except (ValueError, measures.GridDrawError) as exc:
             raise UsageError(str(exc))
     except UsageError as exc:
@@ -505,14 +502,14 @@ def main(argv=None) -> int:
         return EXIT_IO
     except criteria.OracleDisagreementError as exc:
         try:
-            path = _dump_disagreement(exc, out)
+            path = _dump_disagreement(exc, args.out)
         except OSError as io_exc:
             print(f"could not write disagreement dump: {io_exc}", file=sys.stderr)
             return EXIT_ORACLE
         print(f"{exc}; offending matrix written to {path}", file=sys.stderr)
         return EXIT_ORACLE
     try:
-        _write_output(_render(fields, rows, fmt), out)
+        _write_output(_render(fields, rows, args.format), args.out)
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -213,6 +213,29 @@ class TestWorkersAndConfig:
         assert labels == ["fisher", "kubo-mori:median", "kubo-mori:trimmed-mean"]
         assert run_cli(capsys, argv)[1] == out
 
+    @pytest.mark.parametrize("lines,message", [
+        ("metric = bures\nsamples = 1000\nmetric = maximal\n", "key 'metric' repeated"),
+        ("samples = 1000\n\nsamples = 2000\n", "key 'samples' repeated"),
+    ])
+    def test_repeated_config_key_exits_64(self, capsys, tmp_path, lines, message) -> None:
+        # A key is given once; a list goes on one line.
+        conf = tmp_path / "run.conf"
+        conf.write_text(lines, encoding="utf-8")
+        code, out, err = run_cli(capsys, ["bures", "--seed", "2", "--config", str(conf)])
+        assert (code, out) == (64, "")
+        assert f"{conf}:3: {message} (first on line 1)" in err
+
+    def test_empty_out_exits_64_before_sampling(self, capsys, tmp_path) -> None:
+        # The flag and the config line go through the flag's own type.
+        conf = tmp_path / "run.conf"
+        conf.write_text("out =\n", encoding="utf-8")
+        base = ["census", "--samples", "1000"]
+        for argv in (base + ["--out", ""], base + ["--config", str(conf)]):
+            code, out, err = run_cli(capsys, argv)
+            assert (code, out) == (64, ""), argv
+            assert "argument --out: output path is empty" in err, argv
+            assert "samples," not in err and "solver failures" not in err, argv
+
     def test_malformed_config_line_exits_64(self, capsys, tmp_path) -> None:
         conf = tmp_path / "run.conf"
         conf.write_text("samples\n", encoding="utf-8")
@@ -255,6 +278,25 @@ class TestUsageErrors:
             assert code == 64, scale
             assert out == ""
             assert "--scale must be positive and finite" in err
+
+    def test_table1_seed_must_leave_room_for_every_row(self, capsys, monkeypatch) -> None:
+        # Rows take seeds S to S+4, and each must fit in 64 bits.
+        code, out, err = run_cli(capsys, ["table1", "--seed", str(2**64 - 1),
+                                          "--scale", "0.001"])
+        assert (code, out) == (64, "")
+        assert ("table1 rows use seeds 18446744073709551615 to 18446744073709551619"
+                in err)
+        assert "--seed must be at most 18446744073709551611" in err
+        seeds = []
+
+        def sweep(cfgs, workers=1, progress=None):
+            seeds.extend(cfg.seed for cfg in cfgs)
+            return (result for result in ())
+
+        monkeypatch.setattr(montecarlo, "run_classical_sweep", sweep)
+        code, out, err = run_cli(capsys, ["table1", "--seed", str(2**64 - 5)])
+        assert (code, out) == (0, HEADER + "\n"), err
+        assert seeds == list(range(2**64 - 5, 2**64))
 
     def test_robust_none_needs_single_grid(self, capsys) -> None:
         code, _, err = run_cli(
@@ -587,6 +629,36 @@ class TestOtherSubcommands:
                                             "--samples", "100"])
             assert code == 1, command
             assert err.endswith("; increase --samples\n"), command
+
+
+# Each command's built-in defaults written out as flags, beside the
+# settings it is run with; both command lines print the same bytes.
+WRITTEN_DEFAULTS = {
+    "census": ([], ["--k", "10", "--l", "5", "--samples", "100000", "--seed", "1",
+                    "--workers", "1", "--format", "csv"]),
+    "entropy": ([], ["--k", "10", "--l", "5", "--samples", "100000", "--seed", "1",
+                     "--workers", "1", "--format", "csv"]),
+    "one-mode": ([], ["--k", "10", "--l", "5", "--samples", "200000", "--seed", "1",
+                      "--workers", "1", "--format", "csv"]),
+    "fidelity-check": ([], ["--beta-range", "2", "6", "--r-range", "0.1", "0.9",
+                            "--grid-points", "5", "--format", "csv"]),
+    "bures": (["--samples", "16384"],
+              ["--k", "15", "--l", "15", "--seed", "1", "--workers", "1",
+               "--grid-size", "5", "--n-grids", "5", "--grid-range", "-2", "2",
+               "--metric", "bures", "--robust", "median", "--robust", "trimmed-mean",
+               "--format", "csv"]),
+    "table1": (["--scale", "0.002"], ["--seed", "1", "--workers", "1", "--format", "csv"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(WRITTEN_DEFAULTS))
+def test_defaults_written_out_change_nothing(command, capsys, monkeypatch) -> None:
+    monkeypatch.delenv(cli.ENV_WORKERS, raising=False)
+    given, defaults = WRITTEN_DEFAULTS[command]
+    code, out, err = run_cli(capsys, [command, *given])
+    assert code == 0, err
+    assert out.count("\n") > 1
+    assert run_cli(capsys, [command, *given, *defaults])[1] == out
 
 
 def _fresh_python(probe: str, **env: str | None) -> str:
